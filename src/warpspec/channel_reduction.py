@@ -30,10 +30,12 @@ from .warp_geometry import WarpProfile
 __all__ = [
     "ChannelSpec",
     "ChannelPotential",
+    "TailFit",
     "ConjugatedSolution",
     "sphere_spectrum",
     "sphere_multiplicity",
     "channel_potential",
+    "fit_tail_oscillation",
     "liouville_transform",
     "inverse_liouville",
     "exp_conjugation",
@@ -105,13 +107,22 @@ class ChannelPotential:
     kinks: tuple[float, ...] = ()
 
 
-def _fit_oscillation(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares fit y ~ A sin(2x + phi); returns (A, phi, rms residual)."""
-    design = np.column_stack([np.sin(2.0 * x), np.cos(2.0 * x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    a, b = coef
-    res = y - design @ coef
-    return float(math.hypot(a, b)), float(math.atan2(b, a)), float(np.sqrt(np.mean(res**2)))
+@dataclass(frozen=True)
+class TailFit:
+    """Least-squares fit x (q - limit) ~ k_eff sin(2x + phase) on a tail window.
+
+    rms is the root mean square of the fit remainder and remainder_slope the
+    log-log slope of its block maxima against radius: -inf when the remainder
+    vanishes to rounding (an exact sinusoid), None when fewer than four
+    blocks hold samples.
+    """
+
+    k_eff: float
+    phase: float
+    rms: float
+    window: tuple[float, float]
+    samples: int
+    remainder_slope: float | None
 
 
 def _block_max_slope(x: np.ndarray, y: np.ndarray, nblocks: int = 8) -> float | None:
@@ -131,6 +142,28 @@ def _block_max_slope(x: np.ndarray, y: np.ndarray, nblocks: int = 8) -> float | 
         return None
     slope, _ = np.polyfit(lx, lm, 1)
     return float(slope)
+
+
+def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailFit | None:
+    """Fit the x^-1 sinusoid of a sampled potential on the last quarter of its grid.
+
+    The window is grid >= max(50, 0.75 grid[-1]); None when it holds no
+    sample.  Callers decide whether the fit is good enough to use.
+    """
+    mask = grid >= max(50.0, 0.75 * grid[-1])
+    if not np.any(mask):
+        return None
+    xs, ys = grid[mask], grid[mask] * (q[mask] - limit)
+    design = np.column_stack([np.sin(2.0 * xs), np.cos(2.0 * xs)])
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    amp, phase = float(math.hypot(*coef)), float(math.atan2(coef[1], coef[0]))
+    rms = float(np.sqrt(np.mean((ys - design @ coef) ** 2)))
+    rem = ys - amp * np.sin(2.0 * xs + phase)
+    if np.max(np.abs(rem)) <= 1e-10 * max(amp, 1.0):
+        slope = -math.inf
+    else:
+        slope = _block_max_slope(xs, rem)
+    return TailFit(amp, phase, rms, (float(xs[0]), float(xs[-1])), int(len(xs)), slope)
 
 
 def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> ChannelPotential:
@@ -177,19 +210,11 @@ def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> Chann
 
         x_max = float(grid[-1])
 
-    # tail oscillation fit on the last quarter of the sampled range (and x >= 50)
-    k_eff = phase = remainder_slope = None
-    fit_window = None
-    lo = max(50.0, 0.75 * grid[-1])
-    mask = grid >= lo
-    if np.count_nonzero(mask) >= 200:
-        xs, ys = grid[mask], grid[mask] * (q[mask] - limit)
-        amp, phi, rms = _fit_oscillation(xs, ys)
-        if amp > max(1e-10, 4.0 * rms):
-            k_eff, phase = amp, phi
-            fit_window = (float(xs[0]), float(xs[-1]))
-            rem = ys - amp * np.sin(2.0 * xs + phi)
-            remainder_slope = _block_max_slope(xs, rem)
+    # tail oscillation fit, used with enough samples and a clear amplitude
+    k_eff = phase = remainder_slope = fit_window = None
+    fit = fit_tail_oscillation(grid, q, limit)
+    if fit is not None and fit.samples >= 200 and fit.k_eff > max(1e-10, 4.0 * fit.rms):
+        k_eff, phase, remainder_slope, fit_window = fit.k_eff, fit.phase, fit.remainder_slope, fit.window
 
     origin_exponent = None
     if grid[0] < 0.5 and abs(profile.f[0] / grid[0] - 1.0) < 0.01:

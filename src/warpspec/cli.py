@@ -9,10 +9,14 @@ Subcommands
 
 A JSON config file (--config) supplies defaults; explicit flags win.  Exit
 codes: 0 all requested checks passed, 1 a computation or check failed, 2 the
-configuration was invalid.  WARPSPEC_THREADS caps scan parallelism.  All
-artifacts are written atomically and print floats with 17 significant digits,
-so repeated runs are byte-identical; wall-clock time goes to stderr (and into
-the report only under --timings, which deliberately breaks byte-identity).
+configuration was invalid.  The threads setting (or WARPSPEC_THREADS) is still
+validated and recorded in the report but has no effect: channels are scanned
+one after another.  Without --r-max (or an r_max key) the commands that take
+--profile build the model profiles euclidean, hyperbolic and cusp to r = 40;
+the glued construction and the wvn end reach r = 2000.  All artifacts are
+written atomically and print floats with 17 significant digits, so repeated
+runs are byte-identical; wall-clock time goes to stderr (and into the report
+only under --timings, which deliberately breaks byte-identity).
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ __all__ = ["RunConfig", "main", "emit_plot_data", "config_to_json", "config_from
 
 _COMMANDS = ("build-example", "curvature-report", "scan", "verify-growth", "check-identities")
 _PROFILES = ("euclidean", "hyperbolic", "cusp", "wvn", "glued", "power", "log")
+# default range of the closed-form model profiles in the commands that take
+# --profile (everything else defaults to RunConfig.r_max)
+_PROFILE_R_MAX = {"euclidean": 40.0, "hyperbolic": 40.0, "cusp": 40.0}
+_PROFILE_COMMANDS = ("curvature-report", "verify-growth", "check-identities")
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,9 @@ def _named_profile(cfg: RunConfig) -> WarpProfile:
     name = cfg.profile
     if name in ("euclidean", "hyperbolic", "cusp"):
         builder = {"euclidean": euclidean_profile, "hyperbolic": hyperbolic_profile, "cusp": cusp_profile}[name]
-        r_max = min(cfg.r_max, 40.0) if cfg.r_max == 2000.0 else cfg.r_max
-        if name != "euclidean" and r_max > 600.0:
+        if name != "euclidean" and cfg.r_max > 600.0:
             raise ConfigError(f"profile {name} overflows beyond r = 600; lower --r-max")
-        return builder(cfg.n, r_max=r_max)
+        return builder(cfg.n, r_max=cfg.r_max)
     if name == "wvn":
         from .embedded_construction import reference_profile
 
@@ -174,18 +181,22 @@ def _named_profile(cfg: RunConfig) -> WarpProfile:
 # subcommands: each returns (report dict, ok flag, artifact paths)
 
 
-def _cmd_build_example(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
+def _lambda_window(cfg: RunConfig) -> tuple[float, float]:
+    """Scan window from the config, b_n +- 0.5 by default; refuses an empty one."""
     b_n = resonance_energy(cfg.n)
     lo = cfg.lambda_lo if cfg.lambda_lo is not None else b_n - 0.5
     hi = cfg.lambda_hi if cfg.lambda_hi is not None else b_n + 0.5
+    if hi <= lo:
+        raise ConfigError(f"empty lambda window [{lo}, {hi}]")
+    return lo, hi
+
+
+def _cmd_build_example(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
+    b_n = resonance_energy(cfg.n)
+    window = _lambda_window(cfg)
     g = build_construction(cfg.n, cfg.k, r_max=cfg.r_max)
     report, scans = verify_construction(
-        g,
-        run_scan=True,
-        j_max=cfg.j_max,
-        lambda_halfwidth=0.5 * (hi - lo),
-        lambda_step=cfg.lambda_step,
-        threads=cfg.threads,
+        g, run_scan=True, j_max=cfg.j_max, lambda_window=window, lambda_step=cfg.lambda_step
     )
     fired = report["scan"]["fired"]
     checks = {
@@ -232,14 +243,11 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     from .halfline_solver import scan_channels
 
     b_n = resonance_energy(cfg.n)
-    lo = cfg.lambda_lo if cfg.lambda_lo is not None else b_n - 0.5
-    hi = cfg.lambda_hi if cfg.lambda_hi is not None else b_n + 0.5
-    if hi <= lo:
-        raise ConfigError(f"empty lambda window [{lo}, {hi}]")
+    lo, hi = _lambda_window(cfg)
     g = build_construction(cfg.n, cfg.k, r_max=cfg.r_max)
     chans = [channel_potential(g.profile, spec) for spec in sphere_spectrum(cfg.n, cfg.j_max)]
     lams = lo + cfg.lambda_step * np.arange(int(math.floor((hi - lo) / cfg.lambda_step + 1e-9)) + 1)
-    scans = scan_channels(chans, lams, origin_bc="regular", r_max=cfg.r_max, threads=cfg.threads)
+    scans = scan_channels(chans, lams, origin_bc="regular", r_max=cfg.r_max)
     fired = [
         {"j": rep.j, "lam": d.lam, "refined_lam": d.refined_lam, "envelope_exponent": d.envelope_exponent}
         for rep in scans
@@ -454,7 +462,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             doc["threads"] = int(env_threads)
         except ValueError as exc:
             raise ConfigError(f"WARPSPEC_THREADS must be an integer, got {env_threads!r}") from exc
-    return config_from_json(doc)
+    cfg = config_from_json(doc)
+    if "r_max" not in doc and cfg.command in _PROFILE_COMMANDS and cfg.profile in _PROFILE_R_MAX:
+        cfg = replace(cfg, r_max=_PROFILE_R_MAX[cfg.profile])
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

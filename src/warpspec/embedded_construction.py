@@ -44,16 +44,18 @@ from .errors import (
 )
 from .halfline_solver import (
     ShootingResult,
-    _renorm_integrate,
     decaying_solution,
     fit_power_decay,
+    integrate_schrodinger,
     scan_channels,
 )
 from .warp_geometry import (
     DEFAULT_STEP,
+    GaussLegendrePanels,
     ShapeFns,
     WarpProfile,
-    _gl_cumulative,
+    fd_derivative,
+    piece_edges,
     register_profile_kind,
     sphere_area,
     uniform_grid,
@@ -430,7 +432,8 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     bk = np.unique(connector.knots)
     nodes = [np.linspace(a, b, 9)[:-1] for a, b in zip(bk[:-1], bk[1:])]
     nodes = np.concatenate(nodes + [np.array([length])])
-    cum = _gl_cumulative(g_of_t, nodes)
+    gl = GaussLegendrePanels(nodes)
+    cum = np.concatenate([[0.0], np.cumsum(gl.integrals(g_of_t(gl.x.ravel())))])
     logf_mid_spl = CubicSpline(nodes, math.log(r1) + cum)
     logf_r2 = float(math.log(r1) + cum[-1])
     sh1 = ref.shape
@@ -633,49 +636,10 @@ register_profile_kind("glued", _glued_from_params)
 # -------------------------------------------------------------- verification
 
 
-def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights on arbitrary integer offsets (Vandermonde)."""
-    m = len(offsets)
-    a_mat = np.vander(offsets, m, increasing=True).T
-    rhs = np.zeros(m)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(a_mat, rhs)
-
-
-def _fd_table(order: int, width: int = 7) -> list[np.ndarray]:
-    """Stencil weights for every off-center position, index = node position."""
-    half = width // 2
-    out = []
-    for pos in range(width):
-        offsets = np.arange(width, dtype=float) - pos
-        out.append(_fd_weights(offsets, order))
-    return out
-
-
-_W1 = _fd_table(1)
-_W2 = _fd_table(2)
-
-
-def _fd_uniform_segment(y: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Derivative of samples on a uniform grid, one-sided near the ends."""
-    w_tab = _W1 if order == 1 else _W2
-    m = len(y)
-    if m < 7:
-        raise ConfigError("need at least 7 samples for the 7-point stencils")
-    out = np.empty_like(y)
-    wc = w_tab[3]
-    out[3 : m - 3] = sum(wc[i] * y[i : m - 6 + i] for i in range(7))
-    for pos in range(3):
-        out[pos] = np.dot(w_tab[pos], y[:7])
-        out[m - 1 - pos] = np.dot(w_tab[6 - pos], y[m - 7 :])
-    return out / h**order
-
-
 def _eigen_residual_on(x: np.ndarray, psi: np.ndarray, s_vals: np.ndarray, b_n: float, n: int) -> float:
     """Max relative residual of psi'' + (n-1) S psi' + b_n psi on one piece."""
-    h = x[1] - x[0]
-    d1 = _fd_uniform_segment(psi, h, 1)
-    d2 = _fd_uniform_segment(psi, h, 2)
+    d1 = fd_derivative(x, psi, order=1)
+    d2 = fd_derivative(x, psi, order=2)
     num = d2 + (n - 1) * s_vals * d1 + b_n * psi
     den = np.abs(d2) + np.abs((n - 1) * s_vals * d1) + np.abs(b_n * psi)
     den = np.maximum(den, 1e-9 * np.max(den))
@@ -687,9 +651,8 @@ def verify_construction(
     *,
     run_scan: bool = True,
     j_max: int = 5,
-    lambda_halfwidth: float = 0.5,
+    lambda_window: tuple[float, float] | None = None,
     lambda_step: float = 1e-3,
-    threads: int = 1,
     fine_step: float = math.pi / 400.0,
     rtol: float = 1e-10,
 ) -> tuple[dict, list]:
@@ -700,8 +663,9 @@ def verify_construction(
     cross the glue radii), warp-factor continuity at the junctions, exactness
     of f = r on the ball, tail curvature decay r (K_rad + 1) against the
     predicted sinusoid amplitude, the L^2 norm of psi with the tail-integrand
-    exponent, and (optionally) a full channel scan around b_n whose only
-    firing must be the built eigenvalue.  All quantities are deterministic,
+    exponent, and (optionally) a channel scan over lambda_window (default
+    b_n +- 0.5) whose only firing must be the built eigenvalue; an empty
+    window raises ConfigError.  All quantities are deterministic,
     so serialized reports are byte-identical across runs.
     """
     n, b_n, r1, r2 = g.n, g.b_n, g.r1, g.r2
@@ -715,9 +679,9 @@ def verify_construction(
     res_ball = _eigen_residual_on(xb, g.psi_fn(xb), sh.s(xb), b_n, n)
     # bridge: psi is C^3 only at the spline knots, so stencils stay inside
     # maximal knot-free sub-segments
-    bk = [float(b) for b in prof.params.get("breakpoints", ())]
+    edges = piece_edges(r1, r2, prof.kinks)
     res_mid = 0.0
-    for a, b in zip([r1] + bk, bk + [r2]):
+    for a, b in zip(edges[:-1], edges[1:]):
         m = max(24, int(math.ceil((b - a) / fine_step)) + 1)
         xm = np.linspace(a + 1e-9 * (b - a), b - 1e-9 * (b - a), m)
         res_mid = max(res_mid, _eigen_residual_on(xm, g.psi_fn(xm), sh.s(xm), b_n, n))
@@ -729,16 +693,22 @@ def verify_construction(
         raise WarpspecError("junction radius is not a tail sample point")
     x_hi = min(prof.grid[-1], 600.0)
     xt = np.arange(r2 + fine_step, x_hi, fine_step)
-    y0 = np.array([[g.tail.w[ci]], [g.tail.w_prime[ci]]])
     q0_ref = channel_potential(g.reference, 0)
-    xs, ys, offs = _renorm_integrate(
-        q0_ref, np.array([b_n]), y0, r2, float(xt[-1]), xt, rtol=1e-12
+    # the bare callable carries no limit, so (w, w') is integrated directly
+    tail = integrate_schrodinger(
+        q0_ref.q_fn,
+        b_n,
+        span=(r2, float(xt[-1])),
+        init=(g.tail.w[ci], g.tail.w_prime[ci]),
+        t_eval=xt,
+        rtol=1e-12,
+        atol=1e-300,
     )
-    if np.max(np.abs(offs)) != 0.0:
+    if tail.log_offset is not None:
         raise WarpspecError("unexpected rescaling on the tail piece")
     with np.errstate(under="ignore"):
-        psi_t = g.connector.amplitude * g.connector.c_tail * ys[0, 0] * np.exp(-p * g.reference.shape.log_f(xs))
-    res_tail = _eigen_residual_on(xs, psi_t, sh.s(xs), b_n, n)
+        psi_t = g.connector.amplitude * g.connector.c_tail * tail.w * np.exp(-p * g.reference.shape.log_f(tail.x))
+    res_tail = _eigen_residual_on(tail.x, psi_t, sh.s(tail.x), b_n, n)
     report["residual"] = {
         "ball": res_ball,
         "bridge": res_mid,
@@ -772,20 +742,12 @@ def verify_construction(
     report["sup_r_s_minus_1"] = float(np.max(np.abs(rr * (sh.s(rr) - 1.0))))
 
     # (d) L2 norm of psi and tail integrand exponent
-    from scipy.special import roots_legendre
-
-    xg, wg = roots_legendre(32)
-
-    def piece_norm(a: float, b: float, npanels: int) -> float:
-        edges = np.linspace(a, b, npanels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * np.diff(edges)[:, None]
-        pts = mid + half * xg[None, :]
-        vals = g.psi_fn(pts.ravel()) ** 2 * np.exp((n - 1) * sh.log_f(pts.ravel()))
-        return float(np.sum(vals.reshape(pts.shape) @ wg * half[:, 0]))
-
-    norm_ball = piece_norm(1e-9, r1, 64)
-    norm_mid = piece_norm(r1, r2, 64)
+    norms = []
+    for a, b in ((1e-9, r1), (r1, r2)):
+        gl = GaussLegendrePanels(np.linspace(a, b, 65), order=32)
+        pts = gl.x.ravel()
+        norms.append(float(np.sum(gl.integrals(g.psi_fn(pts) ** 2 * np.exp((n - 1) * sh.log_f(pts))))))
+    norm_ball, norm_mid = norms
     t_mask = g.tail.x >= r2
     wt = g.tail.w[t_mask]
     amp2 = (g.connector.amplitude * g.connector.c_tail) ** 2 * g.c2 ** (n - 1)
@@ -799,8 +761,11 @@ def verify_construction(
     scan_reports: list = []
     if run_scan:
         chans = [channel_potential(prof, j) for j in range(j_max + 1)]
-        lams = np.linspace(b_n - lambda_halfwidth, b_n + lambda_halfwidth, int(round(2 * lambda_halfwidth / lambda_step)) + 1)
-        scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, threads=threads, rtol=rtol)
+        lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
+        if not hi > lo:
+            raise ConfigError(f"empty lambda window [{lo}, {hi}]")
+        lams = np.linspace(lo, hi, int(round((hi - lo) / lambda_step)) + 1)
+        scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, rtol=rtol)
         fired = [(rep.j, d.lam, d.refined_lam) for rep in scan_reports for d in rep.detections if d.verdict]
         report["scan"] = {
             "fired": [{"j": j, "lam": lam, "refined_lam": rl} for j, lam, rl in fired],

@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.polynomial.legendre as npleg
 from scipy.integrate import solve_ivp
-from scipy.special import roots_legendre
 
 from .channel_reduction import require_oscillatory
 from .errors import (
@@ -41,8 +40,11 @@ from .errors import (
 )
 from .warp_geometry import (
     DEFAULT_STEP,
+    GaussLegendrePanels,
     ShapeFns,
     WarpProfile,
+    fd_derivative,
+    piece_edges,
     profile_from_shape,
     register_profile_kind,
     sphere_area,
@@ -115,8 +117,6 @@ def _require_shape(profile: WarpProfile) -> ShapeFns:
 
 def _w_form_residual(t: np.ndarray, w: np.ndarray, w_prime: np.ndarray, rhs: np.ndarray) -> float:
     """Relative FD defect of (w')' = rhs on a uniform grid."""
-    from .warp_geometry import fd_derivative
-
     d = fd_derivative(t, w_prime)
     scale = np.max(np.abs(rhs)) + np.max(np.abs(d))
     if scale == 0.0:
@@ -801,50 +801,23 @@ class IdentityCheck:
     passed: bool
 
 
-def _split_panels(s: float, t: float, junctions: Sequence[float], panel: float) -> np.ndarray:
-    """Panel edges on [s, t], split exactly at interior junction radii."""
-    cuts = [s] + [float(rj) for rj in junctions if s < rj < t] + [t]
-    edges = [s]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        k = max(1, int(math.ceil((b - a) / panel)))
-        edges.extend(np.linspace(a, b, k + 1)[1:].tolist())
-    return np.asarray(edges)
+def _legendre_cumulative(rule: GaussLegendrePanels, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Antiderivative of the per-panel nodal interpolant, from the span start.
 
-
-class _Quadrature:
-    """Fixed Gauss-Legendre nodes over junction-aware panels of [s, t]."""
-
-    def __init__(self, s: float, t: float, junctions: Sequence[float], *, panel: float = 0.35, order: int = 16):
-        xg, wg = roots_legendre(order)
-        edges = _split_panels(s, t, junctions, panel)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        self.x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        self.w = (half[:, None] * wg[None, :]).ravel()
-        self._xg = xg
-        self._half = half
-        self._order = order
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.w, values))
-
-    def cumulative(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        """Antiderivative of the per-panel nodal interpolant, from the span start.
-
-        Returns values at the quadrature nodes plus the full-span integral.
-        The interpolant agrees with the integrand exactly at the nodes, so a
-        weight built as exp of this antiderivative has the prescribed
-        logarithmic derivative there to interpolation accuracy.
-        """
-        vals = np.asarray(values, dtype=float).reshape(-1, self._order)
-        out = np.empty_like(vals)
-        offset = 0.0
-        for i in range(vals.shape[0]):
-            coef = npleg.legfit(self._xg, vals[i], self._order - 1)
-            ic = npleg.legint(coef, lbnd=-1.0)
-            out[i] = offset + npleg.legval(self._xg, ic) * self._half[i]
-            offset += float(npleg.legval(1.0, ic)) * self._half[i]
-        return out.ravel(), offset
+    Returns values at the quadrature nodes plus the full-span integral.  The
+    interpolant agrees with the integrand exactly at the nodes, so a weight
+    built as exp of this antiderivative has the prescribed logarithmic
+    derivative there to interpolation accuracy.
+    """
+    vals = np.reshape(values, rule.x.shape)
+    out = np.empty_like(vals)
+    offset = 0.0
+    for i in range(vals.shape[0]):
+        coef = npleg.legfit(rule.xg, vals[i], rule.order - 1)
+        ic = npleg.legint(coef, lbnd=-1.0)
+        out[i] = offset + npleg.legval(rule.xg, ic) * rule.half[i]
+        offset += float(npleg.legval(1.0, ic)) * rule.half[i]
+    return out.ravel(), offset
 
 
 def gauge_potential(
@@ -901,8 +874,7 @@ def _solve_conjugated(
         lap = nm1 * float(sh.s(r))
         return [y[1], -(lap - 2.0 * c) * y[1] - (c * (2.0 * c - lap) + lam) * y[0]]
 
-    s0, t1 = span
-    stops = [s0] + [rj for rj in profile.kinks if s0 < rj < t1] + [t1]
+    stops = piece_edges(span[0], span[1], profile.kinks)
     pieces = []
     y = [float(u0[0]), float(u0[1])]
     for a, b in zip(stops[:-1], stops[1:]):
@@ -958,8 +930,13 @@ def check_parts_identities(
         raise ConfigError(
             f"span {span} crosses glue radii {inner}; enable split_at_junctions to proceed"
         )
-    quad = _Quadrature(s0, t1, profile.kinks if split_at_junctions else (), panel=panel, order=order)
-    x = quad.x
+    # panels of width at most panel, split exactly at the kinks
+    pieces = piece_edges(s0, t1, profile.kinks if split_at_junctions else ())
+    edges = [s0]
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        edges.extend(np.linspace(a, b, max(1, int(math.ceil((b - a) / panel))) + 1)[1:].tolist())
+    rule = GaussLegendrePanels(np.asarray(edges), order)
+    x = rule.x.ravel()
     omega = sphere_area(n)
     s_x = sh.s(x)
     lap_x = nm1 * s_x
@@ -968,9 +945,12 @@ def check_parts_identities(
     # (log W)' = Delta r - 2c holds exactly at the nodes; the anchor value at
     # s0 multiplies every term of every identity and cancels in the residual.
     logw_anchor = math.log(omega) + nm1 * float(sh.log_f(s0)) - 2.0 * c * s0
-    cum, cum_total = quad.cumulative(lap_x - 2.0 * c)
+    cum, cum_total = _legendre_cumulative(rule, lap_x - 2.0 * c)
     wq = np.exp(logw_anchor + cum)
     w_ends = np.exp(np.array([logw_anchor, logw_anchor + cum_total]))
+
+    def integrate(values: np.ndarray) -> float:
+        return float(np.sum(rule.integrals(values)))
 
     def boundary(vals_at_ends: np.ndarray) -> float:
         return float(vals_at_ends[1] - vals_at_ends[0])
@@ -988,8 +968,8 @@ def check_parts_identities(
     a1_x = data.a.d1(x)
     record(
         "divergence_flux",
-        quad.integrate((a1_x + a_x * lap_x) * wq),
-        boundary(a_ends * w_ends) + 2.0 * c * quad.integrate(a_x * wq),
+        integrate((a1_x + a_x * lap_x) * wq),
+        boundary(a_ends * w_ends) + 2.0 * c * integrate(a_x * wq),
     )
 
     # Laplacian parts: int (Lap a) b W = [a' b W] - int a' b' W + 2c int a' b W
@@ -1000,10 +980,10 @@ def check_parts_identities(
     a1_ends, b_ends = data.a.d1(ends), data.b.value(ends)
     record(
         "laplacian_parts",
-        quad.integrate(lap_a_x * b_x * wq),
+        integrate(lap_a_x * b_x * wq),
         boundary(a1_ends * b_ends * w_ends)
-        - quad.integrate(a1_x * b1_x * wq)
-        + 2.0 * c * quad.integrate(a1_x * b_x * wq),
+        - integrate(a1_x * b1_x * wq)
+        + 2.0 * c * integrate(a1_x * b_x * wq),
     )
 
     # gauged solution v = e^rho u with u from the conjugated radial equation
@@ -1029,9 +1009,9 @@ def check_parts_identities(
     psi_ends = data.psi.value(ends)
     record(
         "dirichlet_energy",
-        quad.integrate((v1_x**2 - q_x * v_x**2) * psi_x * wq),
+        integrate((v1_x**2 - q_x * v_x**2) * psi_x * wq),
         boundary(psi_ends * v_ends * v1_ends * w_ends)
-        - quad.integrate((psi1_x + 2.0 * psi_x * rho1_x) * v1_x * v_x * wq),
+        - integrate((psi1_x + 2.0 * psi_x * rho1_x) * v1_x * v_x * wq),
     )
 
     # weighted square flux:
@@ -1040,8 +1020,8 @@ def check_parts_identities(
     record(
         "weighted_square_flux",
         boundary(ends**beta * v_ends**2 * w_ends),
-        quad.integrate(x**beta * (lap_x - 2.0 * c + beta / x) * v_x**2 * wq)
-        + 2.0 * quad.integrate(x**beta * v_x * v1_x * wq),
+        integrate(x**beta * (lap_x - 2.0 * c + beta / x) * v_x**2 * wq)
+        + 2.0 * integrate(x**beta * v_x * v1_x * wq),
     )
 
     # weighted energy flux:
@@ -1051,8 +1031,8 @@ def check_parts_identities(
     record(
         "weighted_energy_flux",
         boundary(ends**g * 0.5 * (v1_ends**2 + q_ends * v_ends**2) * w_ends),
-        quad.integrate(x ** (g - 1.0) * (0.5 * (g - x * lap_x + 2.0 * c * x) + 2.0 * x * rho1_x) * v1_x**2 * wq)
-        + 0.5 * quad.integrate(x ** (g - 1.0) * ((g + x * lap_x - 2.0 * c * x) * q_x + x * qp_x) * v_x**2 * wq),
+        integrate(x ** (g - 1.0) * (0.5 * (g - x * lap_x + 2.0 * c * x) + 2.0 * x * rho1_x) * v1_x**2 * wq)
+        + 0.5 * integrate(x ** (g - 1.0) * ((g + x * lap_x - 2.0 * c * x) * q_x + x * qp_x) * v_x**2 * wq),
     )
 
     # growth flux derivative, with the cross term (g - eps)/(2r) v v':
@@ -1061,17 +1041,17 @@ def check_parts_identities(
         0.5 * v1_ends**2 + 0.5 * q_ends * v_ends**2 + (g - eps) / (2.0 * ends) * v1_ends * v_ends
     ) * w_ends
     rhs_growth = (
-        quad.integrate(
+        integrate(
             x ** (g - 1.0)
             * (g - 0.5 * (x * lap_x - 2.0 * c * x + eps) + 2.0 * x * rho1_x)
             * v1_x**2
             * wq
         )
         + 0.5
-        * quad.integrate(x ** (g - 1.0) * (x * qp_x + q_x * (x * lap_x - 2.0 * c * x + eps)) * v_x**2 * wq)
+        * integrate(x ** (g - 1.0) * (x * qp_x + q_x * (x * lap_x - 2.0 * c * x + eps)) * v_x**2 * wq)
         + 0.5
         * (g - eps)
-        * quad.integrate(x ** (g - 1.0) * ((g - 1.0) / x + 2.0 * rho1_x) * v1_x * v_x * wq)
+        * integrate(x ** (g - 1.0) * ((g - 1.0) / x + 2.0 * rho1_x) * v1_x * v_x * wq)
     )
     record("growth_flux_derivative", boundary(flux_ends), rhs_growth)
 

@@ -15,7 +15,6 @@ fits are done on log-amplitudes and never re-exponentiate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,7 +22,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .channel_reduction import ChannelPotential, decade_window, require_oscillatory
+from .channel_reduction import (
+    ChannelPotential,
+    decade_window,
+    fit_tail_oscillation,
+    require_oscillatory,
+    sphere_multiplicity,
+)
 from .errors import (
     ConfigError,
     DetectorRefusalError,
@@ -32,6 +37,7 @@ from .errors import (
     TwoRunMismatchError,
     WarpspecError,
 )
+from .warp_geometry import piece_edges
 
 __all__ = [
     "ShootingResult",
@@ -286,8 +292,8 @@ def _renorm_integrate(
     sign = 1.0 if forward else -1.0
     t_eval = sign * np.sort(sign * np.asarray(t_eval, dtype=float))
     t_eval = t_eval[(sign * t_eval > sign * x0) & (sign * t_eval <= sign * x1)]
-    lo, hi = min(x0, x1), max(x0, x1)
-    stops = sorted((k for k in kinks if lo < k < hi), reverse=not forward) + [x1]
+    edges = piece_edges(min(x0, x1), max(x0, x1), kinks)
+    stops = edges[1:] if forward else edges[-2::-1]
     # each leg samples the points up to and including its stop
     ends = np.searchsorted(sign * t_eval, sign * np.asarray(stops), side="right")
 
@@ -308,6 +314,10 @@ def _renorm_integrate(
             req = t_eval[i:j]
             # the stop itself is always sampled: it carries the state into the next leg
             pts = req if len(req) and req[-1] == stop else np.append(req, stop)
+            # scipy's initial-step guess scales each component by atol + rtol |y|;
+            # with atol = 1e-300 an exactly zero component overflows that guess
+            # (a RuntimeWarning and a zero step), so such a state starts small
+            first = None if np.all(y_cur) else min(1e-6, abs(stop - t_cur))
             sol = solve_ivp(
                 rhs,
                 (t_cur, stop),
@@ -318,6 +328,7 @@ def _renorm_integrate(
                 max_step=max_step,
                 t_eval=pts,
                 events=too_big,
+                first_step=first,
             )
             t_arr = np.asarray(sol.t, dtype=float)
             if sol.status == -1:
@@ -531,17 +542,10 @@ def synthetic_channel(
 
     grid = x_min + (math.pi / 40.0) * np.arange(int((min(x_max, 600.0) - x_min) / (math.pi / 40.0)) + 1)
     q = q_fn(grid)
-    from .channel_reduction import _block_max_slope, _fit_oscillation
-
-    lo = max(50.0, 0.75 * grid[-1])
-    mask = grid >= lo
-    xs, ys = grid[mask], grid[mask] * (q[mask] - limit)
-    amp, phi, _ = _fit_oscillation(xs, ys)
-    rem = ys - amp * np.sin(2.0 * xs + phi)
-    if np.max(np.abs(rem)) <= 1e-10 * max(amp, 1.0):
-        slope = -math.inf
-    else:
-        slope = _block_max_slope(xs, rem)
+    # any amplitude is accepted: the caller chose the tail
+    fit = fit_tail_oscillation(grid, q, limit)
+    if fit is None:
+        raise ConfigError("synthetic channel needs samples beyond x = 50 for its tail fit")
     return ChannelPotential(
         n=n,
         j=j,
@@ -553,10 +557,10 @@ def synthetic_channel(
         x_min=float(x_min),
         x_max=float(x_max),
         origin_exponent=None,
-        k_eff=float(amp),
-        phase=float(phi),
-        remainder_slope=slope,
-        fit_window=(float(xs[0]), float(xs[-1])),
+        k_eff=fit.k_eff,
+        phase=fit.phase,
+        remainder_slope=fit.remainder_slope,
+        fit_window=fit.window,
     )
 
 
@@ -859,36 +863,24 @@ def scan_channels(
     r_max: float = 2000.0,
     refine: bool = True,
     rtol: float = 1e-10,
-    threads: int = 1,
 ) -> list[ChannelScanReport]:
-    """Run the detector over several channels, optionally on a thread pool.
+    """Run the detector over several channels, in channel order.
 
-    Results are assembled in channel order regardless of completion order, so
-    output is independent of threads.  Each channel also records the relative
-    Wronskian drift of an independent solution pair at the middle grid energy.
+    Each channel also records the relative Wronskian drift of an independent
+    solution pair at the middle grid energy.
     """
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-
-    def work(ch: ChannelPotential) -> ChannelScanReport:
-        dets = detect_embedded_eigenvalue(
-            ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, refine=refine, rtol=rtol
-        )
-        lam_mid = float(lambda_grid[len(lambda_grid) // 2])
-        drift = _channel_wronskian_drift(ch, lam_mid, r_max, rtol)
-        from .channel_reduction import sphere_multiplicity
-
-        return ChannelScanReport(
+    lam_mid = float(lambda_grid[len(lambda_grid) // 2])
+    return [
+        ChannelScanReport(
             j=ch.j,
             lam_sphere=ch.lam_sphere,
             multiplicity=sphere_multiplicity(ch.n, ch.j),
-            detections=dets,
-            wronskian_drift=drift,
+            detections=detect_embedded_eigenvalue(
+                ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, refine=refine, rtol=rtol
+            ),
+            wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol),
             k_eff=ch.k_eff,
         )
-
-    if threads > 1 and len(channels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(work, channels))
-    else:
-        reports = [work(ch) for ch in channels]
-    return reports
+        for ch in channels
+    ]

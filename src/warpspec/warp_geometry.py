@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -46,7 +46,9 @@ __all__ = [
     "profile_from_shape",
     "curvature_of_profile",
     "bochner_residual",
+    "piece_edges",
     "fd_derivative",
+    "GaussLegendrePanels",
     "solve_riccati_bound",
     "hessian_comparison_check",
     "profile_to_json",
@@ -140,17 +142,6 @@ class WarpProfile:
         soft = (float(b) for b in self.params.get("breakpoints", ()))
         return tuple(sorted(set(float(r) for r in self.junctions) | set(soft)))
 
-    def segment_slices(self) -> list[slice]:
-        """Index ranges of maximal junction-free grid segments."""
-        cuts = [0]
-        for rj in self.junctions:
-            idx = int(np.searchsorted(self.grid, rj))
-            if 0 < idx < len(self.grid):
-                cuts.append(idx)
-        cuts.append(len(self.grid))
-        cuts = sorted(set(cuts))
-        return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b - a > 0]
-
 
 @dataclass(frozen=True, eq=False)
 class CurvatureField:
@@ -166,54 +157,62 @@ class CurvatureField:
     trace_residual: float
 
 
-# 7-point first-derivative stencils on a uniform grid (6th order)
-_CENTRAL7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FORWARD7 = np.array([-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0]) / 60.0
+def piece_edges(lo: float, hi: float, kinks: Sequence[float] = ()) -> list[float]:
+    """Ascending edges [lo, *kinks strictly inside (lo, hi), hi] of the smooth pieces of a span."""
+    return [lo] + sorted(set(float(k) for k in kinks if lo < k < hi)) + [hi]
 
 
-def _fd_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """6th-order first derivative of samples on a uniform grid."""
+def _fd_table(order: int, width: int = 7) -> list[np.ndarray]:
+    """Weights of the width-point stencil for every node position in the window."""
+    out = []
+    for pos in range(width):
+        offsets = np.arange(width, dtype=float) - pos
+        rhs = np.zeros(width)
+        rhs[order] = math.factorial(order)
+        out.append(np.linalg.solve(np.vander(offsets, width, increasing=True).T, rhs))
+    return out
+
+
+_FD_WEIGHTS = {1: _fd_table(1), 2: _fd_table(2)}
+
+
+def _fd_segment(y: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Derivative of samples on a uniform grid, off-centre stencils near the ends."""
+    w_tab = _FD_WEIGHTS[order]
     m = len(y)
     if m < 7:
         raise ResolutionError("need at least 7 samples per smooth segment")
-    d = np.empty_like(y)
-    d[3:-3] = (
-        _CENTRAL7[0] * y[:-6]
-        + _CENTRAL7[1] * y[1:-5]
-        + _CENTRAL7[2] * y[2:-4]
-        + _CENTRAL7[4] * y[4:-2]
-        + _CENTRAL7[5] * y[5:-1]
-        + _CENTRAL7[6] * y[6:]
-    )
-    for i in range(3):
-        d[i] = np.dot(_FORWARD7, y[i : i + 7])
-        d[m - 1 - i] = -np.dot(_FORWARD7, y[m - 1 - i :: -1][:7])
-    return d / h
+    out = np.empty_like(y)
+    wc = w_tab[3]
+    out[3 : m - 3] = sum(wc[i] * y[i : m - 6 + i] for i in range(7))
+    for pos in range(3):
+        out[pos] = np.dot(w_tab[pos], y[:7])
+        out[m - 1 - pos] = np.dot(w_tab[6 - pos], y[m - 7 :])
+    return out / h**order
 
 
-def fd_derivative(x: np.ndarray, y: np.ndarray, junctions: tuple[float, ...] = ()) -> np.ndarray:
-    """First derivative of sampled data, one-sided at boundaries and junctions.
+def fd_derivative(
+    x: np.ndarray, y: np.ndarray, junctions: Sequence[float] = (), order: int = 1
+) -> np.ndarray:
+    """First (order=1) or second (order=2) derivative of sampled data by 7-point stencils.
 
     The grid must be uniform within each junction-free segment; stencils never
-    straddle a junction, so finite smoothness at glue radii does not pollute
-    the result.
+    straddle a junction (they go off-centre near segment ends), so finite
+    smoothness at glue radii does not pollute the result.
     """
+    if order not in _FD_WEIGHTS:
+        raise ConfigError(f"fd_derivative supports orders 1 and 2, got {order}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    cuts = [0]
-    for rj in junctions:
-        idx = int(np.searchsorted(x, rj))
-        if 0 < idx < len(x):
-            cuts.append(idx)
-    cuts.append(len(x))
-    for a, b in zip(sorted(set(cuts))[:-1], sorted(set(cuts))[1:]):
-        xs, ys = x[a:b], y[a:b]
-        hs = np.diff(xs)
+    inner = np.searchsorted(x, piece_edges(x[0], x[-1], junctions)[1:-1])
+    cuts = np.unique(np.concatenate([[0], inner, [len(x)]]))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        hs = np.diff(x[a:b])
         h = hs[0]
         if np.max(np.abs(hs - h)) > 1e-9 * h:
             raise ResolutionError("fd_derivative requires uniform spacing within segments")
-        out[a:b] = _fd_uniform(ys, h)
+        out[a:b] = _fd_segment(y[a:b], h, order)
     return out
 
 
@@ -243,8 +242,7 @@ def curvature_of_profile(profile: WarpProfile) -> CurvatureField:
         junctions=profile.junctions,
         trace_residual=0.0,
     )
-    breaks = tuple(float(b) for b in profile.params.get("breakpoints", ()))
-    res = bochner_residual(fld, shape=profile.shape, breakpoints=breaks)
+    res = bochner_residual(fld, shape=profile.shape, kinks=profile.kinks)
     object.__setattr__(fld, "trace_residual", res)
     return fld
 
@@ -253,7 +251,7 @@ def bochner_residual(
     fld: CurvatureField,
     *,
     shape: ShapeFns | None = None,
-    breakpoints: Sequence[float] = (),
+    kinks: Sequence[float] = (),
 ) -> float:
     """Max residual of d/dr(Delta r) + (n-1) S^2 + Ric(dr,dr) = 0 from samples.
 
@@ -265,10 +263,11 @@ def bochner_residual(
     analytic, so the substitution keeps the stencil error uniformly small
     without excluding any grid points.
 
-    When shape callables are available each smooth piece (between junctions
-    and soft breakpoints, where S loses higher derivatives) is resampled on
-    its own uniform grid fine enough for the 7-point stencil; otherwise the
-    stored grid is differenced directly.
+    When shape callables are available each smooth piece (between the
+    junctions and the further kinks given, such as soft breakpoints where S
+    loses higher derivatives) is resampled on its own uniform grid fine
+    enough for the 7-point stencil; otherwise the stored grid is differenced
+    directly, split at the junctions.
     """
     nm1 = fld.n - 1
     if shape is None:
@@ -276,15 +275,7 @@ def bochner_residual(
         dlap = (dr_lap - fld.laplacian_r) / fld.grid
         res = dlap + nm1 * fld.s**2 + fld.ricci_rr
         return float(np.max(np.abs(res)))
-    edges = np.unique(
-        np.concatenate(
-            [
-                [fld.grid[0], fld.grid[-1]],
-                [b for b in fld.junctions if fld.grid[0] < b < fld.grid[-1]],
-                [b for b in breakpoints if fld.grid[0] < b < fld.grid[-1]],
-            ]
-        )
-    )
+    edges = piece_edges(fld.grid[0], fld.grid[-1], (*fld.junctions, *kinks))
     worst = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         width = b - a
@@ -310,20 +301,25 @@ def bochner_residual(
     return worst
 
 
-def _gl_cumulative(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, order: int = 16) -> np.ndarray:
-    """Cumulative integral of fn along nodes via per-panel Gauss-Legendre."""
-    xg, wg = roots_legendre(order)
-    a = nodes[:-1]
-    b = nodes[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * xg[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    panel = half * (vals @ wg)
-    out = np.empty(len(nodes))
-    out[0] = 0.0
-    np.cumsum(panel, out=out[1:])
-    return out
+class GaussLegendrePanels:
+    """The order-point Gauss-Legendre rule on every panel between consecutive edges.
+
+    x holds the nodes, shape (panels, order); integrals() maps values at the
+    nodes to per-panel integrals.  xg, wg are the reference nodes and weights
+    on [-1, 1] and half the panel half-widths.
+    """
+
+    def __init__(self, edges: np.ndarray, order: int = 16):
+        edges = np.asarray(edges, dtype=float)
+        self.order = order
+        self.xg, self.wg = roots_legendre(order)
+        a, b = edges[:-1], edges[1:]
+        self.half = 0.5 * (b - a)
+        self.x = (0.5 * (a + b))[:, None] + self.half[:, None] * self.xg[None, :]
+
+    def integrals(self, vals: np.ndarray) -> np.ndarray:
+        """Per-panel integrals half * (vals @ wg) of values at the nodes."""
+        return self.half * (np.reshape(vals, self.x.shape) @ self.wg)
 
 
 def _profile_from_fns(
@@ -427,7 +423,8 @@ def profile_from_shape(
     if log_f is None:
         span = grid[-1] - grid[0]
         dense = np.linspace(grid[0], grid[-1], max(2 * len(grid), int(span / 0.02) + 2))
-        acc = _gl_cumulative(lambda x: np.asarray(s(x), dtype=float), dense)
+        gl = GaussLegendrePanels(dense)
+        acc = np.concatenate([[0.0], np.cumsum(gl.integrals(np.asarray(s(gl.x.ravel()), dtype=float)))])
         spl = CubicSpline(dense, acc)
 
         def log_f(r, _spl=spl):

@@ -26,7 +26,7 @@ def glued_k1():
 def glued_k1_verified(glued_k1):
     """(report, scan_reports) of the full certificate, scan included."""
     return verify_construction(
-        glued_k1, run_scan=True, j_max=5, lambda_halfwidth=0.5, lambda_step=1e-3
+        glued_k1, run_scan=True, j_max=5, lambda_window=(1.5, 2.5), lambda_step=1e-3
     )
 
 

@@ -77,6 +77,10 @@ def test_eigenfunction_needs_glued_profile(capsys):
 def test_overflowing_profile_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["curvature-report", "--profile", "cusp", "--r-max", "1000"])
     assert code == 2
+    # an explicit range equal to the glued default is honoured, so refused here
+    code, _, err = run_cli(capsys, ["curvature-report", "--profile", "hyperbolic", "--r-max", "2000"])
+    assert code == 2
+    assert "r = 600" in err
 
 
 # --------------------------------------------------------------------------
@@ -266,3 +270,29 @@ def test_build_example_smoke(capsys, tmp_path):
     assert (out / "psi.csv").read_text().splitlines()[0] == "r,psi"
     prof = profile_from_json(json.loads((out / "profile.json").read_text()))
     assert prof.kind == "glued"
+
+
+def test_build_example_scans_the_requested_window(capsys, tmp_path):
+    out = tmp_path / "art"
+    code, doc, _ = run_cli(
+        capsys,
+        [
+            "build-example",
+            "--r-max", "500",
+            "--j-max", "0",
+            "--lambda-lo", "2.2",
+            "--lambda-hi", "2.3",
+            "--lambda-step", "0.01",
+            "--out", str(out),
+        ],
+    )
+    # the resonance at 2 lies outside the window, so the certificate fails
+    assert code == 1
+    assert doc["report"]["scan"]["fired"] == []
+    rows = (out / "scan.csv").read_text().splitlines()[1:]
+    lams = [float(row.split(",")[1]) for row in rows]
+    assert len(lams) == 11
+    assert all(2.2 <= lam <= 2.3 for lam in lams)
+    code, _, err = run_cli(capsys, ["build-example", "--lambda-lo", "2.3", "--lambda-hi", "2.2"])
+    assert code == 2
+    assert "empty lambda window" in err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from warpspec import (
     integrate_schrodinger,
     prufer_series,
     reversibility_check,
+    scan_channels,
     synthetic_channel,
 )
 from warpspec.channel_reduction import channel_potential
@@ -187,6 +189,16 @@ def test_detector_silent_below_threshold():
     grid = np.array([0.95, 1.0, 1.05])
     dets = detect_embedded_eigenvalue(q, grid, origin_bc=None)
     assert not any(d.verdict for d in dets)
+
+
+def test_zero_start_component_raises_no_warning():
+    # the (0, 1) start of the Wronskian pair has a zero component, which made
+    # scipy's initial-step guess overflow at atol 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = scan_channels([synthetic_channel(k_eff=1.9)], [0.9, 1.0, 1.1], origin_bc=None, r_max=200.0)[0]
+    assert rep.wronskian_drift < 1e-8
+    assert not any(d.verdict for d in rep.detections)
 
 
 def test_detector_refuses_unverified_tail():
