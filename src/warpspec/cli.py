@@ -9,14 +9,13 @@ Subcommands
 
 A JSON config file (--config) supplies defaults; explicit flags win.  Exit
 codes: 0 all requested checks passed, 1 a computation or check failed, 2 the
-configuration was invalid.  The threads setting (or WARPSPEC_THREADS) is still
-validated and recorded in the report but has no effect: channels are scanned
-one after another.  Without --r-max (or an r_max key) the commands that take
---profile build the model profiles euclidean, hyperbolic and cusp to r = 40;
-the glued construction and the wvn end reach r = 2000.  All artifacts are
-written atomically and print floats with 17 significant digits, so repeated
-runs are byte-identical; wall-clock time goes to stderr (and into the report
-only under --timings, which deliberately breaks byte-identity).
+configuration was invalid.  Without --r-max (or an r_max key) the commands
+that take --profile build the model profiles euclidean, hyperbolic and cusp
+to r = 40 and the power and log ends to r = 1100; the glued construction and
+the wvn end reach r = 2000.  All artifacts are written atomically and print
+floats with 17 significant digits, so repeated runs are byte-identical;
+wall-clock time goes to stderr (and into the report only under --timings,
+which deliberately breaks byte-identity).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -62,7 +60,7 @@ _COMMANDS = ("build-example", "curvature-report", "scan", "verify-growth", "chec
 _PROFILES = ("euclidean", "hyperbolic", "cusp", "wvn", "glued", "power", "log")
 # default range of the closed-form model profiles in the commands that take
 # --profile (everything else defaults to RunConfig.r_max)
-_PROFILE_R_MAX = {"euclidean": 40.0, "hyperbolic": 40.0, "cusp": 40.0}
+_PROFILE_R_MAX = {"euclidean": 40.0, "hyperbolic": 40.0, "cusp": 40.0, "power": 1100.0, "log": 1100.0}
 _PROFILE_COMMANDS = ("curvature-report", "verify-growth", "check-identities")
 
 
@@ -90,7 +88,6 @@ class RunConfig:
     eigenfunction: bool = False
     out: str | None = None
     timings: bool = False
-    threads: int = 1
     identity_tol: float = 1e-7
     trace_tol: float = 1e-5
     residual_tol: float = 1e-6
@@ -104,8 +101,6 @@ class RunConfig:
             raise ConfigError(f"unknown profile {self.profile!r}; choose from {_PROFILES}")
         if self.r_max <= 0 or self.lambda_step <= 0 or self.trials < 1:
             raise ConfigError("r_max, lambda_step must be positive and trials >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def config_to_json(cfg: RunConfig) -> dict:
@@ -171,9 +166,9 @@ def _named_profile(cfg: RunConfig) -> WarpProfile:
     if name == "glued":
         return build_construction(cfg.n, cfg.k, r_max=cfg.r_max).profile
     if name == "power":
-        return power_decay_profile(cfg.n)
+        return power_decay_profile(cfg.n, r_max=cfg.r_max)
     if name == "log":
-        return slow_log_decay_profile(cfg.n)
+        return slow_log_decay_profile(cfg.n, r_max=cfg.r_max)
     raise ConfigError(f"unknown profile {name!r}")
 
 
@@ -456,12 +451,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, f.name, None)
         if val is not None:
             doc[f.name] = val
-    env_threads = os.environ.get("WARPSPEC_THREADS")
-    if "threads" not in doc and env_threads is not None:
-        try:
-            doc["threads"] = int(env_threads)
-        except ValueError as exc:
-            raise ConfigError(f"WARPSPEC_THREADS must be an integer, got {env_threads!r}") from exc
     cfg = config_from_json(doc)
     if "r_max" not in doc and cfg.command in _PROFILE_COMMANDS and cfg.profile in _PROFILE_R_MAX:
         cfg = replace(cfg, r_max=_PROFILE_R_MAX[cfg.profile])

@@ -16,7 +16,10 @@ the weight W = omega e^{-2cr} f^{n-1}, the radial integration-by-parts ladder:
 divergence flux, Laplacian parts, Dirichlet energy with an exponential change
 of gauge v = e^{rho} u, and the weighted flux/energy/growth-derivative
 identities behind the threshold predicates.  All of them are exact equalities
-for radial data, so residuals measure only quadrature and ODE error.
+for radial data, so residuals measure only quadrature and ODE error.  The
+solution u of the conjugated equation that the identities use is u = g w,
+log g = -(1/2) int (Delta r - 2c), with w the channel-0 solution at energy
+c^2 + lam; it and the growth trials integrate through halfline_solver.propagate.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
-from scipy.integrate import solve_ivp
 
-from .channel_reduction import require_oscillatory
+from .channel_reduction import channel_potential, require_oscillatory
 from .errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -38,6 +40,7 @@ from .errors import (
     NonOscillatoryError,
     OutsideRegimeError,
 )
+from .halfline_solver import propagate
 from .warp_geometry import (
     DEFAULT_STEP,
     GaussLegendrePanels,
@@ -124,6 +127,37 @@ def _w_form_residual(t: np.ndarray, w: np.ndarray, w_prime: np.ndarray, rhs: np.
     return float(np.max(np.abs(d - rhs)) / scale)
 
 
+def _solve_w(
+    profile: WarpProfile,
+    *,
+    alpha: float,
+    span: tuple[float, float],
+    phi0: np.ndarray,
+    phi_prime0: np.ndarray,
+    step: float,
+    rtol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid t and (w, w') of shape (M, len(t)) for M sets of boundary data at span[0].
+
+    Maps (phi, phi') to w = f^p phi, w' = f^p (phi' + p S phi) and integrates
+    every column of w'' = (q0 - alpha) w in one propagate call.
+    """
+    sh = _require_shape(profile)
+    p = 0.5 * (profile.n - 1)
+    t0, t1 = float(span[0]), float(span[1])
+    if not t1 > t0 > 0:
+        raise ConfigError(f"bad radial span {span}")
+    if t1 > profile.r_max * (1 + 1e-12):
+        raise ConfigError(f"span end {t1} exceeds the profile validity radius {profile.r_max}")
+    t = uniform_grid(t0, t1, step)
+    phi0, phi_prime0 = np.atleast_1d(phi0), np.atleast_1d(phi_prime0)
+    fp0 = math.exp(p * float(sh.log_f(t0)))
+    y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
+    _, y, off = propagate(channel_potential(profile, 0), np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=rtol)
+    y = np.concatenate([y0[:, :, None], y * np.exp(off)], axis=2)
+    return t, y[0], y[1]
+
+
 def solve_radial(
     profile: WarpProfile,
     *,
@@ -136,42 +170,15 @@ def solve_radial(
 ) -> RadialSolution:
     """Integrate the radial eigenvalue equation phi'' + (n-1)S phi' + alpha phi = 0.
 
-    Internally solves w'' = (q0 - alpha) w for w = f^p phi; the boundary data
-    (phi0, phi_prime0) at span[0] is mapped through the same substitution, so
-    the returned phi is the genuine solution with those values.
+    Internally solves the channel-0 equation w'' = (q0 - alpha) w for
+    w = f^p phi with propagate; the boundary data (phi0, phi_prime0) at
+    span[0] is mapped through the same substitution, so the returned phi is
+    the genuine solution with those values.
     """
-    sh = _require_shape(profile)
-    n = profile.n
-    p = 0.5 * (n - 1)
-    t0, t1 = float(span[0]), float(span[1])
-    if not t1 > t0 > 0:
-        raise ConfigError(f"bad radial span {span}")
-    if t1 > profile.r_max * (1 + 1e-12):
-        raise ConfigError(f"span end {t1} exceeds the profile validity radius {profile.r_max}")
-    t = uniform_grid(t0, t1, step)
-
-    def q0(x):
-        s = sh.s(x)
-        return p * p * s * s + p * sh.s_prime(x)
-
-    fp0 = math.exp(p * float(sh.log_f(t0)))
-    s0 = float(sh.s(t0))
-    y0 = [fp0 * phi0, fp0 * (phi_prime0 + p * s0 * phi0)]
-
-    sol = solve_ivp(
-        lambda x, y: [y[1], (q0(x) - alpha) * y[0]],
-        (t0, t[-1]),
-        y0,
-        t_eval=t,
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-300,
-        max_step=math.pi / 10.0,
+    t, w, wp = _solve_w(
+        profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi_prime0, step=step, rtol=rtol
     )
-    if not sol.success:
-        raise ConfigError(f"radial integration failed: {sol.message}")
-    w, wp = sol.y[0], sol.y[1]
-    return radial_solution_from_w(profile, alpha=alpha, t=t, w=w, w_prime=wp)
+    return radial_solution_from_w(profile, alpha=alpha, t=t, w=w[0], w_prime=wp[0])
 
 
 def radial_solution_from_w(
@@ -188,7 +195,7 @@ def radial_solution_from_w(
     p = 0.5 * (n - 1)
     t = np.asarray(t, dtype=float)
     s = sh.s(t)
-    q0 = p * p * s * s + p * sh.s_prime(t)
+    q0 = channel_potential(profile, 0).q_fn(t)
     with np.errstate(under="ignore"):
         fmp = np.exp(-p * sh.log_f(t))
     phi = fmp * w
@@ -367,7 +374,8 @@ def verify_growth_theorem(
     Refuses (HypothesisViolatedError) when the profile's curvature does not
     satisfy r |K_rad + 1| -> 0, since the growth statement is then out of
     scope -- that failure mode is the sharpness phenomenon, not a bug.
-    Boundary data is drawn uniformly from the unit circle in (phi, phi')(t0).
+    Boundary data is drawn uniformly from the unit circle in (phi, phi')(t0);
+    all trials integrate together, one column each, in a single propagate call.
     """
     limit = 0.25 * (profile.n - 1) ** 2
     try:
@@ -383,19 +391,20 @@ def verify_growth_theorem(
         )
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=trials)
+    t, w, wp = _solve_w(
+        profile,
+        alpha=alpha,
+        span=(t0, t_end),
+        phi0=np.cos(angles),
+        phi_prime0=np.sin(angles),
+        step=step,
+        rtol=rtol,
+    )
     trial_reports = []
     worst: GrowthSeries | None = None
     worst_margin = math.inf
     for idx, eta in enumerate(angles):
-        sol = solve_radial(
-            profile,
-            alpha=alpha,
-            span=(t0, t_end),
-            phi0=math.cos(eta),
-            phi_prime0=math.sin(eta),
-            step=step,
-            rtol=rtol,
-        )
+        sol = radial_solution_from_w(profile, alpha=alpha, t=t, w=w[idx], w_prime=wp[idx])
         series = growth_series(profile, sol, gamma=gamma)
         rep = final_decade_report(series, blocks=blocks)
         margin = rep["block_minima"][-1] / max(rep["start_value"], 1e-300)
@@ -563,7 +572,8 @@ def power_decay_profile(
     """Shape S = 1 + amplitude r^-exponent, so K_rad + 1 = O(r^-exponent).
 
     exponent > 1 puts the end inside the o(1/r) hypothesis class.  Arrays are
-    tabulated up to r_cap; the closed-form callables stay valid to r_max.
+    tabulated up to min(r_cap, r_max); the closed-form callables stay valid
+    to r_max.
     """
     if exponent <= 0:
         raise ConfigError("decay exponent must be positive")
@@ -597,7 +607,7 @@ def power_decay_profile(
         s_second=s_second,
         s_third=s_third,
         log_f=log_f,
-        grid=uniform_grid(r_min, r_cap, step),
+        grid=uniform_grid(r_min, min(r_cap, r_max), step),
         kind="power_decay",
         params={"exponent": e, "amplitude": a, "r_min": r_min, "r_cap": r_cap, "r_max": r_max, "step": step},
         r_max=r_max,
@@ -613,7 +623,10 @@ def slow_log_decay_profile(
     r_max: float = 1100.0,
     step: float = DEFAULT_STEP,
 ) -> WarpProfile:
-    """Shape S = 1 + amplitude/(r log r): boundary of the o(1/r) class."""
+    """Shape S = 1 + amplitude/(r log r): boundary of the o(1/r) class.
+
+    Tabulated up to min(r_cap, r_max) like power_decay_profile.
+    """
     a = float(amplitude)
 
     def s(r):
@@ -640,7 +653,7 @@ def slow_log_decay_profile(
         s_prime=s_prime,
         s_second=s_second,
         log_f=log_f,
-        grid=uniform_grid(r_min, r_cap, step),
+        grid=uniform_grid(r_min, min(r_cap, r_max), step),
         kind="log_decay",
         params={"amplitude": a, "r_min": r_min, "r_cap": r_cap, "r_max": r_max, "step": step},
         r_max=r_max,
@@ -853,52 +866,6 @@ def gauge_potential(
     return q, q_prime
 
 
-def _solve_conjugated(
-    profile: WarpProfile,
-    *,
-    lam: float,
-    c: float,
-    span: tuple[float, float],
-    u0: tuple[float, float],
-    rtol: float = 1e-12,
-):
-    """Dense-output solution of u'' + (Delta r - 2c) u' + (c(2c - Delta r) + lam) u = 0.
-
-    Integrated segment-by-segment between junctions so the dense interpolant
-    never bridges a point where S' jumps.
-    """
-    sh = _require_shape(profile)
-    nm1 = profile.n - 1
-
-    def rhs(r, y):
-        lap = nm1 * float(sh.s(r))
-        return [y[1], -(lap - 2.0 * c) * y[1] - (c * (2.0 * c - lap) + lam) * y[0]]
-
-    stops = piece_edges(span[0], span[1], profile.kinks)
-    pieces = []
-    y = [float(u0[0]), float(u0[1])]
-    for a, b in zip(stops[:-1], stops[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=1e-14, dense_output=True)
-        if not sol.success:
-            raise ConfigError(f"conjugated radial equation failed on [{a}, {b}]: {sol.message}")
-        pieces.append(((a, b), sol.sol))
-        y = [float(sol.y[0, -1]), float(sol.y[1, -1])]
-
-    def eval_uv(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = np.asarray(r, dtype=float)
-        u = np.empty_like(r)
-        up = np.empty_like(r)
-        for (a, b), f in pieces:
-            m = (r >= a - 1e-12) & (r <= b + 1e-12)
-            if np.any(m):
-                vals = f(r[m])
-                u[m] = vals[0]
-                up[m] = vals[1]
-        return u, up
-
-    return eval_uv
-
-
 def check_parts_identities(
     profile: WarpProfile,
     data: IdentityData,
@@ -913,9 +880,13 @@ def check_parts_identities(
     """Quadrature-verify the six radial integration-by-parts identities.
 
     All two-sided evaluations use the same weight W = omega e^{-2cr} f^{n-1}
-    and the same Gauss-Legendre nodes; the conjugated-equation solution u is
-    computed once with dense output, then gauged to v = e^rho u.  Residuals
-    are |lhs - rhs| / (|lhs| + |rhs| + 1).
+    and the same Gauss-Legendre nodes.  The solution u of the conjugated
+    equation u'' + (Delta r - 2c) u' + (c (2c - Delta r) + lam) u = 0 is
+    u = g w with log g = -(1/2) int (Delta r - 2c), where w solves the
+    channel-0 equation w'' = (q0 - c^2 - lam) w; w is integrated once with
+    propagate through the nodes, and g reuses the antiderivative behind W.
+    u is then gauged to v = e^rho u.  Residuals are
+    |lhs - rhs| / (|lhs| + |rhs| + 1).
     """
     sh = _require_shape(profile)
     n = profile.n
@@ -986,19 +957,27 @@ def check_parts_identities(
         + 2.0 * c * integrate(a1_x * b_x * wq),
     )
 
-    # gauged solution v = e^rho u with u from the conjugated radial equation
-    eval_uv = _solve_conjugated(profile, lam=data.lam, c=c, span=(s0, t1), u0=data.u0)
+    # u = g w at the nodes and t1, with (log g)' = c - p S = -(Delta r - 2c)/2
+    # and g(s0) = 1; w solves the channel-0 equation at energy c^2 + lam
+    p = 0.5 * nm1
+    u0, u0_prime = map(float, data.u0)
+    y0 = np.array([[u0], [u0_prime - (c - p * float(sh.s(s0))) * u0]])
+    _, y, off = propagate(
+        channel_potential(profile, 0), np.array([c * c + data.lam]), y0, s0, t1, np.append(x, t1), rtol=1e-12
+    )
+    g = np.exp(off - 0.5 * np.append(cum, cum_total))
+    w, w1 = y[0, 0], y[1, 0]
+    u = g * w
+    u1 = g * (w1 + (c - p * np.append(s_x, sh.s(t1))) * w)
     q_fn, qp_fn = gauge_potential(profile, data.gauge, lam=data.lam, c=c)
 
-    def v_and_v1(r):
-        u, up = eval_uv(r)
-        rho = data.gauge.rho(r)
-        rp = data.gauge.d1(r)
-        e = np.exp(rho)
-        return e * u, e * (up + rp * u)
+    def gauged(r, u, u1):
+        """v = e^rho u and v' = e^rho (u' + rho' u)."""
+        e = np.exp(data.gauge.rho(r))
+        return e * u, e * (u1 + data.gauge.d1(r) * u)
 
-    v_x, v1_x = v_and_v1(x)
-    v_ends, v1_ends = v_and_v1(ends)
+    v_x, v1_x = gauged(x, u[:-1], u1[:-1])
+    v_ends, v1_ends = gauged(ends, np.array([u0, u[-1]]), np.array([u0_prime, u1[-1]]))
     q_x, qp_x = q_fn(x), qp_fn(x)
     q_ends = q_fn(ends)
     rho1_x = data.gauge.d1(x)

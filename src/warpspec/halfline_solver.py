@@ -46,6 +46,7 @@ __all__ = [
     "ChannelScanReport",
     "integrate_schrodinger",
     "prufer_series",
+    "propagate",
     "fit_power_decay",
     "frobenius_init",
     "decaying_solution",
@@ -222,7 +223,7 @@ def _frame_maps(kap: np.ndarray):
     return to_frame, from_frame
 
 
-def _renorm_integrate(
+def propagate(
     q,
     lams: np.ndarray,
     y0: np.ndarray,
@@ -237,7 +238,9 @@ def _renorm_integrate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate w_i'' = (q - lam_i) w_i for all lam_i at once with rescaling.
 
-    q is a ChannelPotential or a callable.  The integration runs in legs that
+    This is the one linear propagator of the package: the shooting, scan,
+    decay, growth and identity code all integrate through it.  q is a
+    ChannelPotential or a callable.  The integration runs in legs that
     stop at every kink of a ChannelPotential (glue radii and spline knots,
     where q is only C^1), so no step of the high-order integrator straddles a
     jump in the higher derivatives.
@@ -386,7 +389,7 @@ def integrate_schrodinger(
     radii and bridge spline knots of a glued profile).  When lam lies above
     the channel limit (q_limit, else the limit of a ChannelPotential) the
     slowly varying amplitudes of w = a cos(kx) + b sin(kx) are integrated
-    instead of (w, w'); see _renorm_integrate.  Amplitude and phase data are
+    instead of (w, w'); see propagate.  Amplitude and phase data are
     attached when q_limit is given and lam lies above it.  Solutions that
     reach 1e150 are rescaled, the removed factors kept in log_offset.
 
@@ -420,7 +423,7 @@ def integrate_schrodinger(
         cols, wr0 = _companion_columns(w0, wp0)
     else:
         cols = np.array([[w0], [wp0]])
-    x, y, off = _renorm_integrate(
+    x, y, off = propagate(
         q,
         np.full(cols.shape[1], float(lam)),
         cols,
@@ -439,26 +442,18 @@ def integrate_schrodinger(
         y = np.insert(y, at, cols, axis=2)
         off = np.insert(off, at, 0.0)
     drift = _wronskian_drift(y, off, wr0) if companion else None
-    w, wp = y[0, 0], y[1, 0]
-
-    amplitude = phase = None
-    kappa = None
-    if q_limit is not None and lam > q_limit:
-        kappa = math.sqrt(lam - q_limit)
-        amplitude = np.hypot(w, wp / kappa)
-        phase = np.arctan2(kappa * w, wp)
-    return ShootingResult(
+    res = ShootingResult(
         x=x,
-        w=w,
-        w_prime=wp,
+        w=y[0, 0],
+        w_prime=y[1, 0],
         lam=float(lam),
         direction="forward" if forward else "backward",
-        kappa=kappa,
-        amplitude=amplitude,
-        phase=phase,
         log_offset=off if np.any(off != 0.0) else None,
         wronskian_drift=drift,
     )
+    if q_limit is not None and lam > q_limit:
+        res = prufer_series(res, q_limit=q_limit)
+    return res
 
 
 def prufer_series(result: ShootingResult, *, q_limit: float) -> ShootingResult:
@@ -630,7 +625,7 @@ def decaying_solution(
         g = grid[grid <= anchor + 1e-12]
         s = seed if anchor == r_anchor else _reseed(anchor)
         y0 = np.array([[s[0]], [s[1]]])
-        x, y, off = _renorm_integrate(q, np.array([lam]), y0, anchor, x_end, g, rtol=rtol)
+        x, y, off = propagate(q, np.array([lam]), y0, anchor, x_end, g, rtol=rtol)
         return x, y[:, 0, :], off
 
     def _reseed(anchor: float) -> tuple[float, float]:
@@ -645,7 +640,7 @@ def decaying_solution(
     if verify:
         grid2 = x_end + step * np.arange(int((2.0 * r_anchor - x_end) / step + 1e-9) + 1)
         y0b = np.array([[_reseed(2.0 * r_anchor)[0]], [_reseed(2.0 * r_anchor)[1]]])
-        xb, yb, offb = _renorm_integrate(q, np.array([lam]), y0b, 2.0 * r_anchor, x_end, grid2, rtol=rtol)
+        xb, yb, offb = propagate(q, np.array([lam]), y0b, 2.0 * r_anchor, x_end, grid2, rtol=rtol)
         m = min(len(x), len(xb))
         if not np.allclose(x[:m], xb[:m], rtol=0, atol=1e-9):
             raise WarpspecError("two-run grids failed to align")
@@ -738,13 +733,13 @@ def _probe_exponents(
     t_eval = np.geomspace(r_max / 20.0, r_max, 100)
     if origin_bc == "regular":
         x0, cols = _forward_start(q, lams)
-        x, y, off = _renorm_integrate(q, lams, cols, x0, r_max, t_eval, rtol=rtol)
+        x, y, off = propagate(q, lams, cols, x0, r_max, t_eval, rtol=rtol)
     elif origin_bc is None:
         cols = np.empty((2, len(lams)))
         for i, l in enumerate(lams):
             kap = math.sqrt(l - q.limit)
             cols[:, i] = _decaying_seed(q.k_eff, q.phase, kap, r_max)
-        x, y, off = _renorm_integrate(q, lams, cols, r_max, max(1.0, q.x_min), t_eval, rtol=rtol)
+        x, y, off = propagate(q, lams, cols, r_max, max(1.0, q.x_min), t_eval, rtol=rtol)
     else:
         raise ConfigError(f"origin_bc must be 'regular' or None, got {origin_bc!r}")
 
@@ -851,7 +846,7 @@ def _channel_wronskian_drift(q: ChannelPotential, lam: float, r_max: float, rtol
     x0, col = _forward_start(q, np.array([lam]))
     y0, wr0 = _companion_columns(float(col[0, 0]), float(col[1, 0]))
     t_eval = np.geomspace(max(1.0, 2.0 * x0), r_max, 120)
-    x, y, off = _renorm_integrate(q, np.array([lam, lam]), y0, x0, r_max, t_eval, rtol=rtol)
+    x, y, off = propagate(q, np.array([lam, lam]), y0, x0, r_max, t_eval, rtol=rtol)
     return _wronskian_drift(y, off, wr0)
 
 

@@ -61,13 +61,6 @@ def test_weak_coupling_exits_2(capsys):
     assert "config error" in err
 
 
-def test_bad_threads_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("WARPSPEC_THREADS", "abc")
-    code, _, err = run_cli(capsys, ["curvature-report", "--profile", "euclidean"])
-    assert code == 2
-    assert "WARPSPEC_THREADS" in err
-
-
 def test_eigenfunction_needs_glued_profile(capsys):
     code, _, err = run_cli(capsys, ["verify-growth", "--eigenfunction", "--profile", "power"])
     assert code == 2
@@ -131,14 +124,19 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert doc["report"]["n"] == 3
 
 
-def test_threads_env_applies_when_flag_absent(capsys, monkeypatch):
-    monkeypatch.setenv("WARPSPEC_THREADS", "2")
-    code, doc, _ = run_cli(capsys, ["curvature-report", "--profile", "euclidean"])
+@pytest.mark.parametrize("profile", ["power", "log"])
+def test_decay_profiles_honour_r_max(capsys, tmp_path, profile):
+    out = tmp_path / "art"
+    code, doc, _ = run_cli(
+        capsys, ["curvature-report", "--profile", profile, "--r-max", "50", "--out", str(out)]
+    )
     assert code == 0
-    assert doc["config"]["threads"] == 2
-    monkeypatch.delenv("WARPSPEC_THREADS")
-    _, doc, _ = run_cli(capsys, ["curvature-report", "--profile", "euclidean"])
-    assert doc["config"]["threads"] == 1
+    assert doc["config"]["r_max"] == 50.0
+    last_r = float((out / "curvature.csv").read_text().splitlines()[-1].split(",")[0])
+    assert 49.0 < last_r <= 50.0
+    # without --r-max the closed form reaches 1100 and the arrays stop at r_cap = 600
+    _, doc, _ = run_cli(capsys, ["curvature-report", "--profile", profile])
+    assert doc["config"]["r_max"] == 1100.0
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

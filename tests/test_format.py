@@ -61,7 +61,7 @@ def test_write_text_atomic_overwrites(tmp_path):
 
 
 def test_runconfig_json_round_trip():
-    cfg = RunConfig(command="scan", n=4, k=1.25, lambda_step=5e-3, seed=7, threads=2)
+    cfg = RunConfig(command="scan", n=4, k=1.25, lambda_step=5e-3, seed=7)
     doc = config_to_json(cfg)
     back = config_from_json(doc)
     assert back == cfg
@@ -91,7 +91,7 @@ def test_runconfig_rejects_unknown_key():
         {"command": "scan", "n": 1},
         {"command": "scan", "trials": 0},
         {"command": "scan", "lambda_step": 0.0},
-        {"command": "scan", "threads": 0},
+        {"command": "scan", "threads": 1},  # the removed threads key is now unknown
         {"command": "nonsense"},
         {"command": "scan", "profile": "flat-torus"},
     ],

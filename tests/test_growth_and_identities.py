@@ -123,6 +123,42 @@ def test_growth_series_rejects_non_solutions():
         growth_series(prof, noisy)
 
 
+@settings(deadline=None, max_examples=4)
+@given(
+    alpha=st.floats(min_value=1.2, max_value=4.0),
+    eta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    model=st.sampled_from(["euclidean", "hyperbolic"]),
+)
+def test_solve_radial_matches_model_closed_forms(alpha, eta, model):
+    # n = 3: w = f phi solves w'' = -k^2 w with f = r, k^2 = alpha (euclidean)
+    # or f = sinh r, k^2 = alpha - 1 (hyperbolic)
+    t0 = 1.0
+    if model == "euclidean":
+        prof, f, f1, k = euclidean_profile(3), (lambda r: r), (lambda r: 1.0), math.sqrt(alpha)
+    else:
+        prof, f, f1, k = hyperbolic_profile(3), np.sinh, np.cosh, math.sqrt(alpha - 1.0)
+    phi0, phi1 = math.cos(eta), math.sin(eta)
+    sol = solve_radial(prof, alpha=alpha, span=(t0, 30.0), phi0=phi0, phi_prime0=phi1)
+    w0, w1 = f(t0) * phi0, f1(t0) * phi0 + f(t0) * phi1
+    exact = w0 * np.cos(k * (sol.t - t0)) + (w1 / k) * np.sin(k * (sol.t - t0))
+    assert float(np.max(np.abs(f(sol.t) * sol.phi - exact))) <= 1e-8 * math.hypot(w0, w1 / k)
+
+
+@settings(deadline=None, max_examples=3)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), alpha=st.floats(min_value=1.5, max_value=3.0))
+def test_growth_trials_match_single_solutions(power_profile, seed, alpha):
+    # the trials share one propagate call; each must agree with its own solve
+    verdict = verify_growth_theorem(power_profile, alpha=alpha, trials=3, seed=seed, t0=20.0, t_end=300.0)
+    for rep in verdict.trials:
+        sol = solve_radial(
+            power_profile, alpha=alpha, span=(20.0, 300.0), phi0=math.cos(rep["angle"]), phi_prime0=math.sin(rep["angle"])
+        )
+        alone = final_decade_report(growth_series(power_profile, sol))
+        assert rep["start_value"] == pytest.approx(alone["start_value"], rel=1e-9)
+        assert rep["block_minima"] == pytest.approx(alone["block_minima"], rel=1e-9)
+        assert rep["grew"] == alone["grew"]
+
+
 def test_solve_radial_span_validation():
     prof = cusp_profile(3)
     with pytest.raises(ConfigError):

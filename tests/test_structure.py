@@ -38,3 +38,16 @@ def test_public_type_hints_resolve(path):
         except (NameError, TypeError) as exc:
             unresolved.append(f"{name}: {exc}")
     assert not unresolved, unresolved
+
+
+def test_solve_ivp_only_in_the_propagator_and_riccati():
+    # linear radial ODEs integrate through halfline_solver.propagate; the
+    # nonlinear Riccati comparison in warp_geometry is the one other user
+    users = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.alias) and node.name == "solve_ivp")
+        or (isinstance(node, ast.Attribute) and node.attr == "solve_ivp")
+    }
+    assert users == {"halfline_solver.py", "warp_geometry.py"}
