@@ -36,6 +36,7 @@ __all__ = [
     "sphere_multiplicity",
     "channel_potential",
     "fit_tail_oscillation",
+    "block_max_slope",
     "liouville_transform",
     "inverse_liouville",
     "exp_conjugation",
@@ -125,23 +126,30 @@ class TailFit:
     remainder_slope: float | None
 
 
-def _block_max_slope(x: np.ndarray, y: np.ndarray, nblocks: int = 8) -> float | None:
-    """Slope of log(max|y| per block) against log(block center)."""
+def block_max_slope(
+    x: np.ndarray, y: np.ndarray, nblocks: int = 8, *, peak_floor: float | None = None
+) -> tuple[float | None, list[float]]:
+    """Slope of log(max|y| per block) against log(block centre), and the log peaks.
+
+    The blocks split [x[0], x[-1]] geometrically.  Without peak_floor a block
+    with fewer than four samples or a zero peak is skipped, and the slope is
+    None when fewer than four blocks remain; with it every block counts, its
+    peak raised to at least peak_floor.
+    """
     edges = np.geomspace(x[0], x[-1], nblocks + 1)
     lx, lm = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (x >= a) & (x <= b)
-        if np.count_nonzero(m) < 4:
+        if peak_floor is None and np.count_nonzero(m) < 4:
             continue
-        peak = float(np.max(np.abs(y[m])))
+        peak = max(float(np.max(np.abs(y[m]))), peak_floor or 0.0)
         if peak <= 0:
             continue
         lx.append(math.log(math.sqrt(a * b)))
         lm.append(math.log(peak))
-    if len(lx) < 4:
-        return None
-    slope, _ = np.polyfit(lx, lm, 1)
-    return float(slope)
+    if peak_floor is None and len(lx) < 4:
+        return None, lm
+    return float(np.polyfit(lx, lm, 1)[0]), lm
 
 
 def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailFit | None:
@@ -162,7 +170,7 @@ def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailF
     if np.max(np.abs(rem)) <= 1e-10 * max(amp, 1.0):
         slope = -math.inf
     else:
-        slope = _block_max_slope(xs, rem)
+        slope, _ = block_max_slope(xs, rem)
     return TailFit(amp, phase, rms, (float(xs[0]), float(xs[-1])), int(len(xs)), slope)
 
 

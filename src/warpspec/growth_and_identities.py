@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.polynomial.legendre as npleg
 
-from .channel_reduction import channel_potential, require_oscillatory
+from .channel_reduction import block_max_slope, channel_potential, require_oscillatory
 from .errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -336,15 +336,8 @@ def _decay_hypothesis_report(profile: WarpProfile, *, r_hi: float, nblocks: int 
     if sup <= 1e-8:
         report.update({"ok": True, "mode": "vanishing"})
         return report
-    edges = np.geomspace(r[0], r[-1], nblocks + 1)
-    lx, lm = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = (r >= a) & (r <= b)
-        peak = float(np.max(y[m]))
-        lx.append(math.log(math.sqrt(a * b)))
-        lm.append(math.log(max(peak, 1e-300)))
-    slope = float(np.polyfit(lx, lm, 1)[0])
-    ratio = math.exp(lm[-1] - lm[0])
+    slope, log_peaks = block_max_slope(r, y, nblocks, peak_floor=1e-300)
+    ratio = math.exp(log_peaks[-1] - log_peaks[0])
     report.update(
         {
             "mode": "block_decay",

@@ -24,7 +24,9 @@ from warpspec import (
     scan_channels,
     synthetic_channel,
 )
+from warpspec import halfline_solver
 from warpspec.channel_reduction import channel_potential
+from warpspec.halfline_solver import _ZOOM_XTOL, _zoom_minimum
 
 
 def test_free_oscillator_matches_sine():
@@ -171,10 +173,27 @@ def decaying_solution_alias(q):
     return decaying_solution(q, 1.0)
 
 
-def test_detector_fires_only_at_resonance():
-    q = synthetic_channel(k_eff=4.0)
-    grid = np.array([0.9, 0.95, 1.0, 1.05, 1.1])
-    dets = detect_embedded_eigenvalue(q, grid, origin_bc=None)
+@pytest.fixture(scope="module")
+def resonant_detection():
+    """The k_eff = 4 detector run over five energies, and the energy count of
+    each of its _probe_exponents calls."""
+    calls = []
+    probe = halfline_solver._probe_exponents
+
+    def counting(q, lams, **kw):
+        calls.append(len(np.atleast_1d(lams)))
+        return probe(q, lams, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfline_solver, "_probe_exponents", counting)
+        dets = detect_embedded_eigenvalue(
+            synthetic_channel(k_eff=4.0), np.array([0.9, 0.95, 1.0, 1.05, 1.1]), origin_bc=None
+        )
+    return dets, calls
+
+
+def test_detector_fires_only_at_resonance(resonant_detection):
+    dets, _ = resonant_detection
     verdicts = [d.verdict for d in dets]
     assert verdicts == [False, False, True, False, False]
     hit = dets[2]
@@ -182,6 +201,72 @@ def test_detector_fires_only_at_resonance():
     assert abs(hit.refined_lam - 1.0) <= 2e-3
     assert hit.envelope_exponent < -0.55
     assert hit.integrand_exponent < -1.1
+
+
+def test_refinement_probes_in_few_batched_calls(resonant_detection):
+    # one grid probe plus a few zoom rounds; one golden-section step per
+    # probe call took 33 calls here
+    dets, calls = resonant_detection
+    assert len(calls) <= 10
+    assert abs(dets[2].refined_lam - 1.0) <= 2e-3
+
+
+def test_refinement_counters_in_evidence(resonant_detection):
+    dets, calls = resonant_detection
+    ev = dets[2].evidence
+    assert ev["refine_probe_calls"] == len(calls) - 1
+    assert ev["refine_lambdas"] == sum(calls[1:])
+    assert 0.0 < ev["refine_bracket_width"] <= 4.0 * _ZOOM_XTOL * dets[2].refined_lam
+    assert not any("refine_probe_calls" in d.evidence for d in dets if d is not dets[2])
+
+
+def test_refinement_bracket_stays_above_the_edge(monkeypatch):
+    # a firing at the lowest grid energy, one grid step above the edge at 0:
+    # the bracket [lam - h, lam + h] is cut at the midpoint between the edge
+    # and lam, and the zoom ends on that cut when the minimum lies beyond it
+    probed = []
+
+    def fake_probe(q, lams, **kw):
+        probed.append(lams)
+        return -1.0 + np.abs(lams - 0.02), np.zeros_like(lams), np.full_like(lams, -2.0)
+
+    monkeypatch.setattr(halfline_solver, "_probe_exponents", fake_probe)
+    dets = detect_embedded_eigenvalue(synthetic_channel(k_eff=4.0), np.array([0.1, 0.2, 0.3]), origin_bc=None)
+    assert dets[0].refined_lam == 0.05
+    assert min(float(np.min(lams)) for lams in probed[1:]) == 0.05
+
+
+_ZOOM_SHAPES = {
+    "abs": lambda x, c: np.abs(x - c),
+    "square": lambda x, c: (x - c) ** 2,
+    "skewed_v": lambda x, c: np.where(x < c, 5.0 * (c - x), 0.2 * (x - c)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.floats(0.1, 10.0),
+    width=st.floats(1e-4, 1.0),
+    frac=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0)),
+    shape=st.sampled_from(sorted(_ZOOM_SHAPES)),
+)
+def test_zoom_minimum_closed_forms(lo, width, frac, shape):
+    hi = lo + width
+    x_star = min(lo + frac * width, hi)
+    probed = []
+
+    def probe(xs):
+        probed.append(xs.copy())
+        return _ZOOM_SHAPES[shape](xs, x_star)
+
+    x, fx, counters = _zoom_minimum(probe, lo, 0.5 * (lo + hi), hi)
+    nearer_edge = lo if x_star - lo <= hi - x_star else hi
+    assert abs(x - x_star) <= 2.0 * _ZOOM_XTOL * abs(x_star) or x == nearer_edge
+    assert all(lo <= xs.min() and xs.max() <= hi for xs in probed)
+    # the spacing starts at width / 16 <= 1/16 and shrinks 8x a round to 2e-7 * lo
+    assert counters["refine_probe_calls"] == len(probed) <= 9
+    assert counters["refine_lambdas"] == sum(len(xs) for xs in probed)
+    assert fx == _ZOOM_SHAPES[shape](np.array([x]), x_star)[0]
 
 
 def test_detector_silent_below_threshold():

@@ -51,3 +51,17 @@ def test_solve_ivp_only_in_the_propagator_and_riccati():
         or (isinstance(node, ast.Attribute) and node.attr == "solve_ivp")
     }
     assert users == {"halfline_solver.py", "warp_geometry.py"}
+
+
+def test_one_block_maxima_fit():
+    # the log-log slope of block maxima (tail remainder, curvature decay) is
+    # fitted by channel_reduction.block_max_slope alone
+    users = {
+        (path.name, func.name)
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "polyfit"
+    }
+    assert users == {("channel_reduction.py", "block_max_slope")}
