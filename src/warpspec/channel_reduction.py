@@ -88,7 +88,7 @@ class ChannelPotential:
     origin_exponent is the indicial root s of the x -> 0 singularity
     q ~ s(s-1)/x^2 for profiles covering the origin, None otherwise.
     kinks are the ascending radii inside (x_min, x_max) where q is only C^1
-    (the profile's junctions and soft breakpoints); ODE legs stop there.
+    (the profile's junctions and soft breakpoints); the ODE mesh has nodes there.
     """
 
     n: int

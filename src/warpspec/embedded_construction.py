@@ -253,7 +253,8 @@ def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, si
     they are enforced by weighting 1e8 against a second-difference smoothing
     objective under the bound s >= 0.1 sigma.  Since degree-4 B-splines are a
     partition of unity, the coefficient bound makes s >= 0.1 sigma pointwise,
-    i.e. psi is structurally strictly decreasing.
+    i.e. psi is structurally strictly decreasing.  BVLS solves it exactly; an
+    iterative solver stops early along the nearly flat smoothing directions.
     """
     nc = 17
     tk = np.concatenate([np.zeros(5), np.linspace(0.0, length, 14)[1:-1], np.full(5, length)])
@@ -277,6 +278,7 @@ def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, si
         np.vstack([1e8 * a_mat, d2]),
         np.concatenate([1e8 * b_vec, np.zeros(nc - 2)]),
         bounds=(floor, np.inf),
+        method="bvls",
     )
     coeffs = sol.x
     err = float(np.max(np.abs(a_mat @ coeffs - b_vec)))
@@ -354,15 +356,8 @@ def junction_candidates(
 
 
 def _piecewise(r, r1: float, r2: float, f_ball, f_mid_t, f_tail):
-    """Evaluate a three-piece radial function; f_mid_t takes t = r - r1."""
+    """Evaluate a three-piece radial function (f_mid_t takes t = r - r1) as an array shaped like r."""
     arr = np.asarray(r, dtype=float)
-    if arr.ndim == 0:
-        v = float(arr)
-        if v < r1:
-            return float(f_ball(v))
-        if v < r2:
-            return float(f_mid_t(v - r1))
-        return float(f_tail(v))
     out = np.empty_like(arr)
     m1 = arr < r1
     m3 = arr >= r2
@@ -452,7 +447,7 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     sv = shape.s(grid)
     spv = shape.s_prime(grid)
     # interior spline knots: S is only C^2 there, so quadrature panels and
-    # dense ODE legs must not straddle them
+    # ODE steps must not straddle them
     soft = [float(r1 + t) for t in bk if 1e-12 < t < length - 1e-12]
     profile = WarpProfile(
         n=n,
@@ -693,16 +688,13 @@ def verify_construction(
         raise WarpspecError("junction radius is not a tail sample point")
     x_hi = min(prof.grid[-1], 600.0)
     xt = np.arange(r2 + fine_step, x_hi, fine_step)
-    q0_ref = channel_potential(g.reference, 0)
-    # the bare callable carries no limit, so (w, w') is integrated directly
     tail = integrate_schrodinger(
-        q0_ref.q_fn,
+        channel_potential(g.reference, 0),
         b_n,
         span=(r2, float(xt[-1])),
         init=(g.tail.w[ci], g.tail.w_prime[ci]),
         t_eval=xt,
         rtol=1e-12,
-        atol=1e-300,
     )
     if tail.log_offset is not None:
         raise WarpspecError("unexpected rescaling on the tail piece")

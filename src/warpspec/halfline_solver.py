@@ -6,8 +6,10 @@ fitting, recovery of the decaying solution of an oscillatory-tail potential
 by backward integration, and an embedded-eigenvalue detector based on the
 envelope exponent of solutions.
 
-Solutions crossing large angular-momentum barriers overflow float64 (growth
-factors beyond e^700), so the core integrator renormalizes the state whenever
+The core integrator, propagate, takes sixth-order Magnus steps on a fixed
+mesh chosen from q, rtol and the energy range, samples q once per mesh and
+steps every energy together.  Solutions crossing large angular-momentum barriers overflow
+float64 (growth factors beyond e^700), so it renormalizes the state whenever
 it reaches 1e150 and keeps an exact per-sample logarithmic offset ledger;
 fits are done on log-amplitudes and never re-exponentiate.
 """
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .channel_reduction import (
     ChannelPotential,
@@ -56,8 +57,12 @@ __all__ = [
     "fired_detections",
 ]
 
-_MAX_STEP = math.pi / 10.0
 _CAP_LOG = math.log(1e150)
+# steps per chunk of Magnus matrices and of step-selection trials, and a cap
+# on the trial steps of one selection round
+_CHUNK = 128
+_TRIAL_CHUNK = 2048
+_MAX_TRIAL_STEPS = 1 << 18
 # batched zoom refinement: points per probe call (odd, so the bracket's centre
 # is probed), relative stopping tolerance, and a cap on the rounds, which
 # only a bracket containing 0 reaches
@@ -186,6 +191,12 @@ def _q_parts(q) -> tuple[Callable[[float], float], tuple[float, ...]]:
     raise ConfigError("q must be a ChannelPotential or a callable")
 
 
+def _refuse_singular_start(q_fn: Callable, x0: float) -> None:
+    """SingularOriginError when x0 sits inside an x^-2 singular region of q."""
+    if x0 < 0.02 and abs(float(q_fn(x0))) * x0 * x0 > 0.05:
+        raise SingularOriginError(f"q(x) ~ s(s-1)/x^2 is singular at start {x0}; seed with frobenius_init")
+
+
 def _companion_columns(w0: float, wp0: float) -> tuple[np.ndarray, float]:
     """Initial columns of (w0, wp0) and an independent partner, with their Wronskian."""
     nu = math.hypot(w0, wp0)
@@ -209,23 +220,111 @@ def _wronskian_drift(y: np.ndarray, off: np.ndarray, wr0: float) -> float:
     return float(np.max(np.abs(wr - expected) / scale))
 
 
-def _frame_maps(kap: np.ndarray):
-    """Maps between (w, w') and the amplitudes (a, b) of w = a cos(kap x) + b sin(kap x).
+def _magnus_exponent(v1, v2, v3, h):
+    """Sixth-order Magnus exponent [[p, u], [l, -p]] of one step of y' = [[0, 1], [v, 0]] y.
 
-    Both act on x of shape (K,) and states of shape (2, M, K), one kap per column.
+    v1, v2, v3 are v at the Gauss nodes _NODES of a step of length h and A_i
+    the matrix there.  With alpha1 = h A2, alpha2 = sqrt(15) h (A3 - A1) / 3,
+    alpha3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1] / 60 (Blanes, Casas & Ros), written out:
+    Omega = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
     """
-    k = kap[:, None]
+    a2 = (math.sqrt(15.0) / 3.0) * h * (v3 - v1)
+    a3 = (10.0 / 3.0) * h * (v3 - 2.0 * v2 + v1)
+    hv = h * v2
+    p = h * a2 * (h * hv / 180.0 + h * a3 / 7200.0 - 1.0 / 12.0)
+    u = h * (1.0 + h * h * a2 * a2 / 3600.0 - h * a3 / 180.0)
+    l = hv + a3 / 12.0 + h * (hv * a3 / 180.0 + a3 * a3 / 3600.0 - a2 * a2 / 120.0 + h * hv * a2 * a2 / 3600.0)
+    return p, u, l
 
-    def to_frame(x, y):
-        c, s = np.cos(k * x), np.sin(k * x)
-        v = y[1] / k
-        return np.stack([y[0] * c - v * s, y[0] * s + v * c])
 
-    def from_frame(x, y):
-        c, s = np.cos(k * x), np.sin(k * x)
-        return np.stack([y[0] * c + y[1] * s, k * (y[1] * c - y[0] * s)])
+def _step_matrices(p, u, l):
+    """Entries (a, b, c, d) of exp Omega = C I + (S / s) Omega, Omega = [[p, u], [l, -p]].
 
-    return to_frame, from_frame
+    Omega^2 = s^2 I with s^2 = p^2 + u l: C, S are cosh, sinh of s when
+    s^2 > 0 and cos, sin of |s| otherwise.
+    """
+    z = p * p + u * l
+    s = np.sqrt(np.abs(z))
+    grow = z > 0
+    c = np.where(grow, np.cosh(s), np.cos(s))
+    sc = np.divide(np.where(grow, np.sinh(s), np.sin(s)), s, out=np.ones_like(s), where=s > 0)
+    return c + sc * p, sc * u, sc * l, c - sc * p
+
+
+_ROOT15 = math.sqrt(15.0) / 10.0
+_NODES = np.array([0.5 - _ROOT15, 0.5, 0.5 + _ROOT15])
+# the nodes of a full step followed by those of its two halves
+_TRIAL_NODES = np.concatenate([_NODES, 0.5 * _NODES, 0.5 + 0.5 * _NODES])
+
+
+def _halving_error(qv: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Relative gap between each step and its two half steps, the worse of the extreme lams.
+
+    qv holds q at the _TRIAL_NODES of each step, one row per step; inf marks
+    a step not resolved (|s| > 1).
+    """
+    v = qv.T[:, :, None] - np.array([lams.min(), lams.max()])
+    exps = [_magnus_exponent(*v[3 * i : 3 * i + 3], f * h[:, None]) for i, f in enumerate((1.0, 0.5, 0.5))]
+    resolved = np.all([np.abs(p * p + u * l) <= 1.0 for p, u, l in exps], axis=(0, 2))
+    full, first, second = (np.reshape(_step_matrices(*np.where(resolved[:, None], e, 0.0)), (2, 2, -1, 2)) for e in exps)
+    two = np.einsum("ijkm,jlkm->ilkm", second, first)
+    rel = np.max(np.abs(full - two), axis=(0, 1)) / np.max(np.abs(two), axis=(0, 1))
+    return np.where(resolved, np.max(rel, axis=1), np.inf)
+
+
+def _cell_steps(q_fn: Callable, edges: np.ndarray, lams: np.ndarray, rtol: float) -> np.ndarray:
+    """Number of uniform steps for each cell between consecutive edges.
+
+    A cell's count doubles until each step is resolved and agrees with its
+    two half steps to rtol at the lowest and the highest lam (_halving_error),
+    then shrinks to what the h^7 law of the local error asks for, never below
+    half.  One q_fn call per doubling.
+    """
+    lo, length = edges[:-1], np.diff(edges)
+    n = np.ones(len(lo), dtype=np.int64)
+    out = np.zeros(len(lo), dtype=np.int64)
+    while np.any(out == 0):
+        active = np.flatnonzero(out == 0)
+        cnt = n[active]
+        if cnt.sum() > _MAX_TRIAL_STEPS:
+            raise WarpspecError(f"no resolving step found on [{edges[0]}, {edges[-1]}]")
+        starts = np.cumsum(cnt) - cnt
+        cell = np.repeat(active, cnt)
+        h = (length / n)[cell]
+        x = lo[cell] + (np.arange(cell.size) - np.repeat(starts, cnt)) * h
+        qv = np.asarray(q_fn((x[:, None] + h[:, None] * _TRIAL_NODES).ravel()), dtype=float).reshape(-1, 9)
+        if not np.all(np.isfinite(qv)):
+            raise WarpspecError(f"q is not finite on [{edges[0]}, {edges[-1]}]")
+        # slices of _TRIAL_CHUNK steps bound the memory held at once
+        cut = np.arange(_TRIAL_CHUNK, h.size, _TRIAL_CHUNK)
+        err = np.concatenate([_halving_error(q_i, h_i, lams) for q_i, h_i in zip(np.split(qv, cut), np.split(h, cut))])
+        cell_err = np.maximum.reduceat(err, starts)
+        ok = cell_err <= rtol
+        need = np.ceil(cnt[ok] * (cell_err[ok] / rtol) ** (1.0 / 7.0)).astype(np.int64)
+        out[active[ok]] = np.maximum(need, (cnt[ok] + 1) // 2)
+        n[active[~ok]] *= 2
+    return out
+
+
+def _mesh(q_fn: Callable, lo: float, hi: float, kinks, samples: np.ndarray, lams: np.ndarray, rtol: float) -> np.ndarray:
+    """Ascending nodes from lo to hi: every kink and sample, one uniform step per cell.
+
+    The cells are the smooth pieces between kinks, cut further at lo * 2^i
+    so that the mesh grades geometrically toward a start near the origin.
+    Each gap between consecutive kinks, cuts and samples is divided evenly
+    with steps no longer than its cell's step.
+    """
+    cuts = lo * 2.0 ** np.arange(1, int(math.log2(hi / lo)) + 1) if lo > 0 else []
+    edges = np.asarray(piece_edges(lo, hi, [*kinks, *cuts]))
+    steps = np.diff(edges) / _cell_steps(q_fn, edges, lams, rtol)
+    points = np.union1d(edges, samples)
+    gaps = np.diff(points)
+    cell = np.searchsorted(edges, points[:-1], side="right") - 1
+    cnt = np.maximum(np.ceil(gaps / steps[cell] * (1.0 - 1e-12)), 1).astype(np.int64)
+    gap = np.repeat(np.arange(gaps.size), cnt)
+    frac = (np.arange(gap.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)) / cnt[gap]
+    return np.append(points[:-1][gap] + frac * gaps[gap], hi)
 
 
 def propagate(
@@ -236,29 +335,20 @@ def propagate(
     x1: float,
     t_eval: np.ndarray,
     *,
-    limit: float | None = None,
     rtol: float = 1e-10,
-    atol: float = 1e-300,
-    max_step: float = _MAX_STEP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate w_i'' = (q - lam_i) w_i for all lam_i at once with rescaling.
 
     This is the one linear propagator of the package: the shooting, scan,
     decay, growth and identity code all integrate through it.  q is a
-    ChannelPotential or a callable.  The integration runs in legs that
-    stop at every kink of a ChannelPotential (glue radii and spline knots,
-    where q is only C^1), so no step of the high-order integrator straddles a
-    jump in the higher derivatives.
-
-    With limit given (every lam_i above it) the state is not (w, w') but the
-    slowly varying amplitudes (a, b) of the free oscillation,
-
-        w = a cos(kx) + b sin(kx),   w' = k (-a sin(kx) + b cos(kx)),
-        a' = -V w sin(kx) / k,       b' = V w cos(kx) / k,
-
-    with k = sqrt(lam_i - limit) and V = q - limit (variation of constants).
-    On a tail where V = O(1/x) the integrated functions are O(1/x) small, so
-    the global error at a fixed tolerance shrinks accordingly.
+    ChannelPotential or a callable.  Each step is the sixth-order Magnus
+    step on three Gauss nodes, whose traceless exponent has a closed-form
+    exponential: a constant q is integrated exactly, every step matrix has
+    determinant 1, and a step backward is the inverse of the step forward.
+    The mesh (_mesh) is built on the ascending interval, so both directions
+    use the same nodes; it holds every kink of a ChannelPotential (glue
+    radii and spline knots, where q is only C^1) and every sample point.
+    q is sampled in one q_fn call per mesh; all columns step together.
 
     Whenever max|y| reaches 1e150 the whole state is divided by that maximum
     (a single common factor keeps the linear system exact) and the log of the
@@ -268,111 +358,48 @@ def propagate(
     """
     q_fn, kinks = _q_parts(q)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    m = len(lams)
     forward = x1 > x0
-    y_start = np.asarray(y0, dtype=float).reshape(2, m, 1)
-
-    if limit is None:
-
-        def rhs(x, y):
-            y = y.reshape(2, m)
-            return np.concatenate([y[1], (q_fn(x) - lams) * y[0]])
-
-        from_frame = None
-    else:
-        kap = np.sqrt(lams - limit)
-        to_frame, from_frame = _frame_maps(kap)
-        y_start = to_frame(np.array([x0]), y_start)
-
-        def rhs(x, y):
-            a, b = y.reshape(2, m)
-            c, s = np.cos(kap * x), np.sin(kap * x)
-            g = (q_fn(x) - limit) * (a * c + b * s) / kap
-            return np.concatenate([-g * s, g * c])
-
-    def too_big(x, y):
-        mx = np.max(np.abs(y))
-        return _CAP_LOG - (math.log(mx) if mx > 0 else -1.0)
-
-    too_big.terminal = True
-
-    # samples and leg stops in the direction of integration (sign * x ascending)
     sign = 1.0 if forward else -1.0
-    t_eval = sign * np.sort(sign * np.asarray(t_eval, dtype=float))
-    t_eval = t_eval[(sign * t_eval > sign * x0) & (sign * t_eval <= sign * x1)]
-    edges = piece_edges(min(x0, x1), max(x0, x1), kinks)
-    stops = edges[1:] if forward else edges[-2::-1]
-    # each leg samples the points up to and including its stop
-    ends = np.searchsorted(sign * t_eval, sign * np.asarray(stops), side="right")
-
-    y_cur = y_start.reshape(-1)
-    t_cur = float(x0)
-    offset = 0.0
-    mx0 = np.max(np.abs(y_cur))
-    if mx0 > 1e100:
-        y_cur = y_cur / mx0
-        offset += math.log(mx0)
-
-    ts: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    offs: list[np.ndarray] = []
-    i = 0
-    for stop, j in zip(stops, ends):
-        while True:
-            req = t_eval[i:j]
-            # the stop itself is always sampled: it carries the state into the next leg
-            pts = req if len(req) and req[-1] == stop else np.append(req, stop)
-            # scipy's initial-step guess scales each component by atol + rtol |y|;
-            # with atol = 1e-300 an exactly zero component overflows that guess
-            # (a RuntimeWarning and a zero step), so such a state starts small
-            first = None if np.all(y_cur) else min(1e-6, abs(stop - t_cur))
-            sol = solve_ivp(
-                rhs,
-                (t_cur, stop),
-                y_cur,
-                method="DOP853",
-                rtol=rtol,
-                atol=atol,
-                max_step=max_step,
-                t_eval=pts,
-                events=too_big,
-                first_step=first,
-            )
-            t_arr = np.asarray(sol.t, dtype=float)
-            if sol.status == -1:
-                raise WarpspecError(f"integration failed at x ~ {t_arr[-1] if t_arr.size else t_cur}: {sol.message}")
-            y_arr = np.asarray(sol.y, dtype=float)
-            n_req = min(t_arr.size, len(req))
-            if n_req:
-                ts.append(t_arr[:n_req])
-                ys.append(y_arr[:, :n_req])
-                offs.append(np.full(n_req, offset))
-                i += n_req
-            if sol.status == 1:
-                t_cur = float(sol.t_events[0][0])
-                y_ev = np.asarray(sol.y_events[0][0], dtype=float)
-                scale = np.max(np.abs(y_ev))
-                y_cur = y_ev / scale
-                offset += math.log(scale)
-                if (t_cur < stop) if forward else (t_cur > stop):
-                    continue
-            else:
-                y_cur = y_arr[:, -1]
-            t_cur = float(stop)
-            break
-
-    if not ts:
+    t_eval = np.asarray(t_eval, dtype=float)
+    x_out = np.unique(t_eval[(sign * t_eval > sign * x0) & (sign * t_eval <= sign * x1)])
+    if not x_out.size:
         raise WarpspecError("no requested sample points were reached")
-    x_all = np.concatenate(ts)
-    y_all = np.concatenate(ys, axis=1).reshape(2, m, -1)
-    off_all = np.concatenate(offs)
-    if from_frame is not None:
-        y_all = from_frame(x_all, y_all)
+    lo, hi = (float(x0), float(x1)) if forward else (float(x1), float(x0))
+    nodes = _mesh(q_fn, lo, hi, kinks, x_out, lams, rtol)
+    h = np.diff(nodes)
+    qv = np.asarray(q_fn((nodes[:-1, None] + h[:, None] * _NODES).ravel()), dtype=float).reshape(-1, 3)
+    # the steps in the order taken, and whether the node each one ends on is sampled
+    order = np.arange(h.size) if forward else np.arange(h.size)[::-1]
+    sampled = np.isin(nodes, x_out)[order + 1 if forward else order].tolist()
+
+    w, wp = np.array(y0, dtype=float).reshape(2, len(lams))
+    out = np.empty((2, len(lams), x_out.size))
+    offs = np.empty(x_out.size)
+    k, offset = 0, 0.0
+    # the state is measured after the first step, then only once the product
+    # of the step norms since the last measurement could carry it to 1e150
+    grown, check_at = 0.0, -math.inf
+    for start in range(0, h.size, _CHUNK):
+        idx = order[start : start + _CHUNK]
+        v = [qv[idx, i, None] - lams for i in range(3)]
+        a, b, c, d = _step_matrices(*(sign * e for e in _magnus_exponent(*v, h[idx, None])))
+        norm = np.max(np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d)), axis=1)
+        growth = (grown + np.cumsum(np.log(norm))).tolist()
+        grown = growth[-1]
+        for a_i, b_i, c_i, d_i, g_i, s_i in zip(a, b, c, d, growth, sampled[start : start + _CHUNK]):
+            w, wp = a_i * w + b_i * wp, c_i * w + d_i * wp
+            if g_i > check_at:
+                mx = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
+                if mx >= 1e150:
+                    w, wp, offset, mx = w / mx, wp / mx, offset + math.log(mx), 1.0
+                check_at = g_i + _CAP_LOG - math.log(mx) if mx > 0 else math.inf
+            if s_i:
+                out[0, :, k], out[1, :, k] = w, wp
+                offs[k] = offset
+                k += 1
     if not forward:
-        x_all = x_all[::-1]
-        y_all = y_all[:, :, ::-1]
-        off_all = off_all[::-1]
-    return x_all, y_all, off_all
+        out, offs = out[:, :, ::-1], offs[::-1]
+    return x_out, out, offs
 
 
 def integrate_schrodinger(
@@ -385,18 +412,14 @@ def integrate_schrodinger(
     q_limit: float | None = None,
     companion: bool = False,
     rtol: float = 1e-10,
-    atol: float = 1e-13,
-    max_step: float = _MAX_STEP,
 ) -> ShootingResult:
     """Shooting integration of w'' = (q(x) - lam) w over span = (start, end).
 
-    The integration legs stop at every kink of a ChannelPotential (the glue
-    radii and bridge spline knots of a glued profile).  When lam lies above
-    the channel limit (q_limit, else the limit of a ChannelPotential) the
-    slowly varying amplitudes of w = a cos(kx) + b sin(kx) are integrated
-    instead of (w, w'); see propagate.  Amplitude and phase data are
-    attached when q_limit is given and lam lies above it.  Solutions that
-    reach 1e150 are rescaled, the removed factors kept in log_offset.
+    Runs through propagate, whose mesh holds every kink of a ChannelPotential
+    (the glue radii and bridge spline knots of a glued profile) and every
+    t_eval point (default: spacing about pi/40).  Amplitude and phase data
+    are attached when q_limit is given and lam lies above it.  Solutions
+    that reach 1e150 are rescaled, the removed factors kept in log_offset.
 
     With companion=True a second, independent solution is propagated alongside
     and the relative Wronskian drift (measured against the local bilinear
@@ -408,10 +431,7 @@ def integrate_schrodinger(
     x0, x1 = float(span[0]), float(span[1])
     if min(x0, x1) <= 0:
         raise ConfigError("span must stay within x > 0")
-    if x0 < 0.02 and abs(q_fn(x0)) * x0 * x0 > 0.05:
-        raise SingularOriginError(
-            f"q(x) ~ s(s-1)/x^2 is singular at start {x0}; seed with frobenius_init"
-        )
+    _refuse_singular_start(q_fn, x0)
     forward = x1 > x0
     if t_eval is None:
         npts = max(int(abs(x1 - x0) / (math.pi / 40.0)), 16)
@@ -422,24 +442,12 @@ def integrate_schrodinger(
     if np.unique(t_eval).size != t_eval.size:
         raise ConfigError("t_eval must not repeat a point")
 
-    limit = q_limit if q_limit is not None else (q.limit if isinstance(q, ChannelPotential) else None)
     w0, wp0 = float(init[0]), float(init[1])
     if companion:
         cols, wr0 = _companion_columns(w0, wp0)
     else:
         cols = np.array([[w0], [wp0]])
-    x, y, off = propagate(
-        q,
-        np.full(cols.shape[1], float(lam)),
-        cols,
-        x0,
-        x1,
-        t_eval,
-        limit=limit if limit is not None and lam > limit else None,
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-    )
+    x, y, off = propagate(q, np.full(cols.shape[1], float(lam)), cols, x0, x1, t_eval, rtol=rtol)
     if np.any(t_eval == x0):
         # the start sample is the initial state itself
         at = 0 if forward else len(x)
@@ -488,22 +496,21 @@ def reversibility_check(
     span: tuple[float, float],
     init: tuple[float, float],
     rtol: float = 1e-10,
-    atol: float = 1e-13,
 ) -> float:
     """Integrate forward then back; relative error of the recovered start state.
 
-    The round-trip error is not the forward global error: the error left at
-    the far end is carried back through the transfer matrix of the span, so
-    it is amplified by that matrix's conditioning.  Across the bridge of the
-    glued k = 1 profile (channel 0, lam = 2) the singular values are about
-    384 and 2.6e-3, a factor of about 4.5e3.
+    Both runs share one mesh and a backward step inverts the forward one, so
+    the round trip checks the steps and the offset ledger to rounding, not
+    the discretisation error.  Rounding is amplified by the conditioning of
+    the span's transfer matrix: across the bridge of the glued k = 1 profile
+    (channel 0, lam = 2) its singular values are about 384 and 2.6e-3.
     """
     x0, x1 = float(span[0]), float(span[1])
     ends = np.array([x0, x1])
-    fwd = integrate_schrodinger(q, lam, span=(x0, x1), init=init, t_eval=ends, rtol=rtol, atol=atol)
+    fwd = integrate_schrodinger(q, lam, span=(x0, x1), init=init, t_eval=ends, rtol=rtol)
     i_start, i_end = (0, -1) if x1 > x0 else (-1, 0)
     back = integrate_schrodinger(
-        q, lam, span=(x1, x0), init=(fwd.w[i_end], fwd.w_prime[i_end]), t_eval=ends, rtol=rtol, atol=atol
+        q, lam, span=(x1, x0), init=(fwd.w[i_end], fwd.w_prime[i_end]), t_eval=ends, rtol=rtol
     )
     # both runs may have rescaled; the true recovered state carries both factors
     log_scale = 0.0
@@ -719,8 +726,7 @@ def _forward_start(q: ChannelPotential, lam: float | np.ndarray) -> tuple[float,
         cols = np.array([frobenius_init(s=s, q_reg=q_reg, lam=l, x0=x0) for l in lams]).T
         return x0, cols
     x0 = q.x_min
-    if abs(q.q_fn(x0)) * x0 * x0 > 0.05 and x0 < 0.02:
-        raise SingularOriginError("potential singular at its left endpoint; no regular start known")
+    _refuse_singular_start(q.q_fn, x0)
     cols = np.tile(np.array([[0.0], [1.0]]), (1, len(lams)))
     return x0, cols
 

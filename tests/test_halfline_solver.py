@@ -70,8 +70,7 @@ def test_reversibility():
 
 def test_bridge_round_trip_with_legs_split_at_kinks(glued_k1):
     # q0 of the glued profile is only C^1 at both glue radii and the 12 bridge
-    # spline knots; legs stopping there keep the round trip across the bridge
-    # near 2e-9, one leg straddling them leaves 3e-7 to 1e-6
+    # spline knots, where the mesh puts nodes
     q0 = channel_potential(glued_k1.profile, 0)
     knots = glued_k1.profile.params["breakpoints"]
     assert len(knots) == 12
@@ -86,10 +85,10 @@ def test_bridge_round_trip_with_legs_split_at_kinks(glued_k1):
     shift=st.floats(-1.0, 1.0),
     backward=st.booleans(),
 )
-def test_leg_stops_and_frame_keep_closed_form(kinks, shift, backward):
-    # q = 0.5 and lam = 1.5: w = sin(x - 1) exactly.  Legs stop at arbitrary
-    # kinks, the samples include them, and the amplitude frame runs about a
-    # reference limit shifted away from q so that its V = q - limit is nonzero
+def test_mesh_stops_keep_closed_form(kinks, shift, backward):
+    # q = 0.5 and lam = 1.5: w = sin(x - 1) exactly.  The mesh stops at
+    # arbitrary kinks, the samples include them, and the Prufer data is taken
+    # about a limit shifted away from q
     q = dataclasses.replace(synthetic_channel(k_eff=0.0, limit=0.5), kinks=tuple(sorted(kinks)))
     t_eval = np.unique(np.concatenate([np.linspace(1.0, 30.0, 59), kinks]))
     span, init = ((30.0, 1.0), (math.sin(29.0), math.cos(29.0))) if backward else ((1.0, 30.0), (0.0, 1.0))
@@ -296,3 +295,104 @@ def test_detector_rejects_grid_below_limit():
     q = synthetic_channel(k_eff=4.0, limit=1.0)
     with pytest.raises(ConfigError):
         detect_embedded_eigenvalue(q, np.array([0.5, 2.0]), origin_bc=None)
+
+
+def _constant_transfer(v: float, d: float) -> np.ndarray:
+    """Exact transfer matrix of w'' = v w over a signed length d."""
+    if v > 0:
+        k = math.sqrt(v)
+        return np.array([[math.cosh(k * d), math.sinh(k * d) / k], [k * math.sinh(k * d), math.cosh(k * d)]])
+    if v < 0:
+        k = math.sqrt(-v)
+        return np.array([[math.cos(k * d), math.sin(k * d) / k], [-k * math.sin(k * d), math.cos(k * d)]])
+    return np.array([[1.0, d], [0.0, 1.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinks=st.lists(st.floats(1.5, 19.5), min_size=1, max_size=5, unique=True),
+    levels=st.lists(st.floats(-2.0, 1.0), min_size=6, max_size=6),
+    lam=st.floats(0.5, 2.0),
+    backward=st.booleans(),
+)
+def test_propagate_piecewise_constant_closed_form(kinks, levels, lam, backward):
+    # q - lam is constant on each piece between random kinks, above or below
+    # lam; a Magnus step integrates a constant q exactly and the mesh stops
+    # at every kink, so only rounding separates propagate from the closed form
+    kinks = sorted(kinks)
+    edges = np.array(kinks)
+    offsets = np.asarray(levels[: len(kinks) + 1])
+    q = dataclasses.replace(
+        synthetic_channel(k_eff=0.0),
+        q_fn=lambda x: lam + offsets[np.searchsorted(edges, np.asarray(x, dtype=float), side="right")],
+        kinks=tuple(kinks),
+    )
+    x0, x1 = (20.0, 1.0) if backward else (1.0, 20.0)
+    t_eval = np.unique(np.concatenate([np.linspace(1.0, 20.0, 39), kinks]))
+    x, y, off = halfline_solver.propagate(q, np.array([lam]), np.array([[0.6], [0.8]]), x0, x1, t_eval)
+    # walk the closed form through the same breakpoints, in the direction taken
+    stops = x if not backward else x[::-1]
+    state, at, exact = np.array([0.6, 0.8]), x0, []
+    for stop in stops:
+        path = [at, *sorted((k for k in kinks if min(at, stop) < k < max(at, stop)), reverse=backward), stop]
+        for a, b in zip(path[:-1], path[1:]):
+            state = _constant_transfer(float(offsets[np.searchsorted(edges, 0.5 * (a + b))]), b - a) @ state
+        exact.append(state)
+        at = stop
+    exact = np.array(exact if not backward else exact[::-1]).T
+    got = y[:, 0, :] * np.exp(off)
+    assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(0.2, 0.5), b=st.floats(-0.15, 0.15), c=st.floats(0.5, 3.0), backward=st.booleans())
+def test_propagate_wronskian_through_forced_rescale(a, b, c, backward):
+    # the pair starts at 1e149 and grows by e^4 to e^7 over the span, so the
+    # common 1e150 rescale happens mid-run; the columns stay independent, so
+    # a wrong offset or a step with determinant != 1 would show at 1e-6
+    q = lambda x: 1.0 + a + b * np.sin(c * np.asarray(x, dtype=float))
+    y0 = 1e149 * np.array([[1.0, 0.3], [0.2, 1.0]])
+    x0, x1 = (11.0, 1.0) if backward else (1.0, 11.0)
+    x, y, off = halfline_solver.propagate(q, np.array([1.0, 1.0]), y0, x0, x1, np.linspace(1.0, 11.0, 201))
+    assert np.max(off) > 300.0 and np.min(off) == 0.0
+    assert halfline_solver._wronskian_drift(y, off, float(np.linalg.det(y0))) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k_eff=st.floats(0.0, 4.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    lam=st.floats(0.3, 2.0),
+    x1=st.floats(5.0, 300.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    kinks=st.lists(st.floats(1.5, 299.0), max_size=3, unique=True),
+)
+def test_propagate_round_trip_on_shared_mesh(k_eff, phase, lam, x1, theta, kinks):
+    # forward and backward runs build the same mesh on [1, x1], and a step
+    # backward inverts the step forward, so the round trip is rounding only
+    q = dataclasses.replace(synthetic_channel(k_eff=k_eff, phase=phase), kinks=tuple(sorted(kinks)))
+    y0 = np.array([[math.cos(theta)], [math.sin(theta)]])
+    _, y, off = halfline_solver.propagate(q, np.array([lam]), y0, 1.0, x1, np.array([x1]))
+    _, yb, offb = halfline_solver.propagate(q, np.array([lam]), y[:, :, -1], x1, 1.0, np.array([1.0]))
+    assert np.max(np.abs(yb[:, :, 0] * math.exp(off[-1] + offb[0]) - y0)) <= 1e-12
+
+
+def _bessel_error(kappa: float, x0: float, rtol: float) -> float:
+    """Max error of propagate against the regular q = 2/x^2 solution sin(kx)/(kx) - cos(kx)."""
+    exact = lambda x: np.sin(kappa * x) / (kappa * x) - np.cos(kappa * x)
+    exact_p = lambda x: kappa * (np.sin(kappa * x) + np.cos(kappa * x) / (kappa * x) - np.sin(kappa * x) / (kappa * x) ** 2)
+    y0 = np.array([[exact(x0)], [exact_p(x0)]])
+    t = np.linspace(x0, x0 + 60.0, 241)
+    x, y, off = halfline_solver.propagate(lambda x: 2.0 / np.asarray(x) ** 2, np.array([kappa**2]), y0, x0, t[-1], t, rtol=rtol)
+    return float(np.max(np.abs(y[0, 0] * np.exp(off) - exact(x))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rtol=st.floats(1e-10, 1e-8), kappa=st.floats(0.5, 3.0), x0=st.floats(0.2, 2.0))
+def test_propagate_rtol_contract(rtol, kappa, x0):
+    # over these 60 units the error against the closed form stays within
+    # 20 rtol, so tightening rtol 100x shrinks it 100x; the error of a single
+    # run is not monotone in rtol (a looser run can land far below its bound)
+    loose, tight = _bessel_error(kappa, x0, rtol), _bessel_error(kappa, x0, rtol / 100.0)
+    assert loose <= 20.0 * rtol
+    assert tight <= 20.0 * rtol / 100.0

@@ -41,8 +41,9 @@ def test_public_type_hints_resolve(path):
 
 
 def test_solve_ivp_only_in_the_propagator_and_riccati():
-    # linear radial ODEs integrate through halfline_solver.propagate; the
-    # nonlinear Riccati comparison in warp_geometry is the one other user
+    # linear radial ODEs integrate through halfline_solver.propagate, whose
+    # Magnus step needs no solve_ivp; the nonlinear Riccati comparison in
+    # warp_geometry is the one user left
     users = {
         path.name
         for path in SOURCES
@@ -50,7 +51,7 @@ def test_solve_ivp_only_in_the_propagator_and_riccati():
         if (isinstance(node, ast.alias) and node.name == "solve_ivp")
         or (isinstance(node, ast.Attribute) and node.attr == "solve_ivp")
     }
-    assert users == {"halfline_solver.py", "warp_geometry.py"}
+    assert users == {"warp_geometry.py"}
 
 
 def test_one_block_maxima_fit():
