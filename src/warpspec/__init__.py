@@ -92,6 +92,7 @@ from .halfline_solver import (
     ShootingResult,
     decaying_solution,
     detect_embedded_eigenvalue,
+    energy_grid,
     fired_detections,
     fit_power_decay,
     frobenius_init,

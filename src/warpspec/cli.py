@@ -43,7 +43,7 @@ from .growth_and_identities import (
     standard_identity_data,
     verify_growth_theorem,
 )
-from .halfline_solver import ShootingResult, fired_detections
+from .halfline_solver import ShootingResult, energy_grid, fired_detections, scan_channels
 from .warp_geometry import (
     CurvatureField,
     WarpProfile,
@@ -177,12 +177,10 @@ def _named_profile(cfg: RunConfig) -> WarpProfile:
 
 
 def _lambda_window(cfg: RunConfig) -> tuple[float, float]:
-    """Scan window from the config, b_n +- 0.5 by default; refuses an empty one."""
+    """Scan window from the config, b_n +- 0.5 by default."""
     b_n = resonance_energy(cfg.n)
     lo = cfg.lambda_lo if cfg.lambda_lo is not None else b_n - 0.5
     hi = cfg.lambda_hi if cfg.lambda_hi is not None else b_n + 0.5
-    if hi <= lo:
-        raise ConfigError(f"empty lambda window [{lo}, {hi}]")
     return lo, hi
 
 
@@ -235,13 +233,11 @@ def _write_scan_csv(path: Path, scans) -> None:
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
-    from .halfline_solver import scan_channels
-
     b_n = resonance_energy(cfg.n)
     lo, hi = _lambda_window(cfg)
+    lams = energy_grid(lo, hi, cfg.lambda_step)
     g = build_construction(cfg.n, cfg.k, r_max=cfg.r_max)
     chans = [channel_potential(g.profile, spec) for spec in sphere_spectrum(cfg.n, cfg.j_max)]
-    lams = lo + cfg.lambda_step * np.arange(int(math.floor((hi - lo) / cfg.lambda_step + 1e-9)) + 1)
     scans = scan_channels(chans, lams, origin_bc="regular", r_max=cfg.r_max)
     fired = [
         {"j": rep.j, "lam": d.lam, "refined_lam": d.refined_lam, "envelope_exponent": d.envelope_exponent}

@@ -45,6 +45,7 @@ from .errors import (
 from .halfline_solver import (
     ShootingResult,
     decaying_solution,
+    energy_grid,
     fit_power_decay,
     integrate_schrodinger,
     scan_channels,
@@ -52,10 +53,10 @@ from .halfline_solver import (
 from .warp_geometry import (
     DEFAULT_STEP,
     GaussLegendrePanels,
-    ShapeFns,
     WarpProfile,
     fd_derivative,
     piece_edges,
+    profile_from_shape,
     register_profile_kind,
     sphere_area,
     uniform_grid,
@@ -195,22 +196,17 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
         r = np.asarray(r, dtype=float)
         return (r - 1.0) + k * (sici(2.0 * r)[0] - si2)
 
-    grid = uniform_grid(1.0, min(r_max, 600.0), step)
-    shape = ShapeFns(s=s, s_prime=s_prime, log_f=log_f, s_second=s_second, s_third=s_third)
-    logf = shape.log_f(grid)
-    f = np.exp(logf)
-    sv = shape.s(grid)
-    return WarpProfile(
-        n=n,
+    return profile_from_shape(
+        n,
+        s=s,
+        s_prime=s_prime,
+        log_f=log_f,
+        s_second=s_second,
+        s_third=s_third,
+        grid=uniform_grid(1.0, min(r_max, 600.0), step),
         kind="wvn",
         params={"k": k, "r_max": r_max, "step": step},
-        grid=grid,
-        f=f,
-        f_prime=sv * f,
-        f_second=(shape.s_prime(grid) + sv * sv) * f,
-        r_max=float(r_max),
-        junctions=(),
-        shape=shape,
+        r_max=r_max,
     )
 
 
@@ -435,31 +431,19 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     log_c2 = logf_r2 - float(sh1.log_f(r2))
     c2 = math.exp(log_c2)
 
-    shape = ShapeFns(
-        s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
-        s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, gp_of_t, sh1.s_prime),
-        log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
-    )
-
-    grid = uniform_grid(grid_step, min(ref.r_max, 600.0), grid_step)
-    logf = shape.log_f(grid)
-    f = np.exp(logf)
-    sv = shape.s(grid)
-    spv = shape.s_prime(grid)
     # interior spline knots: S is only C^2 there, so quadrature panels and
     # ODE steps must not straddle them
     soft = [float(r1 + t) for t in bk if 1e-12 < t < length - 1e-12]
-    profile = WarpProfile(
-        n=n,
+    profile = profile_from_shape(
+        n,
+        s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
+        s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, gp_of_t, sh1.s_prime),
+        log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
+        grid=uniform_grid(grid_step, min(ref.r_max, 600.0), grid_step),
         kind="glued",
         params={"k": float(ref.params["k"]), "r_max": ref.r_max, "step": grid_step, "breakpoints": soft},
-        grid=grid,
-        f=f,
-        f_prime=sv * f,
-        f_second=(spv + sv * sv) * f,
-        r_max=ref.r_max,
         junctions=(r1, r2),
-        shape=shape,
+        r_max=ref.r_max,
     )
 
     ball_scale = 1.0 / abs(float(disk.h_prime_fn(r1)))
@@ -659,8 +643,8 @@ def verify_construction(
     of f = r on the ball, tail curvature decay r (K_rad + 1) against the
     predicted sinusoid amplitude, the L^2 norm of psi with the tail-integrand
     exponent, and (optionally) a channel scan over lambda_window (default
-    b_n +- 0.5) whose only firing must be the built eigenvalue; an empty
-    window raises ConfigError.  All quantities are deterministic,
+    b_n +- 0.5, sampled by energy_grid, so an empty window raises
+    ConfigError) whose only firing must be the built eigenvalue.  All quantities are deterministic,
     so serialized reports are byte-identical across runs.
     """
     n, b_n, r1, r2 = g.n, g.b_n, g.r1, g.r2
@@ -754,9 +738,7 @@ def verify_construction(
     if run_scan:
         chans = [channel_potential(prof, j) for j in range(j_max + 1)]
         lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
-        if not hi > lo:
-            raise ConfigError(f"empty lambda window [{lo}, {hi}]")
-        lams = np.linspace(lo, hi, int(round((hi - lo) / lambda_step)) + 1)
+        lams = energy_grid(lo, hi, lambda_step)
         scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, rtol=rtol)
         fired = [(rep.j, d.lam, d.refined_lam) for rep in scan_reports for d in rep.detections if d.verdict]
         report["scan"] = {

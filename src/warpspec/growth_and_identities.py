@@ -868,12 +868,13 @@ def check_parts_identities(
     tol: float = 1e-7,
     panel: float = 0.35,
     order: int = 16,
-    split_at_junctions: bool = True,
 ) -> list[IdentityCheck]:
     """Quadrature-verify the six radial integration-by-parts identities.
 
     All two-sided evaluations use the same weight W = omega e^{-2cr} f^{n-1}
-    and the same Gauss-Legendre nodes.  The solution u of the conjugated
+    and the same Gauss-Legendre nodes, on panels of width at most panel that
+    never straddle a kink of the profile (glue radii and spline knots, where
+    S loses smoothness).  The solution u of the conjugated
     equation u'' + (Delta r - 2c) u' + (c (2c - Delta r) + lam) u = 0 is
     u = g w with log g = -(1/2) int (Delta r - 2c), where w solves the
     channel-0 equation w'' = (q0 - c^2 - lam) w; w is integrated once with
@@ -889,13 +890,8 @@ def check_parts_identities(
     s0, t1 = float(span[0]), float(span[1])
     if not (profile.grid[0] - 1e-9 <= s0 < t1 <= profile.r_max + 1e-9):
         raise ConfigError(f"identity span {span} leaves the profile validity range")
-    inner = [rj for rj in profile.junctions if s0 < rj < t1]
-    if inner and not split_at_junctions:
-        raise ConfigError(
-            f"span {span} crosses glue radii {inner}; enable split_at_junctions to proceed"
-        )
     # panels of width at most panel, split exactly at the kinks
-    pieces = piece_edges(s0, t1, profile.kinks if split_at_junctions else ())
+    pieces = piece_edges(s0, t1, profile.kinks)
     edges = [s0]
     for a, b in zip(pieces[:-1], pieces[1:]):
         edges.extend(np.linspace(a, b, max(1, int(math.ceil((b - a) / panel))) + 1)[1:].tolist())

@@ -52,6 +52,7 @@ __all__ = [
     "decaying_solution",
     "detect_embedded_eigenvalue",
     "scan_channels",
+    "energy_grid",
     "reversibility_check",
     "synthetic_channel",
     "fired_detections",
@@ -93,15 +94,6 @@ class ShootingResult:
     log_offset: np.ndarray | None = None
     wronskian_drift: float | None = None
     meta: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def log_amplitude(self) -> np.ndarray:
-        """log of the true envelope, offsets folded back in."""
-        if self.amplitude is None:
-            raise ConfigError("no phase-amplitude data on this result")
-        la = np.log(self.amplitude)
-        if self.log_offset is not None:
-            la = la + self.log_offset
-        return la
 
 
 @dataclass(frozen=True)
@@ -340,7 +332,8 @@ def propagate(
     """Integrate w_i'' = (q - lam_i) w_i for all lam_i at once with rescaling.
 
     This is the one linear propagator of the package: the shooting, scan,
-    decay, growth and identity code all integrate through it.  q is a
+    decay, growth and identity code and the Riccati comparison curves (as
+    the Jacobi equation) all integrate through it.  q is a
     ChannelPotential or a callable.  Each step is the sixth-order Magnus
     step on three Gauss nodes, whose traceless exponent has a closed-form
     exponential: a constant q is integrated exactly, every step matrix has
@@ -613,13 +606,7 @@ def decaying_solution(
     """
     if not isinstance(q, ChannelPotential):
         raise ConfigError("decaying_solution needs a ChannelPotential")
-    grid = x_end + step * np.arange(int((r_anchor - x_end) / step + 1e-9) + 1)
-
-    if lam < q.limit:
-        kg = math.sqrt(q.limit - lam)
-        seed = (1.0, -kg)
-        kappa = None
-    else:
+    if lam >= q.limit:
         kappa = require_oscillatory(lam, q.limit)
         if q.k_eff is None:
             raise NoDecayingSolutionError("potential tail is not a fitted x^-1 sinusoid")
@@ -631,34 +618,29 @@ def decaying_solution(
             raise NoDecayingSolutionError(
                 f"lam = {lam} is detuned from the resonance at {q.limit + 1.0}"
             )
-        seed = _decaying_seed(q.k_eff, q.phase, kappa, r_anchor)
 
     def run(anchor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g = grid[grid <= anchor + 1e-12]
-        s = seed if anchor == r_anchor else _reseed(anchor)
-        y0 = np.array([[s[0]], [s[1]]])
-        x, y, off = propagate(q, np.array([lam]), y0, anchor, x_end, g, rtol=rtol)
-        return x, y[:, 0, :], off
-
-    def _reseed(anchor: float) -> tuple[float, float]:
+        """Backward run from anchor to x_end, sampled at x_end + i * step."""
+        grid = x_end + step * np.arange(int((anchor - x_end) / step + 1e-9) + 1)
         if lam < q.limit:
-            return seed
-        return _decaying_seed(q.k_eff, q.phase, kappa, anchor)
+            seed = (1.0, -math.sqrt(q.limit - lam))
+        else:
+            seed = _decaying_seed(q.k_eff, q.phase, kappa, anchor)
+        x, y, off = propagate(q, np.array([lam]), np.array([[seed[0]], [seed[1]]]), anchor, x_end, grid, rtol=rtol)
+        return x, y[:, 0, :], off
 
     x, y, off = run(r_anchor)
     w, wp = y[0], y[1]
 
     agreement = None
     if verify:
-        grid2 = x_end + step * np.arange(int((2.0 * r_anchor - x_end) / step + 1e-9) + 1)
-        y0b = np.array([[_reseed(2.0 * r_anchor)[0]], [_reseed(2.0 * r_anchor)[1]]])
-        xb, yb, offb = propagate(q, np.array([lam]), y0b, 2.0 * r_anchor, x_end, grid2, rtol=rtol)
+        xb, yb, offb = run(2.0 * r_anchor)
         m = min(len(x), len(xb))
         if not np.allclose(x[:m], xb[:m], rtol=0, atol=1e-9):
             raise WarpspecError("two-run grids failed to align")
         if lam > q.limit:
             # no rescaling happens in the oscillatory regime; compare raw values
-            wb = yb[0, 0, :m]
+            wb = yb[0, :m]
             sc = float(np.dot(wb, w[:m]) / np.dot(wb, wb))
             agreement = float(np.max(np.abs(sc * wb - w[:m])) / np.max(np.abs(w[:m])))
         else:
@@ -666,7 +648,7 @@ def decaying_solution(
             # log envelopes (offsets folded in) must agree up to a constant
             kg = math.sqrt(q.limit - lam)
             la1 = np.log(np.hypot(w[:m], wp[:m] / kg)) + off[:m]
-            la2 = np.log(np.hypot(yb[0, 0, :m], yb[1, 0, :m] / kg)) + offb[:m]
+            la2 = np.log(np.hypot(yb[0, :m], yb[1, :m] / kg)) + offb[:m]
             delta = la1 - la2
             agreement = float(np.max(np.abs(delta - np.mean(delta))))
         if agreement > 1e-4:
@@ -892,6 +874,22 @@ def _channel_wronskian_drift(q: ChannelPotential, lam: float, r_max: float, rtol
     t_eval = np.geomspace(max(1.0, 2.0 * x0), r_max, 120)
     x, y, off = propagate(q, np.array([lam, lam]), y0, x0, r_max, t_eval, rtol=rtol)
     return _wronskian_drift(y, off, wr0)
+
+
+def energy_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Energies lo, lo + step, ... spaced by step within the window [lo, hi].
+
+    A window that is a whole multiple of step (to 1e-9 steps) ends exactly
+    on hi; any other ends on the last point below hi.  An empty window
+    (hi <= lo) raises ConfigError.
+    """
+    if not hi > lo:
+        raise ConfigError(f"empty lambda window [{lo}, {hi}]")
+    steps = (hi - lo) / step
+    if abs(steps - round(steps)) <= 1e-9:
+        # lo + m * step may overshoot hi by rounding: 2.2 + 10 * 0.01 > 2.3
+        return np.linspace(lo, hi, round(steps) + 1)
+    return lo + step * np.arange(math.floor(steps) + 1)
 
 
 def scan_channels(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma
 from scipy.special import roots_legendre
@@ -322,80 +321,48 @@ class GaussLegendrePanels:
         return self.half * (np.reshape(vals, self.x.shape) @ self.wg)
 
 
-def _profile_from_fns(
-    *,
-    n: int,
-    kind: str,
-    params: Mapping[str, float],
-    grid: np.ndarray,
-    shape: ShapeFns,
-    junctions: tuple[float, ...] = (),
-    r_max: float | None = None,
-) -> WarpProfile:
-    logf = shape.log_f(grid)
-    f = np.exp(logf)
-    s = shape.s(grid)
-    sp = shape.s_prime(grid)
-    return WarpProfile(
-        n=n,
-        kind=kind,
-        params=dict(params),
-        grid=grid,
-        f=f,
-        f_prime=s * f,
-        f_second=(sp + s * s) * f,
-        r_max=float(r_max if r_max is not None else grid[-1]),
-        junctions=junctions,
-        shape=shape,
-    )
-
-
 def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
     """Flat cap: f(r) = r, curvature 0."""
-    grid = uniform_grid(r_min, r_max, step)
-    shape = ShapeFns(
+    return profile_from_shape(
+        n,
         s=lambda r: 1.0 / np.asarray(r, dtype=float),
         s_prime=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
         log_f=lambda r: np.log(np.asarray(r, dtype=float)),
         s_second=lambda r: 2.0 / np.asarray(r, dtype=float) ** 3,
         s_third=lambda r: -6.0 / np.asarray(r, dtype=float) ** 4,
-    )
-    return _profile_from_fns(
-        n=n, kind="euclidean", params={"r_min": r_min, "r_max": r_max, "step": step}, grid=grid, shape=shape
+        grid=uniform_grid(r_min, r_max, step),
+        kind="euclidean",
+        params={"r_min": r_min, "r_max": r_max, "step": step},
     )
 
 
 def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
     """Constant curvature -1: f(r) = sinh r."""
-    grid = uniform_grid(r_min, r_max, step)
-
-    def _s(r):
-        return 1.0 / np.tanh(np.asarray(r, dtype=float))
-
-    shape = ShapeFns(
-        s=_s,
+    return profile_from_shape(
+        n,
+        s=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
         s_prime=lambda r: -1.0 / np.sinh(np.asarray(r, dtype=float)) ** 2,
         log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
         s_second=lambda r: 2.0 * np.cosh(r) / np.sinh(np.asarray(r, dtype=float)) ** 3,
         s_third=lambda r: (-4.0 / np.sinh(np.asarray(r, dtype=float)) ** 2 - 6.0 / np.sinh(np.asarray(r, dtype=float)) ** 4),
-    )
-    return _profile_from_fns(
-        n=n, kind="hyperbolic", params={"r_min": r_min, "r_max": r_max, "step": step}, grid=grid, shape=shape
+        grid=uniform_grid(r_min, r_max, step),
+        kind="hyperbolic",
+        params={"r_min": r_min, "r_max": r_max, "step": step},
     )
 
 
 def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
     """Exponential end: f(r) = e^r, so S is identically 1 and K_rad is -1."""
-    grid = uniform_grid(r_min, r_max, step)
-    shape = ShapeFns(
+    return profile_from_shape(
+        n,
         s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_f=lambda r: np.asarray(r, dtype=float),
         s_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         s_third=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-    )
-    return _profile_from_fns(
-        n=n, kind="cusp", params={"r_min": r_min, "r_max": r_max, "step": step}, grid=grid, shape=shape
+        grid=uniform_grid(r_min, r_max, step),
+        kind="cusp",
+        params={"r_min": r_min, "r_max": r_max, "step": step},
     )
 
 
@@ -413,11 +380,14 @@ def profile_from_shape(
     junctions: tuple[float, ...] = (),
     r_max: float | None = None,
 ) -> WarpProfile:
-    """Build a profile from a shape curve S = f'/f.
+    """Build a profile from a shape curve S = f'/f, tabulated on grid.
 
-    When log_f is omitted it is accumulated by Gauss-Legendre quadrature of S
-    along a refined grid (normalized so f(grid[0]) = 1) and interpolated with
-    a cubic spline; supply an exact log_f whenever one is available.
+    This is the one tabulator of the package: every built-in profile is made
+    here.  f = exp(log f), f' = S f and f'' = (S' + S^2) f on the grid; r_max
+    defaults to the last grid node.  When log_f is omitted it is accumulated
+    by Gauss-Legendre quadrature of S along a refined grid (normalized so
+    f(grid[0]) = 1) and interpolated with a cubic spline; supply an exact
+    log_f whenever one is available.
     """
     grid = np.asarray(grid, dtype=float)
     if log_f is None:
@@ -430,15 +400,19 @@ def profile_from_shape(
         def log_f(r, _spl=spl):
             return _spl(np.asarray(r, dtype=float))
 
-    shape = ShapeFns(s=s, s_prime=s_prime, log_f=log_f, s_second=s_second, s_third=s_third)
-    return _profile_from_fns(
+    f = np.exp(log_f(grid))
+    s_grid = s(grid)
+    return WarpProfile(
         n=n,
         kind=kind,
         params=dict(params or {}),
         grid=grid,
-        shape=shape,
+        f=f,
+        f_prime=s_grid * f,
+        f_second=(s_prime(grid) + s_grid * s_grid) * f,
+        r_max=float(r_max if r_max is not None else grid[-1]),
         junctions=junctions,
-        r_max=r_max,
+        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f, s_second=s_second, s_third=s_third),
     )
 
 
@@ -475,12 +449,21 @@ def solve_riccati_bound(
     upper_start: float,
     grid: np.ndarray,
 ) -> RiccatiBound:
-    """Integrate the comparison Riccati equations S' = -S^2 - K(r).
+    """Solve the comparison Riccati equations S' = -S^2 - K(r) on grid.
 
+    With S = y'/y each is the linear Jacobi equation y'' = -K y, which is
+    integrated through halfline_solver.propagate from (y, y')(r0) = (1, S0)
+    and sampled at the grid nodes; grid nodes at r0 take S0 itself.
     Preconditions: A1, B1 >= 0 and the upper curvature bound -1 + 2*A1/r must
-    be nonpositive at r0 (so f1 does not immediately leave [0, 1]).  A
-    comparison curve reaching |f| = 1000 aborts with the blow-up radius.
+    be nonpositive at r0 (so f1 does not immediately leave [0, 1]).  Then
+    K < 0 from r0 on, so y has at most one zero, and S blows up to -infinity
+    exactly there: the first grid node with y <= 0 raises
+    ComparisonFailureError, its blow_up_radius interpolated linearly in y
+    between that node and the one before it (or r0).  The start value is
+    not bounded: |S0| >= 1000 solves like any other.
     """
+    from .halfline_solver import propagate
+
     if a1 < 0 or b1_half < 0:
         raise ConfigError("decay coefficients A1, B1 must be nonnegative")
     grid = np.asarray(grid, dtype=float)
@@ -489,37 +472,26 @@ def solve_riccati_bound(
     if -1.0 + 2.0 * a1 / r0 > 0:
         raise ConfigError(f"upper curvature bound positive at r0={r0}; need r0 >= 2*A1")
 
-    def rhs(r, y):
-        k1 = -1.0 + 2.0 * a1 / r
-        k2 = -1.0 - 2.0 * b1_half / r
-        return [-y[0] * y[0] - k1, -y[1] * y[1] - k2]
-
-    def blow_up(r, y):
-        return 1.0e3 - max(abs(y[0]), abs(y[1]))
-
-    blow_up.terminal = True
-
-    sol = solve_ivp(
-        rhs,
-        (r0, grid[-1]),
-        [0.0, float(upper_start)],
-        t_eval=grid if abs(grid[0] - r0) < 1e-12 else None,
-        rtol=1e-12,
-        atol=1e-14,
-        method="DOP853",
-        events=blow_up,
-        dense_output=abs(grid[0] - r0) >= 1e-12,
-    )
-    if sol.status == 1:
-        radius = float(sol.t_events[0][0])
-        raise ComparisonFailureError(
-            f"comparison solution blew up at r = {radius:.6g}", blow_up_radius=radius
-        )
-    if abs(grid[0] - r0) < 1e-12:
-        f1, f2 = sol.y[0], sol.y[1]
-    else:
-        vals = sol.sol(grid)
-        f1, f2 = vals[0], vals[1]
+    ahead = grid[grid > r0]
+    curves = []
+    for q, s0 in (
+        (lambda r: 1.0 - 2.0 * a1 / r, 0.0),
+        (lambda r: 1.0 + 2.0 * b1_half / r, float(upper_start)),
+    ):
+        _, y, _ = propagate(q, np.zeros(1), np.array([[1.0], [s0]]), r0, grid[-1], ahead, rtol=1e-12)
+        w, wp = y[0, 0], y[1, 0]
+        below = np.flatnonzero(w <= 0.0)
+        if below.size:
+            # before its zero y falls from 1 with |y'| <= |S0|, so no rescale
+            # of propagate separates the two samples interpolated here
+            i = int(below[0])
+            r_a, w_a = (float(ahead[i - 1]), float(w[i - 1])) if i else (float(r0), 1.0)
+            radius = r_a + w_a * (float(ahead[i]) - r_a) / (w_a - float(w[i]))
+            raise ComparisonFailureError(
+                f"comparison solution blew up at r = {radius:.6g}", blow_up_radius=radius
+            )
+        curves.append(np.concatenate([np.full(grid.size - ahead.size, s0), wp / w]))
+    f1, f2 = curves
     residuals = {
         "f1": grid**3 * np.abs(f1 - (1.0 - a1 / grid)),
         "f2": grid**3 * np.abs(f2 - (1.0 + b1_half / grid)),

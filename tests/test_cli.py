@@ -291,6 +291,25 @@ def test_build_example_scans_the_requested_window(capsys, tmp_path):
     lams = [float(row.split(",")[1]) for row in rows]
     assert len(lams) == 11
     assert all(2.2 <= lam <= 2.3 for lam in lams)
+    # a window that is not a whole multiple of the step is scanned at the step
+    # itself, from lo, never past hi
+    out = tmp_path / "art3"
+    code, _, _ = run_cli(
+        capsys,
+        [
+            "build-example",
+            "--r-max", "500",
+            "--j-max", "0",
+            "--lambda-lo", "2.2",
+            "--lambda-hi", "2.3",
+            "--lambda-step", "0.03",
+            "--out", str(out),
+        ],
+    )
+    assert code == 1
+    rows = (out / "scan.csv").read_text().splitlines()[1:]
+    lams = [float(row.split(",")[1]) for row in rows]
+    assert lams == pytest.approx([2.2, 2.23, 2.26, 2.29], rel=1e-12)
     code, _, err = run_cli(capsys, ["build-example", "--lambda-lo", "2.3", "--lambda-hi", "2.2"])
     assert code == 2
     assert "empty lambda window" in err

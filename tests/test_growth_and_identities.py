@@ -370,8 +370,6 @@ def test_identity_suite_glued_across_junctions(glued_k1):
     plain = standard_identity_data()[0]
     checks = check_parts_identities(prof, plain, span=(1.5, 8.0))
     assert max(c.residual for c in checks) < 1e-8
-    with pytest.raises(ConfigError):
-        check_parts_identities(prof, plain, span=(1.5, 8.0), split_at_junctions=False)
 
 
 def test_identity_span_validation():

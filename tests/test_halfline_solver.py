@@ -16,6 +16,7 @@ from warpspec import (
     NonOscillatoryError,
     SingularOriginError,
     detect_embedded_eigenvalue,
+    energy_grid,
     fit_power_decay,
     frobenius_init,
     integrate_schrodinger,
@@ -266,6 +267,25 @@ def test_zoom_minimum_closed_forms(lo, width, frac, shape):
     assert counters["refine_probe_calls"] == len(probed) <= 9
     assert counters["refine_lambdas"] == sum(len(xs) for xs in probed)
     assert fx == _ZOOM_SHAPES[shape](np.array([x]), x_star)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(0.5, 5.0), width=st.floats(1e-3, 2.0), step=st.floats(1e-3, 0.1))
+def test_energy_grid_stays_in_the_window_at_the_step(lo, width, step):
+    hi = lo + width
+    lams = energy_grid(lo, hi, step)
+    assert lams[0] == lo and lams[-1] <= hi
+    assert hi - lams[-1] < step * (1.0 + 1e-9)
+    assert np.allclose(np.diff(lams), step, rtol=1e-9, atol=0.0)
+
+
+def test_energy_grid_whole_windows_end_on_hi():
+    assert np.array_equal(energy_grid(1.9, 2.1, 0.001), np.linspace(1.9, 2.1, 201))
+    # 2.2 + 10 * 0.01 overshoots 2.3 in floating point
+    lams = energy_grid(2.2, 2.3, 0.01)
+    assert len(lams) == 11 and lams[-1] == 2.3
+    with pytest.raises(ConfigError, match="empty lambda window"):
+        energy_grid(2.3, 2.2, 0.01)
 
 
 def test_detector_silent_below_threshold():

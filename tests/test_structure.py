@@ -40,10 +40,10 @@ def test_public_type_hints_resolve(path):
     assert not unresolved, unresolved
 
 
-def test_solve_ivp_only_in_the_propagator_and_riccati():
-    # linear radial ODEs integrate through halfline_solver.propagate, whose
-    # Magnus step needs no solve_ivp; the nonlinear Riccati comparison in
-    # warp_geometry is the one user left
+def test_solve_ivp_nowhere_in_the_package():
+    # every radial ODE integrates through halfline_solver.propagate, whose
+    # Magnus step needs no solve_ivp; the Riccati comparison runs as the
+    # linear Jacobi equation through it too
     users = {
         path.name
         for path in SOURCES
@@ -51,7 +51,7 @@ def test_solve_ivp_only_in_the_propagator_and_riccati():
         if (isinstance(node, ast.alias) and node.name == "solve_ivp")
         or (isinstance(node, ast.Attribute) and node.attr == "solve_ivp")
     }
-    assert users == {"warp_geometry.py"}
+    assert users == set()
 
 
 def test_one_block_maxima_fit():

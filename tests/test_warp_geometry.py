@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpspec import (
     ComparisonFailureError,
@@ -210,6 +212,21 @@ def test_riccati_blow_up_reported():
         solve_riccati_bound(a1=0.0, b1_half=0.0, r0=1.0, upper_start=-1.5, grid=riccati_grid(1.0, 60.0))
     assert exc.value.blow_up_radius is not None
     assert exc.value.blow_up_radius > 1.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    s0=st.floats(min_value=-50.0, max_value=-1.02, exclude_max=True, exclude_min=True),
+    r0=st.floats(min_value=0.5, max_value=5.0),
+    step=st.floats(min_value=0.005, max_value=math.pi / 40.0),
+)
+def test_riccati_blow_up_radius_matches_closed_form(s0, r0, step):
+    # K = -1 from S0 < -1: S = -coth(c - (r - r0)) reaches -infinity at
+    # r0 + c, c = artanh(-1/S0), wherever the grid nodes fall
+    with pytest.raises(ComparisonFailureError) as exc:
+        solve_riccati_bound(a1=0.0, b1_half=0.0, r0=r0, upper_start=s0, grid=uniform_grid(r0, r0 + 4.0, step))
+    exact = r0 + 0.5 * math.log((s0 - 1.0) / (s0 + 1.0))
+    assert abs(exc.value.blow_up_radius - exact) < 1e-4
 
 
 def test_riccati_rejects_bad_inputs():
