@@ -87,8 +87,8 @@ class ChannelPotential:
     window, absent (None) when the tail is not an x^-1 sinusoid.
     origin_exponent is the indicial root s of the x -> 0 singularity
     q ~ s(s-1)/x^2 for profiles covering the origin, None otherwise.
-    kinks are the ascending radii inside (x_min, x_max) where q is only C^1
-    (the profile's junctions and soft breakpoints); the ODE mesh has nodes there.
+    kinks are the profile's kinks inside (x_min, x_max), where q is only C^1;
+    the ODE mesh has nodes there.
     """
 
     n: int
@@ -175,11 +175,10 @@ def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailF
 
 
 def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> ChannelPotential:
-    """Half-line potential q_j of a channel over the given profile.
+    """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of a channel over a profile.
 
-    Uses closed-form shape callables when the profile carries them (so q_fn
-    stays valid beyond the capped sample arrays); otherwise values come from
-    the tabulated f, f', f''.
+    q_fn evaluates the profile's shape, so it is valid on [grid[0], r_max],
+    also beyond the capped sample arrays; q holds its values on the grid.
     """
     if isinstance(channel, int):
         channel = ChannelSpec(
@@ -192,31 +191,18 @@ def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> Chann
     limit = 0.25 * (n - 1) ** 2
     lam_j = channel.lam_sphere
     grid = profile.grid
+    sh = profile.shape
 
-    if profile.shape is not None:
-        sh = profile.shape
+    def q_fn(x, _sh=sh, _p=p, _lam=lam_j):
+        x = np.asarray(x, dtype=float)
+        s = _sh.s(x)
+        out = _p * _p * s * s + _p * _sh.s_prime(x)
+        if _lam != 0.0:
+            out = out + _lam * np.exp(-2.0 * _sh.log_f(x))
+        return out
 
-        def q_fn(x, _sh=sh, _p=p, _lam=lam_j):
-            x = np.asarray(x, dtype=float)
-            s = _sh.s(x)
-            out = _p * _p * s * s + _p * _sh.s_prime(x)
-            if _lam != 0.0:
-                out = out + _lam * np.exp(-2.0 * _sh.log_f(x))
-            return out
-
-        q = q_fn(grid)
-        x_max = profile.r_max
-    else:
-        s = profile.f_prime / profile.f
-        q = (p * p) * s * s + p * (profile.f_second / profile.f - s * s) + lam_j / profile.f**2
-        from scipy.interpolate import CubicSpline
-
-        spl = CubicSpline(grid, q)
-
-        def q_fn(x, _spl=spl):
-            return _spl(np.asarray(x, dtype=float))
-
-        x_max = float(grid[-1])
+    q = q_fn(grid)
+    x_max = profile.r_max
 
     # tail oscillation fit, used with enough samples and a clear amplitude
     k_eff = phase = remainder_slope = fit_window = None
@@ -248,40 +234,44 @@ def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> Chann
     )
 
 
-def _f_power(profile: WarpProfile, power: float) -> np.ndarray:
-    if profile.shape is not None:
-        return np.exp(power * profile.shape.log_f(profile.grid))
-    return profile.f**power
-
-
 def liouville_transform(
     profile: WarpProfile,
+    r: np.ndarray,
     h: np.ndarray,
     h_prime: np.ndarray | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Map h to w = f^p h (and h' to w' = f^p (h' + p S h) when given)."""
+    """Map h at radii r to w = f^p h (and h' to w' = f^p (h' + p S h) when given).
+
+    f^p and S are evaluated from the profile's shape at r.
+    """
     p = 0.5 * (profile.n - 1)
-    fp = _f_power(profile, p)
+    r = np.asarray(r, dtype=float)
+    fp = np.exp(p * profile.shape.log_f(r))
     w = fp * h
     if h_prime is None:
         return w
-    s = profile.s_values
-    return w, fp * (h_prime + p * s * h)
+    return w, fp * (h_prime + p * profile.shape.s(r) * h)
 
 
 def inverse_liouville(
     profile: WarpProfile,
+    r: np.ndarray,
     w: np.ndarray,
     w_prime: np.ndarray | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Map w back to h = f^-p w (and w' to h' = f^-p (w' - p S w))."""
+    """Map w at radii r back to h = f^-p w (and w' to h' = f^-p (w' - p S w)).
+
+    f^-p and S are evaluated from the profile's shape at r; f^-p underflows
+    to 0 silently far out on an exponential end.
+    """
     p = 0.5 * (profile.n - 1)
-    fmp = _f_power(profile, -p)
+    r = np.asarray(r, dtype=float)
+    with np.errstate(under="ignore"):
+        fmp = np.exp(-p * profile.shape.log_f(r))
     h = fmp * w
     if w_prime is None:
         return h
-    s = profile.s_values
-    return h, fmp * (w_prime - p * s * w)
+    return h, fmp * (w_prime - p * profile.shape.s(r) * w)
 
 
 @dataclass(frozen=True, eq=False)

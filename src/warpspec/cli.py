@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._format import dumps_json, fmt_float, write_csv_atomic, write_json_atomic, write_text_atomic
-from .channel_reduction import channel_potential, resonance_energy, sphere_spectrum
-from .embedded_construction import build_construction, verify_construction
+from ._format import dumps_json, write_csv_atomic, write_json_atomic, write_text_atomic
+from .channel_reduction import block_max_slope, channel_potential, resonance_energy, sphere_spectrum
+from .embedded_construction import build_construction, reference_profile, verify_construction
 from .errors import ConfigError, WarpspecError
 from .growth_and_identities import (
     GrowthSeries,
@@ -160,8 +160,6 @@ def _named_profile(cfg: RunConfig) -> WarpProfile:
             raise ConfigError(f"profile {name} overflows beyond r = 600; lower --r-max")
         return builder(cfg.n, r_max=cfg.r_max)
     if name == "wvn":
-        from .embedded_construction import reference_profile
-
         return reference_profile(cfg.n, cfg.k, r_max=cfg.r_max)
     if name == "glued":
         return build_construction(cfg.n, cfg.k, r_max=cfg.r_max).profile
@@ -296,8 +294,10 @@ def _cmd_verify_growth(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
         series = eigenfunction_growth_series(g, gamma=cfg.gamma, t_min=cfg.t0, t_max=cfg.t_end)
         start = float(series.t_gamma_i[0])
         end = float(series.t_gamma_i[-1])
-        ratio = end / start
-        ok = ratio < 0.01
+        # the L^2 tail decays like t^(-k_eff/4), so t^gamma I ~ t^(gamma - k_eff/2)
+        slope, _ = block_max_slope(series.t, series.t_gamma_i, 8)
+        predicted = cfg.gamma - 0.5 * g.diagnostics["k_eff"]
+        ok = slope is not None and slope < 0 and abs(slope - predicted) <= 0.05
         report = {
             "mode": "eigenfunction",
             "gamma": cfg.gamma,
@@ -305,8 +305,10 @@ def _cmd_verify_growth(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
             "t_window": [float(series.t[0]), float(series.t[-1])],
             "start_value": start,
             "end_value": end,
-            "end_over_start": ratio,
-            "checks": {"decays_below_one_percent": ok},
+            "end_over_start": end / start,
+            "decay_slope": slope,
+            "predicted_slope": predicted,
+            "checks": {"decays_at_predicted_rate": ok},
         }
         if out is not None:
             emit_plot_data(series, out / "growth.csv")

@@ -32,7 +32,7 @@ from scipy.special import jv, sici
 
 from .channel_reduction import (
     channel_potential,
-    predicted_k_eff,
+    inverse_liouville,
     resonance_coupling_threshold,
     resonance_energy,
 )
@@ -58,7 +58,6 @@ from .warp_geometry import (
     piece_edges,
     profile_from_shape,
     register_profile_kind,
-    sphere_area,
     uniform_grid,
 )
 
@@ -183,15 +182,6 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
         r = np.asarray(r, dtype=float)
         return k * (-4.0 * np.sin(2.0 * r) / r - 4.0 * np.cos(2.0 * r) / r**2 + 2.0 * np.sin(2.0 * r) / r**3)
 
-    def s_third(r):
-        r = np.asarray(r, dtype=float)
-        return k * (
-            -8.0 * np.cos(2.0 * r) / r
-            + 12.0 * np.sin(2.0 * r) / r**2
-            + 12.0 * np.cos(2.0 * r) / r**3
-            - 6.0 * np.sin(2.0 * r) / r**4
-        )
-
     def log_f(r):
         r = np.asarray(r, dtype=float)
         return (r - 1.0) + k * (sici(2.0 * r)[0] - si2)
@@ -202,7 +192,6 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
         s_prime=s_prime,
         log_f=log_f,
         s_second=s_second,
-        s_third=s_third,
         grid=uniform_grid(1.0, min(r_max, 600.0), step),
         kind="wvn",
         params={"k": k, "r_max": r_max, "step": step},
@@ -431,9 +420,9 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     log_c2 = logf_r2 - float(sh1.log_f(r2))
     c2 = math.exp(log_c2)
 
-    # interior spline knots: S is only C^2 there, so quadrature panels and
-    # ODE steps must not straddle them
-    soft = [float(r1 + t) for t in bk if 1e-12 < t < length - 1e-12]
+    # the glue radii and the interior spline knots, where S is only C^2: quadrature
+    # panels, stencils and ODE steps must not straddle them
+    knots = [float(r1 + t) for t in bk if 1e-12 < t < length - 1e-12]
     profile = profile_from_shape(
         n,
         s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
@@ -441,8 +430,8 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
         log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
         grid=uniform_grid(grid_step, min(ref.r_max, 600.0), grid_step),
         kind="glued",
-        params={"k": float(ref.params["k"]), "r_max": ref.r_max, "step": grid_step, "breakpoints": soft},
-        junctions=(r1, r2),
+        params={"k": float(ref.params["k"]), "r_max": ref.r_max, "step": grid_step},
+        kinks=(r1, *knots, r2),
         r_max=ref.r_max,
     )
 
@@ -500,14 +489,9 @@ def build_construction(
     q0 = channel_potential(ref, 0)
     tail = decaying_solution(q0, b_n, r_anchor=r_max, x_end=1.0, verify=True, rtol=rtol)
 
-    p = 0.5 * (n - 1)
     x = tail.x
     sh = ref.shape
-    logf1 = sh.log_f(x)
-    with np.errstate(under="ignore"):
-        damp = np.exp(-p * logf1)
-    h = tail.w * damp
-    hp = (tail.w_prime - p * sh.s(x) * tail.w) * damp
+    h, hp = inverse_liouville(ref, x, tail.w, tail.w_prime)
 
     idx = junction_candidates(x, h, hp, disk.r1, delta=delta)[:max_candidates]
     if len(idx) == 0:
@@ -639,8 +623,8 @@ def verify_construction(
 
     Returns (report, scan_reports).  The report covers: the eigenfunction
     residual measured by finite differences piece by piece (stencils never
-    cross the glue radii), warp-factor continuity at the junctions, exactness
-    of f = r on the ball, tail curvature decay r (K_rad + 1) against the
+    cross a kink of the profile), warp-factor continuity at the glue radii,
+    exactness of f = r on the ball, tail curvature decay r (K_rad + 1) against the
     predicted sinusoid amplitude, the L^2 norm of psi with the tail-integrand
     exponent, and (optionally) a channel scan over lambda_window (default
     b_n +- 0.5, sampled by energy_grid, so an empty window raises
@@ -692,15 +676,16 @@ def verify_construction(
         "global": max(res_ball, res_mid, res_tail),
     }
 
-    # (b) junction continuity and ball exactness
+    # (b) junction continuity (q0 read 1e-9 to either side) and ball exactness
     f_r2 = math.exp(float(sh.log_f(r2)))
+    q0_fn = channel_potential(prof, 0).q_fn
     report["continuity"] = {
         "s_jump_r1": g.diagnostics["s_jump_r1"],
         "s_jump_r2": g.diagnostics["s_jump_r2"],
         "f_prime_jump_r1": g.diagnostics["s_jump_r1"] * r1,
         "f_prime_jump_r2": g.diagnostics["s_jump_r2"] * f_r2,
-        "q0_jump_r1": abs(float(_q_side(g, r1, -1)) - float(_q_side(g, r1, +1))),
-        "q0_jump_r2": abs(float(_q_side(g, r2, -1)) - float(_q_side(g, r2, +1))),
+        "q0_jump_r1": abs(float(q0_fn(r1 - 1e-9)) - float(q0_fn(r1 + 1e-9))),
+        "q0_jump_r2": abs(float(q0_fn(r2 - 1e-9)) - float(q0_fn(r2 + 1e-9))),
     }
     mask_ball = prof.grid < r1
     report["ball_max_dev"] = float(np.max(np.abs(prof.f[mask_ball] - prof.grid[mask_ball])))
@@ -748,9 +733,3 @@ def verify_construction(
             "j_max": j_max,
         }
     return report, scan_reports
-
-
-def _q_side(g: GluedConstruction, r: float, side: int) -> float:
-    """Channel-0 potential approached from one side of a junction."""
-    eps = 1e-9
-    return float(channel_potential(g.profile, 0).q_fn(r + side * eps))

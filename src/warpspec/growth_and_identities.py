@@ -31,12 +31,11 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.polynomial.legendre as npleg
 
-from .channel_reduction import block_max_slope, channel_potential, require_oscillatory
+from .channel_reduction import block_max_slope, channel_potential, inverse_liouville, require_oscillatory
 from .errors import (
     ConfigError,
     HypothesisViolatedError,
     InsufficientDataError,
-    InvalidProfileError,
     NonOscillatoryError,
     OutsideRegimeError,
 )
@@ -44,7 +43,6 @@ from .halfline_solver import propagate
 from .warp_geometry import (
     DEFAULT_STEP,
     GaussLegendrePanels,
-    ShapeFns,
     WarpProfile,
     fd_derivative,
     piece_edges,
@@ -112,12 +110,6 @@ class RadialSolution:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _require_shape(profile: WarpProfile) -> ShapeFns:
-    if profile.shape is None:
-        raise ConfigError("this operation needs a profile with closed-form shape callables")
-    return profile.shape
-
-
 def _w_form_residual(t: np.ndarray, w: np.ndarray, w_prime: np.ndarray, rhs: np.ndarray) -> float:
     """Relative FD defect of (w')' = rhs on a uniform grid."""
     d = fd_derivative(t, w_prime)
@@ -142,7 +134,7 @@ def _solve_w(
     Maps (phi, phi') to w = f^p phi, w' = f^p (phi' + p S phi) and integrates
     every column of w'' = (q0 - alpha) w in one propagate call.
     """
-    sh = _require_shape(profile)
+    sh = profile.shape
     p = 0.5 * (profile.n - 1)
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0 > 0:
@@ -190,16 +182,10 @@ def radial_solution_from_w(
     w_prime: np.ndarray,
 ) -> RadialSolution:
     """Wrap half-line samples (w, w') as a RadialSolution, recovering phi."""
-    sh = _require_shape(profile)
     n = profile.n
-    p = 0.5 * (n - 1)
     t = np.asarray(t, dtype=float)
-    s = sh.s(t)
     q0 = channel_potential(profile, 0).q_fn(t)
-    with np.errstate(under="ignore"):
-        fmp = np.exp(-p * sh.log_f(t))
-    phi = fmp * w
-    phi_prime = fmp * (w_prime - p * s * w)
+    phi, phi_prime = inverse_liouville(profile, t, w, w_prime)
     res = _w_form_residual(t, w, w_prime, (q0 - alpha) * w)
     return RadialSolution(
         n=n,
@@ -242,7 +228,7 @@ def growth_series(
     Demands alpha above the essential-spectrum edge (n-1)^2/4 and a small
     equation residual, so the series always refers to an actual solution.
     """
-    sh = _require_shape(profile)
+    sh = profile.shape
     n = profile.n
     p = 0.5 * (n - 1)
     limit = 0.25 * (n - 1) ** 2
@@ -324,7 +310,7 @@ def _decay_hypothesis_report(profile: WarpProfile, *, r_hi: float, nblocks: int 
     Accepts either sup <= 1e-8 on the window (exact cusp-like ends) or block
     maxima with log-log slope <= -0.05 and a final/first ratio <= 0.5.
     """
-    sh = _require_shape(profile)
+    sh = profile.shape
     r_lo = max(5.0, float(profile.grid[0]))
     if r_hi < 10.0 * r_lo:
         raise InsufficientDataError("decay window spans less than one decade")
@@ -581,9 +567,6 @@ def power_decay_profile(
     def s_second(r):
         return a * e * (e + 1.0) * np.asarray(r, dtype=float) ** (-e - 2.0)
 
-    def s_third(r):
-        return -a * e * (e + 1.0) * (e + 2.0) * np.asarray(r, dtype=float) ** (-e - 3.0)
-
     if e == 1.0:
         def log_f(r):
             r = np.asarray(r, dtype=float)
@@ -598,7 +581,6 @@ def power_decay_profile(
         s=s,
         s_prime=s_prime,
         s_second=s_second,
-        s_third=s_third,
         log_f=log_f,
         grid=uniform_grid(r_min, min(r_cap, r_max), step),
         kind="power_decay",
@@ -839,7 +821,7 @@ def gauge_potential(
     lam + c (2c - Delta r), and identically lam on a cusp end where
     Delta r = 2c.  q' differentiates through, needing S'.
     """
-    sh = _require_shape(profile)
+    sh = profile.shape
     nm1 = profile.n - 1
     if c is None:
         c = 0.5 * nm1
@@ -882,7 +864,7 @@ def check_parts_identities(
     u is then gauged to v = e^rho u.  Residuals are
     |lhs - rhs| / (|lhs| + |rhs| + 1).
     """
-    sh = _require_shape(profile)
+    sh = profile.shape
     n = profile.n
     nm1 = n - 1
     if c is None:

@@ -79,16 +79,15 @@ class ShootingResult:
     When the integration was renormalized, w and w_prime hold rescaled values
     and log_offset the per-sample logarithm of the removed factor, so the true
     solution is w * exp(log_offset).  amplitude/phase are the Prufer data
-    rho = hypot(w, w'/kappa), theta = atan2(kappa w, w') for lam above the
-    potential limit (None otherwise); amplitude is in rescaled units too.
+    rho = hypot(w, w'/kappa), theta = atan2(kappa w, w') with
+    kappa = sqrt(lam - limit) for lam above the potential limit (None
+    otherwise); amplitude is in rescaled units too.
     """
 
     x: np.ndarray
     w: np.ndarray
     w_prime: np.ndarray
     lam: float
-    direction: str
-    kappa: float | None = None
     amplitude: np.ndarray | None = None
     phase: np.ndarray | None = None
     log_offset: np.ndarray | None = None
@@ -453,7 +452,6 @@ def integrate_schrodinger(
         w=y[0, 0],
         w_prime=y[1, 0],
         lam=float(lam),
-        direction="forward" if forward else "backward",
         log_offset=off if np.any(off != 0.0) else None,
         wronskian_drift=drift,
     )
@@ -472,8 +470,6 @@ def prufer_series(result: ShootingResult, *, q_limit: float) -> ShootingResult:
         w=result.w,
         w_prime=result.w_prime,
         lam=result.lam,
-        direction=result.direction,
-        kappa=kappa,
         amplitude=amplitude,
         phase=phase,
         log_offset=result.log_offset,
@@ -661,7 +657,6 @@ def decaying_solution(
         w=w,
         w_prime=wp,
         lam=float(lam),
-        direction="backward",
         log_offset=off if np.max(np.abs(off)) > 0 else None,
     )
     if agreement is not None:

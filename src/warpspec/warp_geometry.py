@@ -1,7 +1,7 @@
 """Rotationally symmetric metrics g = dr^2 + f(r)^2 g_sphere and their curvature.
 
-A profile stores the warp factor f on a sample grid together with optional
-closed-form shape callables (logarithmic derivative S = f'/f and friends).
+A profile is its closed-form shape (logarithmic derivative S = f'/f, S' and
+log f) tabulated on a sample grid, plus the radii where S loses smoothness.
 All geometric quantities of interest reduce to S:
 
     radial curvature   K_rad = -f''/f = -(S' + S^2)
@@ -10,7 +10,7 @@ All geometric quantities of interest reduce to S:
 
 and the Riccati trace identity  d/dr(Delta r) + (n-1) S^2 + Ric(dr,dr) = 0
 holds exactly; its finite-difference residual is the basic consistency check
-for tabulated data.
+of a shape.
 """
 
 from __future__ import annotations
@@ -75,28 +75,28 @@ def uniform_grid(r_min: float, r_max: float, step: float = DEFAULT_STEP) -> np.n
 
 @dataclass(frozen=True)
 class ShapeFns:
-    """Closed-form shape of a profile: S = f'/f and derivatives, log f.
+    """Closed-form shape of a profile: S = f'/f, S', log f and optionally S''.
 
-    All callables accept scalars or arrays.  Higher derivatives are optional;
-    routines that need them raise ConfigError when absent.
+    All callables accept scalars or arrays.  S'' is read only where the
+    glued construction matches a bridge to an end (build_construction).
     """
 
     s: Callable[[np.ndarray], np.ndarray]
     s_prime: Callable[[np.ndarray], np.ndarray]
     log_f: Callable[[np.ndarray], np.ndarray]
     s_second: Callable[[np.ndarray], np.ndarray] | None = None
-    s_third: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class WarpProfile:
-    """Sampled warp factor of g = dr^2 + f(r)^2 g_sphere with metadata.
+    """Warp factor of g = dr^2 + f(r)^2 g_sphere: a closed-form shape plus its samples.
 
-    grid must be strictly increasing and f strictly positive.  junctions mark
-    radii where the profile is glued from pieces (finite smoothness); grid
-    nodes never sit exactly on a junction.  shape, when present, provides
-    closed-form values valid on [grid[0], r_max] even where arrays stop
-    (arrays are capped before exp overflow).
+    shape gives S, S' and log f on [grid[0], r_max], also beyond the last
+    grid node (the arrays f, f', f'' are capped before exp overflows).  grid
+    must be strictly increasing and f strictly positive.  kinks are the
+    ascending radii, without duplicates, where S loses smoothness: glue radii
+    and the bridge's spline knots.  Quadrature panels, stencils and ODE legs
+    stop at them; grid nodes never sit exactly on one.
     """
 
     n: int
@@ -107,8 +107,8 @@ class WarpProfile:
     f_prime: np.ndarray
     f_second: np.ndarray
     r_max: float
-    junctions: tuple[float, ...] = ()
-    shape: ShapeFns | None = field(default=None, compare=False, repr=False)
+    shape: ShapeFns = field(compare=False, repr=False)
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.n < 2:
@@ -126,20 +126,12 @@ class WarpProfile:
                 raise InvalidProfileError(f"{name} shape does not match grid")
         if not np.all(self.f > 0):
             raise InvalidProfileError("warp factor must be strictly positive on the grid")
+        if any(b <= a for a, b in zip(self.kinks, self.kinks[1:])):
+            raise InvalidProfileError("kinks must be ascending without duplicates")
 
     @property
     def s_values(self) -> np.ndarray:
         return self.f_prime / self.f
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        """Ascending radii of finite smoothness: junctions plus soft breakpoints.
-
-        Soft breakpoints (params["breakpoints"], e.g. bridge spline knots) are
-        radii where S is C^2 but not C^3.
-        """
-        soft = (float(b) for b in self.params.get("breakpoints", ()))
-        return tuple(sorted(set(float(r) for r in self.junctions) | set(soft)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +144,7 @@ class CurvatureField:
     k_rad: np.ndarray
     laplacian_r: np.ndarray
     ricci_rr: np.ndarray
-    junctions: tuple[float, ...]
+    kinks: tuple[float, ...]
     trace_residual: float
 
 
@@ -175,12 +167,25 @@ def _fd_table(order: int, width: int = 7) -> list[np.ndarray]:
 _FD_WEIGHTS = {1: _fd_table(1), 2: _fd_table(2)}
 
 
-def _fd_segment(y: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Derivative of samples on a uniform grid, off-centre stencils near the ends."""
-    w_tab = _FD_WEIGHTS[order]
+def fd_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
+    """First (order=1) or second (order=2) derivative of samples on one smooth piece.
+
+    7-point stencils, off-centre at the ends, on a uniform grid of at least 7
+    nodes.  Data with kinks is differenced piece by piece by the caller
+    (piece_edges), so no stencil straddles a kink.
+    """
+    if order not in _FD_WEIGHTS:
+        raise ConfigError(f"fd_derivative supports orders 1 and 2, got {order}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     m = len(y)
     if m < 7:
         raise ResolutionError("need at least 7 samples per smooth segment")
+    hs = np.diff(x)
+    h = hs[0]
+    if np.max(np.abs(hs - h)) > 1e-9 * h:
+        raise ResolutionError("fd_derivative requires uniform spacing")
+    w_tab = _FD_WEIGHTS[order]
     out = np.empty_like(y)
     wc = w_tab[3]
     out[3 : m - 3] = sum(wc[i] * y[i : m - 6 + i] for i in range(7))
@@ -188,31 +193,6 @@ def _fd_segment(y: np.ndarray, h: float, order: int) -> np.ndarray:
         out[pos] = np.dot(w_tab[pos], y[:7])
         out[m - 1 - pos] = np.dot(w_tab[6 - pos], y[m - 7 :])
     return out / h**order
-
-
-def fd_derivative(
-    x: np.ndarray, y: np.ndarray, junctions: Sequence[float] = (), order: int = 1
-) -> np.ndarray:
-    """First (order=1) or second (order=2) derivative of sampled data by 7-point stencils.
-
-    The grid must be uniform within each junction-free segment; stencils never
-    straddle a junction (they go off-centre near segment ends), so finite
-    smoothness at glue radii does not pollute the result.
-    """
-    if order not in _FD_WEIGHTS:
-        raise ConfigError(f"fd_derivative supports orders 1 and 2, got {order}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    inner = np.searchsorted(x, piece_edges(x[0], x[-1], junctions)[1:-1])
-    cuts = np.unique(np.concatenate([[0], inner, [len(x)]]))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        hs = np.diff(x[a:b])
-        h = hs[0]
-        if np.max(np.abs(hs - h)) > 1e-9 * h:
-            raise ResolutionError("fd_derivative requires uniform spacing within segments")
-        out[a:b] = _fd_segment(y[a:b], h, order)
-    return out
 
 
 def _check_resolution(grid: np.ndarray) -> None:
@@ -238,43 +218,30 @@ def curvature_of_profile(profile: WarpProfile) -> CurvatureField:
         k_rad=k_rad,
         laplacian_r=lap,
         ricci_rr=ric,
-        junctions=profile.junctions,
+        kinks=profile.kinks,
         trace_residual=0.0,
     )
-    res = bochner_residual(fld, shape=profile.shape, kinks=profile.kinks)
+    res = bochner_residual(fld, profile.shape)
     object.__setattr__(fld, "trace_residual", res)
     return fld
 
 
-def bochner_residual(
-    fld: CurvatureField,
-    *,
-    shape: ShapeFns | None = None,
-    kinks: Sequence[float] = (),
-) -> float:
-    """Max residual of d/dr(Delta r) + (n-1) S^2 + Ric(dr,dr) = 0 from samples.
+def bochner_residual(fld: CurvatureField, shape: ShapeFns) -> float:
+    """Max residual of d/dr(Delta r) + (n-1) S^2 + Ric(dr,dr) = 0 from samples of a shape.
 
     The derivative side is always a finite difference of sampled S (never the
-    closed-form S'), so the identity tests the consistency of the tabulated
-    pair (S, K_rad).  Differencing acts on r * Delta r and uses
-    d(Delta r)/dr = (d(r Delta r)/dr - Delta r) / r: near a smooth pole
+    closed-form S'), so the identity tests the consistency of the pair
+    (S, S') that every curvature is computed from.  Differencing acts on
+    r * Delta r and uses d(Delta r)/dr = (d(r Delta r)/dr - Delta r) / r: near a smooth pole
     Delta r ~ (n-1)/r is unresolvable on a uniform grid while r * Delta r is
     analytic, so the substitution keeps the stencil error uniformly small
     without excluding any grid points.
 
-    When shape callables are available each smooth piece (between the
-    junctions and the further kinks given, such as soft breakpoints where S
-    loses higher derivatives) is resampled on its own uniform grid fine
-    enough for the 7-point stencil; otherwise the stored grid is differenced
-    directly, split at the junctions.
+    Each smooth piece of [grid[0], grid[-1]] between the field's kinks is
+    resampled on its own uniform grid, fine enough for the 7-point stencil.
     """
     nm1 = fld.n - 1
-    if shape is None:
-        dr_lap = fd_derivative(fld.grid, fld.grid * fld.laplacian_r, fld.junctions)
-        dlap = (dr_lap - fld.laplacian_r) / fld.grid
-        res = dlap + nm1 * fld.s**2 + fld.ricci_rr
-        return float(np.max(np.abs(res)))
-    edges = piece_edges(fld.grid[0], fld.grid[-1], (*fld.junctions, *kinks))
+    edges = piece_edges(fld.grid[0], fld.grid[-1], fld.kinks)
     worst = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         width = b - a
@@ -294,7 +261,7 @@ def bochner_residual(
             s_x = np.asarray(shape.s(x), dtype=float)
             sp_x = np.asarray(shape.s_prime(x), dtype=float)
             lap = nm1 * s_x
-            dlap = (fd_derivative(x, x * lap, ()) - lap) / x
+            dlap = (fd_derivative(x, x * lap) - lap) / x
             res = dlap + nm1 * s_x**2 - nm1 * (sp_x + s_x**2)
             worst = max(worst, float(np.max(np.abs(res))))
     return worst
@@ -329,7 +296,6 @@ def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step:
         s_prime=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
         log_f=lambda r: np.log(np.asarray(r, dtype=float)),
         s_second=lambda r: 2.0 / np.asarray(r, dtype=float) ** 3,
-        s_third=lambda r: -6.0 / np.asarray(r, dtype=float) ** 4,
         grid=uniform_grid(r_min, r_max, step),
         kind="euclidean",
         params={"r_min": r_min, "r_max": r_max, "step": step},
@@ -344,7 +310,6 @@ def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step
         s_prime=lambda r: -1.0 / np.sinh(np.asarray(r, dtype=float)) ** 2,
         log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
         s_second=lambda r: 2.0 * np.cosh(r) / np.sinh(np.asarray(r, dtype=float)) ** 3,
-        s_third=lambda r: (-4.0 / np.sinh(np.asarray(r, dtype=float)) ** 2 - 6.0 / np.sinh(np.asarray(r, dtype=float)) ** 4),
         grid=uniform_grid(r_min, r_max, step),
         kind="hyperbolic",
         params={"r_min": r_min, "r_max": r_max, "step": step},
@@ -359,7 +324,6 @@ def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: floa
         s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_f=lambda r: np.asarray(r, dtype=float),
         s_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        s_third=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         grid=uniform_grid(r_min, r_max, step),
         kind="cusp",
         params={"r_min": r_min, "r_max": r_max, "step": step},
@@ -374,10 +338,9 @@ def profile_from_shape(
     grid: np.ndarray,
     log_f: Callable[[np.ndarray], np.ndarray] | None = None,
     s_second: Callable[[np.ndarray], np.ndarray] | None = None,
-    s_third: Callable[[np.ndarray], np.ndarray] | None = None,
     kind: str = "tabulated",
     params: Mapping[str, float] | None = None,
-    junctions: tuple[float, ...] = (),
+    kinks: Sequence[float] = (),
     r_max: float | None = None,
 ) -> WarpProfile:
     """Build a profile from a shape curve S = f'/f, tabulated on grid.
@@ -387,7 +350,8 @@ def profile_from_shape(
     defaults to the last grid node.  When log_f is omitted it is accumulated
     by Gauss-Legendre quadrature of S along a refined grid (normalized so
     f(grid[0]) = 1) and interpolated with a cubic spline; supply an exact
-    log_f whenever one is available.
+    log_f whenever one is available.  kinks are the ascending radii where S
+    loses smoothness.
     """
     grid = np.asarray(grid, dtype=float)
     if log_f is None:
@@ -411,8 +375,8 @@ def profile_from_shape(
         f_prime=s_grid * f,
         f_second=(s_prime(grid) + s_grid * s_grid) * f,
         r_max=float(r_max if r_max is not None else grid[-1]),
-        junctions=junctions,
-        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f, s_second=s_second, s_third=s_third),
+        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f, s_second=s_second),
+        kinks=tuple(float(k) for k in kinks),
     )
 
 
@@ -565,34 +529,22 @@ register_profile_kind("hyperbolic", lambda n, **p: hyperbolic_profile(n, **p))
 register_profile_kind("cusp", lambda n, **p: cusp_profile(n, **p))
 
 
+def _builder(kind: str) -> Callable[..., WarpProfile]:
+    if kind not in _PROFILE_BUILDERS:
+        raise ConfigError(f"profile kind {kind!r} has no registered builder")
+    return _PROFILE_BUILDERS[kind]
+
+
 def profile_to_json(profile: WarpProfile) -> dict:
-    """JSON-ready dict.  Closed-form kinds store parameters only."""
-    doc: dict = {"n": profile.n, "kind": profile.kind, "r_max": profile.r_max}
-    if profile.kind in _PROFILE_BUILDERS:
-        doc["params"] = dict(profile.params)
-    else:
-        doc["params"] = dict(profile.params)
-        doc["grid"] = profile.grid
-        doc["f"] = profile.f
-        doc["f_prime"] = profile.f_prime
-        doc["f_second"] = profile.f_second
-        doc["junctions"] = list(profile.junctions)
-    return doc
+    """JSON-ready dict of a registered kind: the parameters its builder takes.
+
+    A shape is code, not data, so a kind without a builder cannot be stored
+    and raises ConfigError.
+    """
+    _builder(profile.kind)
+    return {"n": profile.n, "kind": profile.kind, "r_max": profile.r_max, "params": dict(profile.params)}
 
 
 def profile_from_json(doc: Mapping) -> WarpProfile:
-    kind = doc["kind"]
-    n = int(doc["n"])
-    if kind in _PROFILE_BUILDERS:
-        return _PROFILE_BUILDERS[kind](n, **doc.get("params", {}))
-    return WarpProfile(
-        n=n,
-        kind=kind,
-        params=dict(doc.get("params", {})),
-        grid=np.asarray(doc["grid"], dtype=float),
-        f=np.asarray(doc["f"], dtype=float),
-        f_prime=np.asarray(doc["f_prime"], dtype=float),
-        f_second=np.asarray(doc["f_second"], dtype=float),
-        r_max=float(doc["r_max"]),
-        junctions=tuple(doc.get("junctions", ())),
-    )
+    """Rebuild a profile from profile_to_json output through its kind's builder."""
+    return _builder(doc["kind"])(int(doc["n"]), **doc.get("params", {}))

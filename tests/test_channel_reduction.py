@@ -98,8 +98,8 @@ def test_liouville_round_trip_and_isometry():
     rng = np.random.default_rng(5)
     h = rng.normal(size=prof.grid.shape)
     hp = rng.normal(size=prof.grid.shape)
-    w, wp = liouville_transform(prof, h, hp)
-    h2, hp2 = inverse_liouville(prof, w, wp)
+    w, wp = liouville_transform(prof, prof.grid, h, hp)
+    h2, hp2 = inverse_liouville(prof, prof.grid, w, wp)
     assert np.max(np.abs(h2 - h)) < 1e-12
     assert np.max(np.abs(hp2 - hp)) < 1e-12
     # pointwise isometry of the measure change: w^2 = h^2 f^{n-1}

@@ -67,6 +67,19 @@ def test_eigenfunction_needs_glued_profile(capsys):
     assert "glued" in err
 
 
+def test_eigenfunction_decays_at_the_predicted_rate(capsys):
+    # k = 1 gives k_eff ~ 2.83: t I(t) ~ t^(1 - k_eff/2) falls by only ~5x
+    # over [50, 1000], and the check reads that slope, not a fixed ratio
+    code, doc, _ = run_cli(
+        capsys, ["verify-growth", "--profile", "glued", "--eigenfunction", "--r-max", "1100"]
+    )
+    assert code == 0
+    rep = doc["report"]
+    assert rep["checks"] == {"decays_at_predicted_rate": True}
+    assert rep["end_over_start"] > 0.01
+    assert abs(rep["decay_slope"] - rep["predicted_slope"]) <= 0.05
+
+
 def test_overflowing_profile_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["curvature-report", "--profile", "cusp", "--r-max", "1000"])
     assert code == 2

@@ -91,11 +91,10 @@ def test_build_frozen_invariants(glued_k1):
     assert g.diagnostics["k_eff"] == pytest.approx(K1["k_eff"], rel=1e-9)
     assert g.diagnostics["two_run_agreement"] < 1e-4
     assert g.diagnostics["two_run_agreement"] == pytest.approx(K1["two_run"], rel=1e-3)
-    assert g.profile.junctions == (g.r1, g.r2)
     assert g.profile.kind == "glued"
-    bk = g.profile.params["breakpoints"]
-    assert len(bk) == 12
-    assert all(g.r1 < b < g.r2 for b in bk)
+    kinks = g.profile.kinks
+    assert len(kinks) == 14 and (kinks[0], kinks[-1]) == (g.r1, g.r2)
+    assert all(g.r1 < b < g.r2 for b in kinks[1:-1])
 
 
 def test_junction_smoothness_diagnostics(glued_k1):
@@ -146,4 +145,4 @@ def test_glued_profile_json_rebuilds_identically(glued_k25):
     assert "grid" not in doc  # registered kind: parameters only
     back = profile_from_json(doc)
     assert back.f.tobytes() == prof.f.tobytes()
-    assert back.junctions == prof.junctions
+    assert back.kinks == prof.kinks

@@ -358,7 +358,7 @@ def test_identity_suite_hyperbolic_gauged():
 
 def test_identity_suite_glued_tail_span(glued_k1):
     prof = glued_k1.profile
-    r2 = prof.junctions[1]
+    r2 = glued_k1.r2
     plain = standard_identity_data()[0]
     checks = check_parts_identities(prof, plain, span=(r2 + 1.0, r2 + 50.0))
     assert tuple(c.name for c in checks) == IDENTITY_NAMES

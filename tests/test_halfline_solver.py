@@ -73,9 +73,9 @@ def test_bridge_round_trip_with_legs_split_at_kinks(glued_k1):
     # q0 of the glued profile is only C^1 at both glue radii and the 12 bridge
     # spline knots, where the mesh puts nodes
     q0 = channel_potential(glued_k1.profile, 0)
-    knots = glued_k1.profile.params["breakpoints"]
-    assert len(knots) == 12
-    assert q0.kinks == tuple(sorted([glued_k1.r1, glued_k1.r2, *knots]))
+    kinks = glued_k1.profile.kinks
+    assert len(kinks) == 14 and (kinks[0], kinks[-1]) == (glued_k1.r1, glued_k1.r2)
+    assert q0.kinks == kinks
     err = reversibility_check(q0, 2.0, span=(1.0, glued_k1.r2), init=(0.0, 1.0), rtol=1e-12)
     assert err <= 1e-8
 
@@ -292,6 +292,20 @@ def test_detector_silent_below_threshold():
     q = synthetic_channel(k_eff=1.9)
     grid = np.array([0.95, 1.0, 1.05])
     dets = detect_embedded_eigenvalue(q, grid, origin_bc=None)
+    assert not any(d.verdict for d in dets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k_eff=st.floats(0.0, 1.99),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    origin_bc=st.sampled_from([None, "regular"]),
+)
+def test_detector_silent_below_k_eff_2(k_eff, phase, origin_bc):
+    # below the resonance threshold k_eff = 2 no solution at the resonance
+    # energy limit + 1 is square integrable, whatever the phase of the tail
+    q = synthetic_channel(k_eff=k_eff, phase=phase)
+    dets = detect_embedded_eigenvalue(q, [0.99, 1.0, 1.01], origin_bc=origin_bc, r_max=500.0)
     assert not any(d.verdict for d in dets)
 
 

@@ -40,6 +40,19 @@ def test_public_type_hints_resolve(path):
     assert not unresolved, unresolved
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, sorted(imported - used)
+
+
 def test_solve_ivp_nowhere_in_the_package():
     # every radial ODE integrates through halfline_solver.propagate, whose
     # Magnus step needs no solve_ivp; the Riccati comparison runs as the

@@ -1,5 +1,6 @@
 """Warped-product geometry: model profiles, curvature, comparison bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from warpspec import (
     ConfigError,
     InvalidProfileError,
     ResolutionError,
+    ShapeFns,
     WarpProfile,
     curvature_of_profile,
     cusp_profile,
@@ -93,15 +95,6 @@ def test_fd_derivative_accuracy():
     assert np.max(err[3:-3]) < 1e-8
 
 
-def test_fd_derivative_respects_junctions():
-    x = uniform_grid(0.0, 10.0, 0.05)
-    c = x[100]
-    y = np.where(x < c, x**2, x**2 + 3.0 * (x - c))
-    d = fd_derivative(x, y, junctions=(float(c),))
-    exact = np.where(x < c, 2.0 * x, 2.0 * x + 3.0)
-    assert np.max(np.abs(d - exact)) < 1e-9
-
-
 def test_resolution_policy():
     g = np.linspace(1.0, 20.0, 40)  # step ~ 0.49 > pi/20
     assert np.max(np.diff(g)) > MAX_GRID_STEP
@@ -128,7 +121,10 @@ def test_warp_profile_validation():
             f_prime=np.ones_like(g),
             f_second=np.zeros_like(g),
             r_max=5.0,
+            shape=ShapeFns(s=lambda r: 0.0 * r, s_prime=lambda r: 0.0 * r, log_f=lambda r: 0.0 * r),
         )
+    with pytest.raises(InvalidProfileError):
+        dataclasses.replace(euclidean_profile(3), kinks=(2.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -148,10 +144,11 @@ def test_profile_json_round_trip_registered_kinds(make):
     assert back.n == prof.n and back.kind == prof.kind
     assert np.array_equal(back.grid, prof.grid)
     assert np.array_equal(back.f, prof.f)
-    assert back.junctions == prof.junctions
+    assert back.kinks == prof.kinks
 
 
-def test_profile_json_round_trip_tabulated():
+def test_profile_json_refuses_unregistered_kinds():
+    # a shape is code, not data: only kinds with a registered builder persist
     g = uniform_grid(1.0, 10.0)
     prof = profile_from_shape(
         3,
@@ -160,10 +157,12 @@ def test_profile_json_round_trip_tabulated():
         grid=g,
         log_f=lambda r: np.asarray(r, dtype=float) - 1.0,
     )
-    back = profile_from_json(profile_to_json(prof))
-    assert np.array_equal(back.grid, prof.grid)
-    assert np.array_equal(back.f, prof.f)
-    assert np.array_equal(back.f_second, prof.f_second)
+    assert prof.kind == "tabulated"
+    with pytest.raises(ConfigError, match="no registered builder"):
+        profile_to_json(prof)
+    doc = profile_to_json(euclidean_profile(3))
+    with pytest.raises(ConfigError, match="no registered builder"):
+        profile_from_json({**doc, "kind": "flat-torus"})
 
 
 # ---------------------------------------------------------------- comparison
