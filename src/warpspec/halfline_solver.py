@@ -7,11 +7,17 @@ by backward integration, and an embedded-eigenvalue detector based on the
 envelope exponent of solutions.
 
 The core integrator, propagate, takes sixth-order Magnus steps on a fixed
-mesh chosen from q, rtol and the energy range, samples q once per mesh and
-steps every energy together.  Solutions crossing large angular-momentum barriers overflow
-float64 (growth factors beyond e^700), so it renormalizes the state whenever
-it reaches 1e150 and keeps an exact per-sample logarithmic offset ledger;
-fits are done on log-amplitudes and never re-exponentiate.
+mesh chosen from q, rtol and the energy range, and steps every energy
+together.  One step builder serves the stepping and the step selection: the
+exponent of a step is affine in the energy, with coefficients computed once
+from q, and its exponential is a Taylor series in z, where Omega^2 = z I.
+The steps run in blocks, q sampled once per block; within a block the
+products of short groups of steps are formed at once as prefix products
+(Hillis & Steele), so the Python loop runs once per group, not per step.
+Solutions crossing large angular-momentum barriers overflow float64 (growth
+factors beyond e^700), so the state is renormalized whenever it reaches
+1e150 and an exact per-sample logarithmic offset ledger is kept; fits are
+done on log-amplitudes and never re-exponentiate.
 """
 
 from __future__ import annotations
@@ -59,11 +65,23 @@ __all__ = [
 ]
 
 _CAP_LOG = math.log(1e150)
-# steps per chunk of Magnus matrices and of step-selection trials, and a cap
-# on the trial steps of one selection round
-_CHUNK = 128
-_TRIAL_CHUNK = 2048
+# a group's bound on the growth of the state: below 1e75, so a state below
+# 1e150 at the group's start stays far from overflow inside it
+_GROUP_LOG = 0.5 * _CAP_LOG
+# values per block (steps times their columns and q samples), the most steps
+# in a group of prefix products, and a cap on the trial steps of one
+# selection round
+_BLOCK = 1 << 15
+_GROUP = 512
 _MAX_TRIAL_STEPS = 1 << 18
+# the series exponential holds for |z| <= _Z_MAX.  A block sums the fewest
+# terms whose first omitted one, |z|^n / (2n)!, is below _SERIES_TAIL, at
+# most 14 (4^14 / 28! = 8.8e-22); a tail near rounding would add up over
+# the steps, since it has the same sign for every step
+_Z_MAX = 4.0
+_SERIES_TAIL = 1e-19
+_COSH_TAYLOR = [1.0 / math.factorial(2 * k) for k in range(14)]
+_SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(14)]
 # batched zoom refinement: points per probe call (odd, so the bracket's centre
 # is probed), relative stopping tolerance, and a cap on the rounds, which
 # only a bracket containing 0 reaches
@@ -211,54 +229,108 @@ def _wronskian_drift(y: np.ndarray, off: np.ndarray, wr0: float) -> float:
     return float(np.max(np.abs(wr - expected) / scale))
 
 
-def _magnus_exponent(v1, v2, v3, h):
-    """Sixth-order Magnus exponent [[p, u], [l, -p]] of one step of y' = [[0, 1], [v, 0]] y.
-
-    v1, v2, v3 are v at the Gauss nodes _NODES of a step of length h and A_i
-    the matrix there.  With alpha1 = h A2, alpha2 = sqrt(15) h (A3 - A1) / 3,
-    alpha3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [alpha1, alpha2] and
-    C2 = -[alpha1, 2 alpha3 + C1] / 60 (Blanes, Casas & Ros), written out:
-    Omega = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
-    """
-    a2 = (math.sqrt(15.0) / 3.0) * h * (v3 - v1)
-    a3 = (10.0 / 3.0) * h * (v3 - 2.0 * v2 + v1)
-    hv = h * v2
-    p = h * a2 * (h * hv / 180.0 + h * a3 / 7200.0 - 1.0 / 12.0)
-    u = h * (1.0 + h * h * a2 * a2 / 3600.0 - h * a3 / 180.0)
-    l = hv + a3 / 12.0 + h * (hv * a3 / 180.0 + a3 * a3 / 3600.0 - a2 * a2 / 120.0 + h * hv * a2 * a2 / 3600.0)
-    return p, u, l
-
-
-def _step_matrices(p, u, l):
-    """Entries (a, b, c, d) of exp Omega = C I + (S / s) Omega, Omega = [[p, u], [l, -p]].
-
-    Omega^2 = s^2 I with s^2 = p^2 + u l: C, S are cosh, sinh of s when
-    s^2 > 0 and cos, sin of |s| otherwise.
-    """
-    z = p * p + u * l
-    s = np.sqrt(np.abs(z))
-    grow = z > 0
-    c = np.where(grow, np.cosh(s), np.cos(s))
-    sc = np.divide(np.where(grow, np.sinh(s), np.sin(s)), s, out=np.ones_like(s), where=s > 0)
-    return c + sc * p, sc * u, sc * l, c - sc * p
-
-
 _ROOT15 = math.sqrt(15.0) / 10.0
 _NODES = np.array([0.5 - _ROOT15, 0.5, 0.5 + _ROOT15])
 # the nodes of a full step followed by those of its two halves
 _TRIAL_NODES = np.concatenate([_NODES, 0.5 * _NODES, 0.5 + 0.5 * _NODES])
 
 
+def _group_steps(columns: int) -> int:
+    """Steps per group of prefix products: the largest power of 2 up to _GROUP / columns, at least 1."""
+    return 1 << max((_GROUP // columns).bit_length() - 1, 0)
+
+
+def _block_steps(columns: int, samples: int) -> int:
+    """Steps per block: whole groups, at least one, of about _BLOCK values in all,
+    a step holding one matrix entry per column and its samples of q."""
+    group = _group_steps(columns)
+    return group * max(_BLOCK // (group * (columns + samples)), 1)
+
+
+def _sample_q(q_fn: Callable, x: np.ndarray, h: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """q at x + f h for every step (x, h) and fraction f, one row per step, in one q_fn call."""
+    qv = np.asarray(q_fn((x[:, None] + h[:, None] * fractions).ravel()), dtype=float).reshape(x.size, -1)
+    if not np.all(np.isfinite(qv)):
+        raise WarpspecError(f"q is not finite on [{np.min(x)}, {np.max(x + h)}]")
+    return qv
+
+
+def _step_coefficients(qv: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coefficients (p0, p1, u, l0, l1) of the sixth-order Magnus exponent of each step.
+
+    For y' = A y, A = [[0, 1], [q - lam, 0]], over a step of length h, let
+    A_i be A at the Gauss nodes _NODES, where q takes the values qv[:, i].
+    With alpha1 = h A2, alpha2 = sqrt(15) h (A3 - A1) / 3,
+    alpha3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1] / 60 (Blanes, Casas & Ros) the exponent is
+    Omega = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
+    lam enters through alpha1 alone, so written out Omega = [[p, u], [l, -p]]
+    with p = p0 + p1 lam, l = l0 + l1 lam and u free of lam.  The negated
+    coefficients give -Omega, the step backward.
+    """
+    q1, q2, q3 = qv.T
+    a2 = (math.sqrt(15.0) / 3.0) * h * (q3 - q1)
+    a3 = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+    hh = h * h
+    m = 1.0 + h * a3 / 180.0 + hh * a2 * a2 / 3600.0
+    p0 = h * a2 * (hh * q2 / 180.0 + h * a3 / 7200.0 - 1.0 / 12.0)
+    p1 = -hh * h * a2 / 180.0
+    u = h * (1.0 + hh * a2 * a2 / 3600.0 - h * a3 / 180.0)
+    l0 = h * q2 * m + a3 / 12.0 + h * (a3 * a3 / 3600.0 - a2 * a2 / 120.0)
+    return p0, p1, u, l0, -h * m
+
+
+def _exponent(coef: Sequence[np.ndarray], lams: np.ndarray) -> tuple[np.ndarray, ...]:
+    """p, u, l of the exponent of each step (rows) at each lam (columns), and z = p^2 + u l."""
+    p0, p1, u, l0, l1 = (e[:, None] for e in coef)
+    p = p0 + p1 * lams
+    l = l0 + l1 * lams
+    return p, u, l, p * p + u * l
+
+
+def _steps(coef: Sequence[np.ndarray], lams: np.ndarray) -> np.ndarray:
+    """exp Omega for each step and lam, of shape (2, 2, steps, lams).
+
+    The step builder of propagate and of the step selection.  Omega^2 = z I,
+    so exp Omega = C(z) I + S(z) Omega with C = cosh sqrt(z) and
+    S = sinh sqrt(z) / sqrt(z), both summed as Taylor series in z: no branch,
+    square root or division.  The step selection resolves |z| <= 1 and then
+    lengthens a step at most twofold, so mesh steps stay within |z| <= _Z_MAX
+    (2.2 at most on the glued channels); a step beyond it raises
+    WarpspecError, never a NaN.
+    """
+    p, u, l, z = _exponent(coef, lams)
+    size = float(np.max(np.abs(z)))
+    if not size <= _Z_MAX:
+        raise WarpspecError(f"a Magnus step has |z| = {size:.3g}, beyond the series exponential's {_Z_MAX}")
+    terms = next(n for n in range(1, len(_COSH_TAYLOR) + 1) if size**n / math.factorial(2 * n) <= _SERIES_TAIL)
+    cosh = np.full_like(z, _COSH_TAYLOR[terms - 1])
+    sinhc = np.full_like(z, _SINHC_TAYLOR[terms - 1])
+    for ck, sk in zip(reversed(_COSH_TAYLOR[: terms - 1]), reversed(_SINHC_TAYLOR[: terms - 1])):
+        cosh *= z
+        cosh += ck
+        sinhc *= z
+        sinhc += sk
+    out = np.empty((2, 2, *z.shape))
+    # S p waits in the slot of b until a and d are formed
+    sp = np.multiply(sinhc, p, out=out[0, 1])
+    np.subtract(cosh, sp, out=out[1, 1])
+    np.add(cosh, sp, out=out[0, 0])
+    np.multiply(sinhc, u, out=out[0, 1])
+    np.multiply(sinhc, l, out=out[1, 0])
+    return out
+
+
 def _halving_error(qv: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Relative gap between each step and its two half steps, the worse of the extreme lams.
 
     qv holds q at the _TRIAL_NODES of each step, one row per step; inf marks
-    a step not resolved (|s| > 1).
+    a step not resolved (|z| > 1 for the step or a half step).
     """
-    v = qv.T[:, :, None] - np.array([lams.min(), lams.max()])
-    exps = [_magnus_exponent(*v[3 * i : 3 * i + 3], f * h[:, None]) for i, f in enumerate((1.0, 0.5, 0.5))]
-    resolved = np.all([np.abs(p * p + u * l) <= 1.0 for p, u, l in exps], axis=(0, 2))
-    full, first, second = (np.reshape(_step_matrices(*np.where(resolved[:, None], e, 0.0)), (2, 2, -1, 2)) for e in exps)
+    ends = np.array([lams.min(), lams.max()])
+    coefs = [_step_coefficients(qv[:, 3 * i : 3 * i + 3], f * h) for i, f in enumerate((1.0, 0.5, 0.5))]
+    resolved = np.all([np.abs(_exponent(c, ends)[3]) <= 1.0 for c in coefs], axis=(0, 2))
+    full, first, second = (_steps([np.where(resolved, e, 0.0) for e in c], ends) for c in coefs)
     two = np.einsum("ijkm,jlkm->ilkm", second, first)
     rel = np.max(np.abs(full - two), axis=(0, 1)) / np.max(np.abs(two), axis=(0, 1))
     return np.where(resolved, np.max(rel, axis=1), np.inf)
@@ -267,14 +339,20 @@ def _halving_error(qv: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarra
 def _cell_steps(q_fn: Callable, edges: np.ndarray, lams: np.ndarray, rtol: float) -> np.ndarray:
     """Number of uniform steps for each cell between consecutive edges.
 
-    A cell's count doubles until each step is resolved and agrees with its
-    two half steps to rtol at the lowest and the highest lam (_halving_error),
-    then shrinks to what the h^7 law of the local error asks for, never below
-    half.  One q_fn call per doubling.
+    A cell's steps are accepted once every one is resolved (|z| <= 1) and
+    agrees with its two half steps to rtol at the lowest and the highest lam
+    (_halving_error).  Every cell starts from one step.  A cell with an
+    unresolved step doubles its count; a resolved cell that misses rtol jumps
+    to max(2 n, ceil(1.2 n (err / rtol)^(1/7))), the h^7 law of the local
+    error with a margin.  An accepted count then shrinks to what the h^7 law
+    asks for, never below half.  Each round samples q once per block of
+    trial steps.
     """
     lo, length = edges[:-1], np.diff(edges)
     n = np.ones(len(lo), dtype=np.int64)
     out = np.zeros(len(lo), dtype=np.int64)
+    # a trial step is three matrices at two energies
+    block = _block_steps(6, _TRIAL_NODES.size)
     while np.any(out == 0):
         active = np.flatnonzero(out == 0)
         cnt = n[active]
@@ -284,17 +362,15 @@ def _cell_steps(q_fn: Callable, edges: np.ndarray, lams: np.ndarray, rtol: float
         cell = np.repeat(active, cnt)
         h = (length / n)[cell]
         x = lo[cell] + (np.arange(cell.size) - np.repeat(starts, cnt)) * h
-        qv = np.asarray(q_fn((x[:, None] + h[:, None] * _TRIAL_NODES).ravel()), dtype=float).reshape(-1, 9)
-        if not np.all(np.isfinite(qv)):
-            raise WarpspecError(f"q is not finite on [{edges[0]}, {edges[-1]}]")
-        # slices of _TRIAL_CHUNK steps bound the memory held at once
-        cut = np.arange(_TRIAL_CHUNK, h.size, _TRIAL_CHUNK)
-        err = np.concatenate([_halving_error(q_i, h_i, lams) for q_i, h_i in zip(np.split(qv, cut), np.split(h, cut))])
-        cell_err = np.maximum.reduceat(err, starts)
-        ok = cell_err <= rtol
-        need = np.ceil(cnt[ok] * (cell_err[ok] / rtol) ** (1.0 / 7.0)).astype(np.int64)
-        out[active[ok]] = np.maximum(need, (cnt[ok] + 1) // 2)
-        n[active[~ok]] *= 2
+        err = np.concatenate([
+            _halving_error(_sample_q(q_fn, x[i : i + block], h[i : i + block], _TRIAL_NODES), h[i : i + block], lams)
+            for i in range(0, h.size, block)
+        ])
+        ratio = np.maximum.reduceat(err, starts) / rtol
+        law = cnt * np.where(np.isfinite(ratio), ratio, 0.0) ** (1.0 / 7.0)
+        ok = ratio <= 1.0
+        out[active[ok]] = np.maximum(np.ceil(law[ok]).astype(np.int64), (cnt[ok] + 1) // 2)
+        n[active[~ok]] = np.maximum(2 * cnt[~ok], np.ceil(1.2 * law[~ok]).astype(np.int64))
     return out
 
 
@@ -318,6 +394,42 @@ def _mesh(q_fn: Callable, lo: float, hi: float, kinks, samples: np.ndarray, lams
     return np.append(points[:-1][gap] + frac * gaps[gap], hi)
 
 
+def _group_starts(lognorm: np.ndarray, group: int) -> np.ndarray:
+    """First step of every group: each group-th step, and each step that would
+    carry its group's running step-norm bound (the sum of lognorm) past _GROUP_LOG."""
+    starts = np.arange(0, lognorm.size, group)
+    cum = np.concatenate([[0.0], np.cumsum(lognorm)])
+    cuts = []
+    for s in starts[np.add.reduceat(lognorm, starts) > _GROUP_LOG].tolist():
+        end = min(s + group, lognorm.size)
+        while True:
+            s = max(s + 1, int(np.searchsorted(cum, cum[s] + _GROUP_LOG, side="right")) - 1)
+            if s >= end:
+                break
+            cuts.append(s)
+    return np.union1d(starts, np.array(cuts, dtype=np.int64))
+
+
+def _prefix_products(mats: np.ndarray, starts: np.ndarray) -> None:
+    """Replace each step's matrix by the product of its group's steps up to it, in place.
+
+    mats has shape (2, 2, steps, columns), the steps in the order taken; step
+    i becomes M_i ... M_s for the first step s of its group.  This is the
+    Hillis-Steele scan: after the round of span d a step holds the product of
+    up to 2 d steps, so log2 of the longest group rounds of whole-array
+    operations suffice.
+    """
+    steps = mats.shape[2]
+    sizes = np.diff(np.append(starts, steps))
+    pos = np.arange(steps) - np.repeat(starts, sizes)
+    span = 1
+    while span < sizes.max():
+        later, earlier = mats[:, :, span:], mats[:, :, :-span]
+        prod = later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]
+        np.copyto(later, prod, where=(pos[span:] >= span)[:, None])
+        span *= 2
+
+
 def propagate(
     q,
     lams: np.ndarray,
@@ -334,19 +446,28 @@ def propagate(
     decay, growth and identity code and the Riccati comparison curves (as
     the Jacobi equation) all integrate through it.  q is a
     ChannelPotential or a callable.  Each step is the sixth-order Magnus
-    step on three Gauss nodes, whose traceless exponent has a closed-form
-    exponential: a constant q is integrated exactly, every step matrix has
-    determinant 1, and a step backward is the inverse of the step forward.
-    The mesh (_mesh) is built on the ascending interval, so both directions
-    use the same nodes; it holds every kink of a ChannelPotential (glue
-    radii and spline knots, where q is only C^1) and every sample point.
-    q is sampled in one q_fn call per mesh; all columns step together.
+    step on three Gauss nodes (_steps): a constant q is integrated exactly,
+    every step matrix has determinant 1, and a step backward is the inverse
+    of the step forward.  The mesh (_mesh) is built on the ascending
+    interval, so both directions use the same nodes; it holds every kink of
+    a ChannelPotential (glue radii and spline knots, where q is only C^1)
+    and every sample point.
 
-    Whenever max|y| reaches 1e150 the whole state is divided by that maximum
-    (a single common factor keeps the linear system exact) and the log of the
-    factor is added to the offset ledger.  Samples are taken at the t_eval
+    The steps are taken in blocks of about _BLOCK values (matrix entries and
+    q samples), q sampled once per block.  A block is cut into groups of up
+    to 2^floor(log2(512 / K)) steps for K columns, and also wherever the
+    product of the bounds e^|Omega| on the step norms would pass 1e75; the
+    products of every group's steps are formed at once (_prefix_products),
+    and one Python iteration per group carries the state across it.  States
+    are formed only at the sampled nodes.
+
+    The carried state is measured once the step-norm bound since the last
+    measurement could carry it to 1e150, and divided by its maximum when that
+    reaches 1e150 (a single common factor keeps the linear system exact), the
+    log of the factor added to the offset ledger; a sampled state that
+    reaches 1e150 is rescaled the same way.  Samples are taken at the t_eval
     points strictly after x0 up to and including x1.  Returns (x ascending,
-    (w, w') of shape (2, M, K) rescaled, offsets of shape (K,)).
+    (w, w') of shape (2, M, K) rescaled, offsets of shape (M,)).
     """
     q_fn, kinks = _q_parts(q)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -359,36 +480,50 @@ def propagate(
     lo, hi = (float(x0), float(x1)) if forward else (float(x1), float(x0))
     nodes = _mesh(q_fn, lo, hi, kinks, x_out, lams, rtol)
     h = np.diff(nodes)
-    qv = np.asarray(q_fn((nodes[:-1, None] + h[:, None] * _NODES).ravel()), dtype=float).reshape(-1, 3)
     # the steps in the order taken, and whether the node each one ends on is sampled
     order = np.arange(h.size) if forward else np.arange(h.size)[::-1]
-    sampled = np.isin(nodes, x_out)[order + 1 if forward else order].tolist()
+    sampled = np.isin(nodes, x_out)[order + 1 if forward else order]
+    group, block = _group_steps(lams.size), _block_steps(lams.size, _NODES.size)
 
-    w, wp = np.array(y0, dtype=float).reshape(2, len(lams))
-    out = np.empty((2, len(lams), x_out.size))
+    y = np.array(y0, dtype=float).reshape(2, lams.size)
+    out = np.empty((2, lams.size, x_out.size))
     offs = np.empty(x_out.size)
     k, offset = 0, 0.0
-    # the state is measured after the first step, then only once the product
-    # of the step norms since the last measurement could carry it to 1e150
     grown, check_at = 0.0, -math.inf
-    for start in range(0, h.size, _CHUNK):
-        idx = order[start : start + _CHUNK]
-        v = [qv[idx, i, None] - lams for i in range(3)]
-        a, b, c, d = _step_matrices(*(sign * e for e in _magnus_exponent(*v, h[idx, None])))
-        norm = np.max(np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d)), axis=1)
-        growth = (grown + np.cumsum(np.log(norm))).tolist()
-        grown = growth[-1]
-        for a_i, b_i, c_i, d_i, g_i, s_i in zip(a, b, c, d, growth, sampled[start : start + _CHUNK]):
-            w, wp = a_i * w + b_i * wp, c_i * w + d_i * wp
-            if g_i > check_at:
-                mx = max(float(np.max(np.abs(w))), float(np.max(np.abs(wp))))
+    extremes = np.array([lams.min(), lams.max()])
+    for first in range(0, h.size, block):
+        idx = order[first : first + block]
+        coef = [sign * e for e in _step_coefficients(_sample_q(q_fn, nodes[idx], h[idx], _NODES), h[idx])]
+        mats = _steps(coef, lams)
+        # log of the bound e^|Omega| on a step's norm, |Omega| the largest
+        # row sum, which is convex in lam and so largest at an extreme lam
+        p, u, l, _ = _exponent(coef, extremes)
+        lognorm = np.max(np.abs(p) + np.maximum(np.abs(u), np.abs(l)), axis=1)
+        starts = _group_starts(lognorm, group)
+        _prefix_products(mats, starts)
+        bound = (grown + np.cumsum(np.add.reduceat(lognorm, starts))).tolist()
+        grown = bound[-1]
+        ys, logs = [], []
+        for e, g_e in zip((np.append(starts[1:], idx.size) - 1).tolist(), bound):
+            ys.append(y)
+            logs.append(offset)
+            y = mats[:, 0, e] * y[0] + mats[:, 1, e] * y[1]
+            if g_e > check_at:
+                mx = float(np.max(np.abs(y)))
                 if mx >= 1e150:
-                    w, wp, offset, mx = w / mx, wp / mx, offset + math.log(mx), 1.0
-                check_at = g_i + _CAP_LOG - math.log(mx) if mx > 0 else math.inf
-            if s_i:
-                out[0, :, k], out[1, :, k] = w, wp
-                offs[k] = offset
-                k += 1
+                    y, offset, mx = y / mx, offset + math.log(mx), 1.0
+                check_at = g_e + _CAP_LOG - math.log(mx) if mx > 0 else math.inf
+        # the sampled states, each from the first state of its group; one that
+        # reaches 1e150 is rescaled on its own
+        j = np.flatnonzero(sampled[first : first + block])
+        g = np.searchsorted(starts, j, side="right") - 1
+        y_g = np.array(ys)[g]
+        at = mats[:, 0, j] * y_g[:, 0] + mats[:, 1, j] * y_g[:, 1]
+        mx = np.max(np.abs(at), axis=(0, 2))
+        scale = np.where(mx >= 1e150, mx, 1.0)
+        out[:, :, k : k + j.size] = (at / scale[:, None]).transpose(0, 2, 1)
+        offs[k : k + j.size] = np.array(logs)[g] + np.log(scale)
+        k += j.size
     if not forward:
         out, offs = out[:, :, ::-1], offs[::-1]
     return x_out, out, offs

@@ -30,14 +30,14 @@ ORACLE_R1 = {
 K1 = {
     "r1": 2.221441469079183,
     "r2": 4.926990816987241,
-    "c2": 0.0002626664791427988,
+    "c2": 0.0002626664787890466,
     "sigma": 1.3,
     "k_eff": 2.8270638654219566,
     "two_run": 2.5898833436240628e-06,
 }
 K25 = {
     "r2": 5.005530633326986,
-    "c2": 0.0005526501025134909,
+    "c2": 0.0005526501292917513,
 }
 
 

@@ -6,7 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from warpspec import (
@@ -15,6 +16,7 @@ from warpspec import (
     NoDecayingSolutionError,
     NonOscillatoryError,
     SingularOriginError,
+    WarpspecError,
     detect_embedded_eigenvalue,
     energy_grid,
     fit_power_decay,
@@ -401,14 +403,133 @@ def test_propagate_wronskian_through_forced_rescale(a, b, c, backward):
     theta=st.floats(0.0, 2.0 * math.pi),
     kinks=st.lists(st.floats(1.5, 299.0), max_size=3, unique=True),
 )
+@example(k_eff=4.0, phase=0.0, lam=1.0, x1=51.0, theta=0.0, kinks=[])
 def test_propagate_round_trip_on_shared_mesh(k_eff, phase, lam, x1, theta, kinks):
     # forward and backward runs build the same mesh on [1, x1], and a step
-    # backward inverts the step forward, so the round trip is rounding only
+    # backward inverts the step forward, so the round trip is rounding only,
+    # amplified by the conditioning of the span's transfer matrix T (cond
+    # 1611 in the example).  A varying q rounds its steps differently, and the
+    # error stays within 1e-14 cond(T) (at most 6e-15 cond(T) measured).  The
+    # N steps of a q within 1e-4 of a constant are nearly the same matrix, so
+    # their rounding adds up instead of averaging out: each step and its
+    # inverse change the determinant by up to about 9 eps at |z| = 4, and up
+    # to 2.1 N eps cond(T) was measured at k_eff <= 1e-8.  There the bound is
+    # max(1e-14, 8 N eps) cond(T)
     q = dataclasses.replace(synthetic_channel(k_eff=k_eff, phase=phase), kinks=tuple(sorted(kinks)))
     y0 = np.array([[math.cos(theta)], [math.sin(theta)]])
     _, y, off = halfline_solver.propagate(q, np.array([lam]), y0, 1.0, x1, np.array([x1]))
     _, yb, offb = halfline_solver.propagate(q, np.array([lam]), y[:, :, -1], x1, 1.0, np.array([1.0]))
-    assert np.max(np.abs(yb[:, :, 0] * math.exp(off[-1] + offb[0]) - y0)) <= 1e-12
+    _, t, offt = halfline_solver.propagate(q, np.array([lam, lam]), np.eye(2), 1.0, x1, np.array([x1]))
+    cond = np.linalg.cond(t[:, :, -1] * math.exp(offt[-1]))
+    per_cond = 1e-14
+    if k_eff < 1e-4:
+        steps = halfline_solver._mesh(q.q_fn, 1.0, x1, q.kinks, np.array([x1]), np.array([lam]), 1e-10).size - 1
+        per_cond = max(per_cond, 8.0 * steps * np.finfo(float).eps)
+    assert np.max(np.abs(yb[:, :, 0] * math.exp(off[-1] + offb[0]) - y0)) <= per_cond * cond
+
+
+def _commutator_exponent(qv, h, lam):
+    """The sixth-order Magnus exponent from 2x2 commutators (Blanes, Casas & Ros),
+    and the largest entry of the terms alpha1, alpha2, alpha3 it sums."""
+    a = [np.array([[0.0, 1.0], [q - lam, 0.0]]) for q in qv]
+    a1 = h * a[1]
+    a2 = math.sqrt(15.0) * h * (a[2] - a[0]) / 3.0
+    a3 = 10.0 * h * (a[2] - 2.0 * a[1] + a[0]) / 3.0
+    br = lambda x, y: x @ y - y @ x
+    c1 = br(a1, a2)
+    c2 = -br(a1, 2.0 * a3 + c1) / 60.0
+    omega = a1 + a3 / 12.0 + br(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    return omega, max(np.max(np.abs(t)) for t in (a1, a2, a3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(1e-3, 2.0),
+    lam=st.floats(-5.0, 5.0),
+    levels=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    backward=st.booleans(),
+)
+def test_step_builder_matches_commutators_and_expm(h, lam, levels, backward):
+    # q at the three Gauss nodes puts h^2 (q - lam) within +-3.5, so |z| <= 4
+    # holds for most draws.  The lam-affine exponent must match the
+    # commutator formula to rounding of the terms it sums, which may cancel,
+    # and its series exponential must match scipy's expm of it
+    qv = lam + 3.5 * np.array(levels) / (h * h)
+    omega, terms = _commutator_exponent(qv, h, lam)
+    assume(abs(omega[0, 0] ** 2 + omega[0, 1] * omega[1, 0]) <= 4.0)
+    sign = -1.0 if backward else 1.0
+    coef = [sign * e for e in halfline_solver._step_coefficients(qv[None, :], np.array([h]))]
+    p, u, l, _ = (np.ravel(e)[0] for e in halfline_solver._exponent(coef, np.array([lam])))
+    got = np.array([[p, u], [l, -p]])
+    assert np.max(np.abs(got - sign * omega)) <= 1e-14 * terms
+    step = halfline_solver._steps(coef, np.array([lam]))[:, :, 0, 0]
+    exact = scipy.linalg.expm(got)
+    assert np.max(np.abs(step - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_step_beyond_the_series_raises():
+    # z = p^2 + u l = 4.5 and a NaN both lie beyond the series exponential
+    for l0 in (4.5, math.nan):
+        coef = [np.zeros(2), np.zeros(2), np.ones(2), np.array([0.5, l0]), np.zeros(2)]
+        with pytest.raises(WarpspecError, match="series exponential"):
+            halfline_solver._steps(coef, np.array([0.0]))
+    q_fn = lambda x: np.where(np.asarray(x) > 5.0, np.nan, 1.0)
+    with pytest.raises(WarpspecError, match="not finite"):
+        halfline_solver.propagate(q_fn, [0.5], [[1.0], [0.0]], 1.0, 10.0, [10.0])
+
+
+def _stepwise(q_fn, lams, y0, x0, x1, t_eval):
+    """propagate's contract by one matrix-vector product per step, on propagate's
+    own mesh and steps, the state rescaled whenever it reaches 1e150."""
+    sign = 1.0 if x1 > x0 else -1.0
+    x_out = np.unique(t_eval[(sign * t_eval > sign * x0) & (sign * t_eval <= sign * x1)])
+    nodes = halfline_solver._mesh(q_fn, min(x0, x1), max(x0, x1), (), x_out, lams, 1e-10)
+    h = np.diff(nodes)
+    qv = halfline_solver._sample_q(q_fn, nodes[:-1], h, halfline_solver._NODES)
+    mats = halfline_solver._steps([sign * e for e in halfline_solver._step_coefficients(qv, h)], lams)
+    y, off, samples = np.array(y0, dtype=float), 0.0, {}
+    for i in range(h.size) if sign > 0 else range(h.size - 1, -1, -1):
+        y = mats[:, 0, i] * y[0] + mats[:, 1, i] * y[1]
+        mx = np.max(np.abs(y))
+        if mx >= 1e150:
+            y, off = y / mx, off + math.log(mx)
+        samples[nodes[i + 1] if sign > 0 else nodes[i]] = (y, off)
+    return x_out, np.stack([samples[x][0] for x in x_out], axis=2), np.array([samples[x][1] for x in x_out])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    columns=st.sampled_from([1, 2, 17, 201]),
+    level=st.floats(-2.0, 12.0),
+    amp=st.floats(0.0, 1.0),
+    freq=st.floats(0.5, 3.0),
+    backward=st.booleans(),
+)
+@example(columns=201, level=9.0, amp=1.0, freq=1.0, backward=False)
+@example(columns=1, level=9.0, amp=1.0, freq=1.0, backward=True)
+@example(columns=17, level=12.0, amp=0.0, freq=1.0, backward=False)
+@example(columns=201, level=1.0, amp=0.0, freq=1.0, backward=True)
+def test_grouped_recurrence_matches_stepwise_product(columns, level, amp, freq, backward):
+    # q - lam >= 7 grows the state past e^400 over the span, so both runs
+    # rescale at 1e150 and the groups are also cut by the step-norm bound.
+    # The step-by-step product also carries the transfer matrix T of every
+    # lam, and rounding scales with |T|, its largest entry, not with the
+    # solution: at lam = 0.91 in the last example (1, 0.3) is the solution
+    # that decays while T grows.  Each state must agree within 1e-11 |T|
+    # (up to 5.6e-13 |T| measured, where q - lam changes sign); a wrong
+    # product order, group start or ledger entry is off by order |T|
+    q_fn = lambda x: level + amp * np.sin(freq * np.asarray(x, dtype=float))
+    lams = np.linspace(0.0, 1.0, columns)
+    y0 = np.tile([[1.0], [0.3]], (1, columns))
+    x0, x1 = (160.0, 1.0) if backward else (1.0, 160.0)
+    t_eval = np.linspace(1.0, 160.0, 60)
+    x, y, off = halfline_solver.propagate(q_fn, lams, y0, x0, x1, t_eval)
+    starts = np.concatenate([y0, np.repeat(np.eye(2), columns, axis=1)], axis=1)
+    xr, yr, offr = _stepwise(q_fn, np.tile(lams, 3), starts, x0, x1, t_eval)
+    assert np.array_equal(x, xr)
+    assert level < 9.0 or np.max(off) > 300.0
+    transfer = np.max(np.abs(yr[:, columns:]).reshape(4, columns, -1), axis=0)
+    assert np.max(np.abs(y * np.exp(off - offr) - yr[:, :columns]) / transfer) <= 1e-11
 
 
 def _bessel_error(kappa: float, x0: float, rtol: float) -> float:
