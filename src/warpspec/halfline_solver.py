@@ -74,12 +74,10 @@ _GROUP_LOG = 0.5 * _CAP_LOG
 _BLOCK = 1 << 15
 _GROUP = 512
 _MAX_TRIAL_STEPS = 1 << 18
-# the series exponential holds for |z| <= _Z_MAX.  A block sums the fewest
-# terms whose first omitted one, |z|^n / (2n)!, is below _SERIES_TAIL, at
-# most 14 (4^14 / 28! = 8.8e-22); a tail near rounding would add up over
-# the steps, since it has the same sign for every step
+# the series exponential holds for |z| <= _Z_MAX.  It sums 14 terms, whose
+# first omitted one is at most 4^14 / 28! = 8.8e-22; a tail near rounding
+# would add up over the steps, since it has the same sign for every step
 _Z_MAX = 4.0
-_SERIES_TAIL = 1e-19
 _COSH_TAYLOR = [1.0 / math.factorial(2 * k) for k in range(14)]
 _SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(14)]
 # batched zoom refinement: points per probe call (odd, so the bracket's centre
@@ -303,10 +301,9 @@ def _steps(coef: Sequence[np.ndarray], lams: np.ndarray) -> np.ndarray:
     size = float(np.max(np.abs(z)))
     if not size <= _Z_MAX:
         raise WarpspecError(f"a Magnus step has |z| = {size:.3g}, beyond the series exponential's {_Z_MAX}")
-    terms = next(n for n in range(1, len(_COSH_TAYLOR) + 1) if size**n / math.factorial(2 * n) <= _SERIES_TAIL)
-    cosh = np.full_like(z, _COSH_TAYLOR[terms - 1])
-    sinhc = np.full_like(z, _SINHC_TAYLOR[terms - 1])
-    for ck, sk in zip(reversed(_COSH_TAYLOR[: terms - 1]), reversed(_SINHC_TAYLOR[: terms - 1])):
+    cosh = np.full_like(z, _COSH_TAYLOR[-1])
+    sinhc = np.full_like(z, _SINHC_TAYLOR[-1])
+    for ck, sk in zip(reversed(_COSH_TAYLOR[:-1]), reversed(_SINHC_TAYLOR[:-1])):
         cosh *= z
         cosh += ck
         sinhc *= z
@@ -352,7 +349,7 @@ def _cell_steps(q_fn: Callable, edges: np.ndarray, lams: np.ndarray, rtol: float
     n = np.ones(len(lo), dtype=np.int64)
     out = np.zeros(len(lo), dtype=np.int64)
     # a trial step is three matrices at two energies
-    block = _block_steps(6, _TRIAL_NODES.size)
+    block = _BLOCK // (6 + _TRIAL_NODES.size)
     while np.any(out == 0):
         active = np.flatnonzero(out == 0)
         cnt = n[active]
