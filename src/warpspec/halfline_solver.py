@@ -7,10 +7,14 @@ by backward integration, and an embedded-eigenvalue detector based on the
 envelope exponent of solutions.
 
 The core integrator, propagate, takes sixth-order Magnus steps on a fixed
-mesh chosen from q, rtol and the energy range, and steps every energy
-together.  One step builder serves the stepping and the step selection: the
-exponent of a step is affine in the energy, with coefficients computed once
-from q, and its exponential is a Taylor series in z, where Omega^2 = z I.
+mesh and steps every energy together.  The mesh comes from a step selection
+(select_mesh): cell edges and one step per cell, chosen from q, rtol, a span
+and an energy window; each call places the nodes of its own span inside it.
+A channel scan selects once per channel, and its grid probe, zoom rounds and
+Wronskian pair share that selection.  One step builder serves the stepping
+and the step selection: the exponent of a step is affine in the energy, with
+coefficients computed once from q, and its exponential is a Taylor series in
+z, where Omega^2 = z I.
 The steps run in blocks, q sampled once per block; within a block the
 products of short groups of steps are formed at once as prefix products
 (Hillis & Steele), so the Python loop runs once per group, not per step.
@@ -52,6 +56,8 @@ __all__ = [
     "ChannelScanReport",
     "integrate_schrodinger",
     "prufer_series",
+    "Mesh",
+    "select_mesh",
     "propagate",
     "fit_power_decay",
     "frobenius_init",
@@ -147,15 +153,31 @@ class ChannelScanReport:
     k_eff: float | None
 
 
-def _loglog_fit(logx: np.ndarray, logy: np.ndarray) -> tuple[float, float, float]:
-    """Slope, stderr of slope, intercept for logy ~ slope*logx + intercept."""
-    design = np.column_stack([logx, np.ones_like(logx)])
-    coef, *_ = np.linalg.lstsq(design, logy, rcond=None)
-    res = logy - design @ coef
-    dof = max(len(logx) - 2, 1)
-    sigma2 = float(res @ res) / dof
-    cov00 = sigma2 * np.linalg.inv(design.T @ design)[0, 0]
-    return float(coef[0]), float(math.sqrt(max(cov00, 0.0))), float(coef[1])
+def _loglog_fit(
+    logx: np.ndarray, logy: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope, stderr of slope, intercept for logy ~ slope*logx + intercept, per column.
+
+    logy holds one column (shape (M,), scalar results) or K columns (shape
+    (M, K)) sampled at the M abscissas logx; mask, of logy's shape, selects
+    the samples of each column's fit, and logy must be finite everywhere.
+    The least-squares line in closed form about the column's mean abscissa,
+    with the residual variance over max(n - 2, 1) degrees of freedom.
+    """
+    x = logx.reshape(-1, *[1] * (logy.ndim - 1))
+    w = np.broadcast_to(1.0 if mask is None else mask, logy.shape).astype(float)
+    n = np.sum(w, axis=0)
+    if np.any(n < 2):
+        raise WarpspecError("a log-log fit needs at least two samples")
+    x_mean = np.sum(w * x, axis=0) / n
+    y_mean = np.sum(w * logy, axis=0) / n
+    dx = x - x_mean
+    sxx = np.sum(w * dx * dx, axis=0)
+    slope = np.sum(w * dx * (logy - y_mean), axis=0) / sxx
+    intercept = y_mean - slope * x_mean
+    res = w * (logy - slope * x - intercept)
+    sigma2 = np.sum(res * res, axis=0) / np.maximum(n - 2, 1)
+    return slope, np.sqrt(sigma2 / sxx), intercept
 
 
 def fit_power_decay(
@@ -174,7 +196,7 @@ def fit_power_decay(
     if np.any(ys <= 0):
         raise ConfigError("fit_power_decay needs nonzero values; fit log data directly instead")
     slope, stderr, intercept = _loglog_fit(np.log(xs), np.log(ys))
-    return DecayFit(slope, stderr, intercept, (float(xs[0]), float(xs[-1])), int(len(xs)))
+    return DecayFit(float(slope), float(stderr), float(intercept), (float(xs[0]), float(xs[-1])), int(len(xs)))
 
 
 def frobenius_init(*, s: float, q_reg: float, lam: float, x0: float) -> tuple[float, float]:
@@ -371,21 +393,67 @@ def _cell_steps(q_fn: Callable, edges: np.ndarray, lams: np.ndarray, rtol: float
     return out
 
 
-def _mesh(q_fn: Callable, lo: float, hi: float, kinks, samples: np.ndarray, lams: np.ndarray, rtol: float) -> np.ndarray:
-    """Ascending nodes from lo to hi: every kink and sample, one uniform step per cell.
+@dataclass(frozen=True, eq=False)
+class Mesh:
+    """A step selection: cell edges and one uniform step per cell.
+
+    select_mesh chooses it for a potential (q_fn and kinks), the span from
+    edges[0] to edges[-1], the energy window [lam_lo, lam_hi] and rtol;
+    propagate places the nodes of any span inside it (_nodes) and refuses a
+    call whose potential, span, energies or rtol the selection does not
+    cover, so one selection can serve every call of a scan on one channel.
+    """
+
+    q_fn: Callable
+    kinks: tuple[float, ...]
+    lam_lo: float
+    lam_hi: float
+    rtol: float
+    edges: np.ndarray
+    steps: np.ndarray
+
+
+def select_mesh(q, lo: float, hi: float, lams, *, rtol: float = 1e-10) -> Mesh:
+    """The step selection of q on [lo, hi] for energies in the range of lams.
 
     The cells are the smooth pieces between kinks, cut further at lo * 2^i
-    so that the mesh grades geometrically toward a start near the origin.
-    Each gap between consecutive kinks, cuts and samples is divided evenly
-    with steps no longer than its cell's step.
+    so that the mesh grades geometrically toward a start near the origin;
+    each cell's step comes from _cell_steps, tested at the lowest and the
+    highest energy.
     """
+    q_fn, kinks = _q_parts(q)
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
     cuts = lo * 2.0 ** np.arange(1, int(math.log2(hi / lo)) + 1) if lo > 0 else []
     edges = np.asarray(piece_edges(lo, hi, [*kinks, *cuts]))
     steps = np.diff(edges) / _cell_steps(q_fn, edges, lams, rtol)
-    points = np.union1d(edges, samples)
+    return Mesh(q_fn, tuple(kinks), float(lams.min()), float(lams.max()), rtol, edges, steps)
+
+
+def _refuse_foreign_mesh(
+    mesh: Mesh, q_fn: Callable, kinks, lo: float, hi: float, lams: np.ndarray, rtol: float
+) -> None:
+    """ConfigError unless mesh was selected for q_fn and kinks, a span holding [lo, hi],
+    a window holding every lam, and rtol."""
+    if q_fn is not mesh.q_fn or tuple(kinks) != mesh.kinks:
+        raise ConfigError("the mesh was selected for another potential")
+    if rtol != mesh.rtol:
+        raise ConfigError(f"the mesh was selected for rtol {mesh.rtol}, not {rtol}")
+    if lo < mesh.edges[0] or hi > mesh.edges[-1]:
+        raise ConfigError(f"[{lo}, {hi}] leaves the mesh's span [{mesh.edges[0]}, {mesh.edges[-1]}]")
+    if lams.min() < mesh.lam_lo or lams.max() > mesh.lam_hi:
+        raise ConfigError(
+            f"energies in [{lams.min()}, {lams.max()}] leave the mesh's window [{mesh.lam_lo}, {mesh.lam_hi}]"
+        )
+
+
+def _nodes(mesh: Mesh, lo: float, hi: float, samples: np.ndarray) -> np.ndarray:
+    """Ascending nodes from lo to hi: every edge of mesh between them and every
+    sample, each gap divided evenly with steps no longer than its cell's step."""
+    edges = mesh.edges
+    points = np.union1d(np.concatenate([[lo], edges[(edges > lo) & (edges < hi)], [hi]]), samples)
     gaps = np.diff(points)
     cell = np.searchsorted(edges, points[:-1], side="right") - 1
-    cnt = np.maximum(np.ceil(gaps / steps[cell] * (1.0 - 1e-12)), 1).astype(np.int64)
+    cnt = np.maximum(np.ceil(gaps / mesh.steps[cell] * (1.0 - 1e-12)), 1).astype(np.int64)
     gap = np.repeat(np.arange(gaps.size), cnt)
     frac = (np.arange(gap.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)) / cnt[gap]
     return np.append(points[:-1][gap] + frac * gaps[gap], hi)
@@ -436,6 +504,7 @@ def propagate(
     t_eval: np.ndarray,
     *,
     rtol: float = 1e-10,
+    mesh: Mesh | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate w_i'' = (q - lam_i) w_i for all lam_i at once with rescaling.
 
@@ -445,10 +514,14 @@ def propagate(
     ChannelPotential or a callable.  Each step is the sixth-order Magnus
     step on three Gauss nodes (_steps): a constant q is integrated exactly,
     every step matrix has determinant 1, and a step backward is the inverse
-    of the step forward.  The mesh (_mesh) is built on the ascending
-    interval, so both directions use the same nodes; it holds every kink of
+    of the step forward.  The nodes (_nodes) are placed on the ascending
+    interval, so both directions use the same nodes; they hold every kink of
     a ChannelPotential (glue radii and spline knots, where q is only C^1)
-    and every sample point.
+    and every sample point.  They come from mesh, a step selection
+    (select_mesh) that must cover q, the interval, every lam and rtol, or
+    ConfigError is raised; without one the call selects its own for the
+    interval and the range of lams, so a lam's result depends on that range
+    at the discretisation level.  Calls that share a mesh share those steps.
 
     The steps are taken in blocks of about _BLOCK values (matrix entries and
     q samples), q sampled once per block.  A block is cut into groups of up
@@ -475,7 +548,11 @@ def propagate(
     if not x_out.size:
         raise WarpspecError("no requested sample points were reached")
     lo, hi = (float(x0), float(x1)) if forward else (float(x1), float(x0))
-    nodes = _mesh(q_fn, lo, hi, kinks, x_out, lams, rtol)
+    if mesh is None:
+        mesh = select_mesh(q, lo, hi, lams, rtol=rtol)
+    else:
+        _refuse_foreign_mesh(mesh, q_fn, kinks, lo, hi, lams, rtol)
+    nodes = _nodes(mesh, lo, hi, x_out)
     h = np.diff(nodes)
     # the steps in the order taken, and whether the node each one ends on is sampled
     order = np.arange(h.size) if forward else np.arange(h.size)[::-1]
@@ -626,19 +703,18 @@ def reversibility_check(
     the span's transfer matrix: across the bridge of the glued k = 1 profile
     (channel 0, lam = 2) its singular values are about 384 and 2.6e-3.
     """
+    q_fn, _ = _q_parts(q)
     x0, x1 = float(span[0]), float(span[1])
-    ends = np.array([x0, x1])
-    fwd = integrate_schrodinger(q, lam, span=(x0, x1), init=init, t_eval=ends, rtol=rtol)
-    i_start, i_end = (0, -1) if x1 > x0 else (-1, 0)
-    back = integrate_schrodinger(
-        q, lam, span=(x1, x0), init=(fwd.w[i_end], fwd.w_prime[i_end]), t_eval=ends, rtol=rtol
-    )
+    if min(x0, x1) <= 0:
+        raise ConfigError("span must stay within x > 0")
+    for x in (x0, x1):
+        _refuse_singular_start(q_fn, x)
+    lams, ends = np.array([float(lam)]), np.array([x0, x1])
+    mesh = select_mesh(q, min(x0, x1), max(x0, x1), lams, rtol=rtol)
+    _, y, off = propagate(q, lams, np.array(init, dtype=float).reshape(2, 1), x0, x1, ends, rtol=rtol, mesh=mesh)
+    _, back, off_back = propagate(q, lams, y[:, :, -1], x1, x0, ends, rtol=rtol, mesh=mesh)
     # both runs may have rescaled; the true recovered state carries both factors
-    log_scale = 0.0
-    for res, i in ((fwd, i_end), (back, i_start)):
-        if res.log_offset is not None:
-            log_scale += float(res.log_offset[i])
-    rec = np.array([back.w[i_start], back.w_prime[i_start]]) * math.exp(log_scale)
+    rec = back[:, 0, 0] * math.exp(off[-1] + off_back[0])
     scale = max(abs(init[0]), abs(init[1]), 1e-300)
     return float(max(abs(rec[0] - init[0]), abs(rec[1] - init[1])) / scale)
 
@@ -804,8 +880,8 @@ def decaying_solution(
         hi = r_anchor / 2.0
         mask = (x >= lo) & (x <= hi) & np.isfinite(la)
         slope, stderr, _ = _loglog_fit(x[mask], la[mask])
-        res.meta["gap_rate"] = slope
-        res.meta["gap_rate_stderr"] = stderr
+        res.meta["gap_rate"] = float(slope)
+        res.meta["gap_rate_stderr"] = float(stderr)
     return res
 
 
@@ -825,19 +901,49 @@ def _detector_preflight(q: ChannelPotential, lambda_grid: np.ndarray) -> None:
         raise ConfigError("lambda grid must stay above the essential-spectrum edge")
 
 
+def _regular_start(q: ChannelPotential) -> float:
+    """Start point of the regular solution at the origin: inside the Frobenius
+    region of an x^-2 singular q, else x_min, where q must be regular."""
+    if q.origin_exponent is not None:
+        return 1e-3 if q.origin_exponent <= 1.2 else 0.3
+    _refuse_singular_start(q.q_fn, q.x_min)
+    return q.x_min
+
+
 def _forward_start(q: ChannelPotential, lam: float | np.ndarray) -> tuple[float, np.ndarray]:
     """Start point and state column(s) for the regular solution at the origin."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    x0 = _regular_start(q)
     if q.origin_exponent is not None:
         s = q.origin_exponent
-        x0 = 1e-3 if s <= 1.2 else 0.3
         q_reg = float(q.q_fn(x0)) - s * (s - 1.0) / (x0 * x0)
         cols = np.array([frobenius_init(s=s, q_reg=q_reg, lam=l, x0=x0) for l in lams]).T
         return x0, cols
-    x0 = q.x_min
-    _refuse_singular_start(q.q_fn, x0)
     cols = np.tile(np.array([[0.0], [1.0]]), (1, len(lams)))
     return x0, cols
+
+
+def _probe_start(q: ChannelPotential, origin_bc: str | None) -> float:
+    """Near end of a probe's interval: the regular start, or max(1, x_min)
+    for origin_bc None."""
+    if origin_bc == "regular":
+        return _regular_start(q)
+    if origin_bc is None:
+        return max(1.0, q.x_min)
+    raise ConfigError(f"origin_bc must be 'regular' or None, got {origin_bc!r}")
+
+
+def _grid_step(lambda_grid: np.ndarray) -> float:
+    """Half-width h of the refinement bracket [lam - h, lam + h]: the grid step."""
+    return abs(float(lambda_grid[1] - lambda_grid[0])) if len(lambda_grid) > 1 else 1e-3
+
+
+def _detector_window(q: ChannelPotential, lambda_grid: np.ndarray) -> np.ndarray:
+    """Ends of an energy window holding the grid and every refinement bracket:
+    [max(lam_min - h, (limit + lam_min) / 2), lam_max + h], h the grid step."""
+    h = _grid_step(lambda_grid)
+    lo, hi = float(np.min(lambda_grid)), float(np.max(lambda_grid))
+    return np.array([max(lo - h, 0.5 * (q.limit + lo)), hi + h])
 
 
 def _probe_exponents(
@@ -847,43 +953,37 @@ def _probe_exponents(
     origin_bc: str | None,
     r_max: float,
     rtol: float,
+    mesh: Mesh | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope exponent, its stderr, and integrand exponent for each lam."""
+    """Envelope exponent, its stderr, and integrand exponent for each lam.
+
+    Every lam is integrated in one propagate call, on mesh when given, and
+    all of them are fitted at once.
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     t_eval = np.geomspace(r_max / 20.0, r_max, 100)
-    if origin_bc == "regular":
-        x0, cols = _forward_start(q, lams)
-        x, y, off = propagate(q, lams, cols, x0, r_max, t_eval, rtol=rtol)
-    elif origin_bc is None:
-        cols = np.empty((2, len(lams)))
-        for i, l in enumerate(lams):
-            kap = math.sqrt(l - q.limit)
-            cols[:, i] = _decaying_seed(q.k_eff, q.phase, kap, r_max)
-        x, y, off = propagate(q, lams, cols, r_max, max(1.0, q.x_min), t_eval, rtol=rtol)
-    else:
-        raise ConfigError(f"origin_bc must be 'regular' or None, got {origin_bc!r}")
-
     kaps = np.sqrt(lams - q.limit)
-    env = np.empty(len(lams))
-    env_se = np.empty(len(lams))
-    integ = np.empty(len(lams))
+    x_lo = _probe_start(q, origin_bc)
+    if origin_bc == "regular":
+        _, cols = _forward_start(q, lams)
+        x, y, off = propagate(q, lams, cols, x_lo, r_max, t_eval, rtol=rtol, mesh=mesh)
+    else:
+        cols = np.array([_decaying_seed(q.k_eff, q.phase, kap, r_max) for kap in kaps]).T
+        x, y, off = propagate(q, lams, cols, r_max, x_lo, t_eval, rtol=rtol, mesh=mesh)
+
+    # log envelopes, one column per lam
+    la = (np.log(np.hypot(y[0], y[1] / kaps[:, None])) + off).T
     lx = np.log(x)
     env_mask = x >= r_max / 10.0
-    t_hi = r_max / 8.0
-    for i in range(len(lams)):
-        la = np.log(np.hypot(y[0, i], y[1, i] / kaps[i])) + off
-        s, se, _ = _loglog_fit(lx[env_mask], la[env_mask])
-        env[i], env_se[i] = s, se
-        # partial integrals of the period-averaged integrand rho^2 / 2,
-        # accumulated from the far end; shift-invariant in the offsets
-        la2 = 2.0 * (la - np.max(la))
-        rho2 = np.exp(la2)
-        seg = 0.5 * np.diff(x) * (rho2[1:] + rho2[:-1]) * 0.5
-        tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        tmask = (x <= t_hi) & (tail > 0)
-        st, _, _ = _loglog_fit(lx[tmask], np.log(tail[tmask]))
-        integ[i] = st - 1.0
-    return env, env_se, integ
+    env, env_se, _ = _loglog_fit(lx[env_mask], la[env_mask])
+    # partial integrals of the period-averaged integrand rho^2 / 2,
+    # accumulated from the far end; shift-invariant in the offsets
+    rho2 = np.exp(2.0 * (la - np.max(la, axis=0)))
+    seg = 0.5 * np.diff(x)[:, None] * (rho2[1:] + rho2[:-1]) * 0.5
+    tail = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, lams.size))])
+    tmask = (x <= r_max / 8.0)[:, None] & (tail > 0)
+    st, _, _ = _loglog_fit(lx, np.log(np.where(tmask, tail, 1.0)), tmask)
+    return env, env_se, st - 1.0
 
 
 def _zoom_minimum(
@@ -928,6 +1028,7 @@ def detect_embedded_eigenvalue(
     integrand_threshold: float = -1.1,
     refine: bool = True,
     rtol: float = 1e-10,
+    mesh: Mesh | None = None,
 ) -> list[EigenDetection]:
     """Classify each lam on the grid as embedded eigenvalue or not.
 
@@ -944,12 +1045,21 @@ def detect_embedded_eigenvalue(
     records refine_probe_calls, refine_lambdas and refine_bracket_width.  When
     a refinement probe fails, refined_lam falls back to the grid point.
 
+    The grid probe and every zoom round integrate on one step selection:
+    mesh when given (it must cover the probe's interval and the window
+    below), else one selected here for the probe's interval and the window
+    [max(lam_min - h, (limit + lam_min) / 2), lam_max + h], which holds every
+    refinement bracket.  So a lam's exponents do not depend on the batch
+    that probes it.
+
     The detector refuses potentials without a verified x^-1 sinusoid tail
     (k_eff absent, or the fit remainder not provably O(x^-1-eps)).
     """
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     _detector_preflight(q, lambda_grid)
-    env, env_se, integ = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol)
+    if mesh is None:
+        mesh = select_mesh(q, _probe_start(q, origin_bc), r_max, _detector_window(q, lambda_grid), rtol=rtol)
+    env, env_se, integ = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)
     fired = (env < envelope_threshold) & (integ < integrand_threshold)
 
     detections: list[EigenDetection] = []
@@ -962,10 +1072,10 @@ def detect_embedded_eigenvalue(
         evidence = {"k_eff": q.k_eff, "origin_bc": origin_bc, "r_max": r_max}
         if i == refine_target:
             lam = float(lam)
-            h = abs(float(lambda_grid[1] - lambda_grid[0])) if len(lambda_grid) > 1 else 1e-3
+            h = _grid_step(lambda_grid)
             try:
                 refined_lam, refined_exp, counters = _zoom_minimum(
-                    lambda lams: _probe_exponents(q, lams, origin_bc=origin_bc, r_max=r_max, rtol=rtol)[0],
+                    lambda lams: _probe_exponents(q, lams, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)[0],
                     max(lam - h, 0.5 * (q.limit + lam)),
                     lam,
                     lam + h,
@@ -994,12 +1104,14 @@ def fired_detections(detections: Sequence[EigenDetection]) -> list[EigenDetectio
     return [d for d in detections if d.verdict]
 
 
-def _channel_wronskian_drift(q: ChannelPotential, lam: float, r_max: float, rtol: float) -> float:
+def _channel_wronskian_drift(
+    q: ChannelPotential, lam: float, r_max: float, rtol: float, mesh: Mesh | None = None
+) -> float:
     """Relative Wronskian drift of an independent pair across the whole range."""
     x0, col = _forward_start(q, np.array([lam]))
     y0, wr0 = _companion_columns(float(col[0, 0]), float(col[1, 0]))
     t_eval = np.geomspace(max(1.0, 2.0 * x0), r_max, 120)
-    x, y, off = propagate(q, np.array([lam, lam]), y0, x0, r_max, t_eval, rtol=rtol)
+    x, y, off = propagate(q, np.array([lam, lam]), y0, x0, r_max, t_eval, rtol=rtol, mesh=mesh)
     return _wronskian_drift(y, off, wr0)
 
 
@@ -1031,20 +1143,27 @@ def scan_channels(
     """Run the detector over several channels, in channel order.
 
     Each channel also records the relative Wronskian drift of an independent
-    solution pair at the middle grid energy.
+    solution pair at the middle grid energy.  A channel's steps are selected
+    once (select_mesh), for the energy window of detect_embedded_eigenvalue
+    and the interval from the pair's start, never above the probe's, to
+    r_max; the grid probe, every zoom round and the pair integrate on it.
     """
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     lam_mid = float(lambda_grid[len(lambda_grid) // 2])
-    return [
-        ChannelScanReport(
-            j=ch.j,
-            lam_sphere=ch.lam_sphere,
-            multiplicity=sphere_multiplicity(ch.n, ch.j),
-            detections=detect_embedded_eigenvalue(
-                ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, refine=refine, rtol=rtol
-            ),
-            wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol),
-            k_eff=ch.k_eff,
+    reports = []
+    for ch in channels:
+        _detector_preflight(ch, lambda_grid)
+        mesh = select_mesh(ch, _regular_start(ch), r_max, _detector_window(ch, lambda_grid), rtol=rtol)
+        reports.append(
+            ChannelScanReport(
+                j=ch.j,
+                lam_sphere=ch.lam_sphere,
+                multiplicity=sphere_multiplicity(ch.n, ch.j),
+                detections=detect_embedded_eigenvalue(
+                    ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, refine=refine, rtol=rtol, mesh=mesh
+                ),
+                wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol, mesh),
+                k_eff=ch.k_eff,
+            )
         )
-        for ch in channels
-    ]
+    return reports

@@ -142,6 +142,34 @@ def test_fit_power_decay_exact_law():
     assert math.exp(fit.intercept) == pytest.approx(3.7, rel=1e-10)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(3, 40),
+    cols=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loglog_fit_matches_lstsq_per_column(rows, cols, seed):
+    # every column fitted at once in closed form, each on its own masked
+    # samples, against lstsq on that column alone
+    rng = np.random.default_rng(seed)
+    logx = np.sort(rng.uniform(-2.0, 8.0, rows))
+    logy = rng.normal(size=(rows, cols)) + rng.uniform(-2.0, 2.0, cols) * logx[:, None]
+    mask = rng.random((rows, cols)) < 0.7
+    mask[:2] = True
+    slope, stderr, intercept = halfline_solver._loglog_fit(logx, logy, mask)
+    for k in range(cols):
+        xs, ys = logx[mask[:, k]], logy[mask[:, k], k]
+        design = np.column_stack([xs, np.ones_like(xs)])
+        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        res = ys - design @ coef
+        se = math.sqrt(float(res @ res) / max(xs.size - 2, 1) * np.linalg.inv(design.T @ design)[0, 0])
+        assert abs(slope[k] - coef[0]) <= 1e-12 * max(1.0, abs(coef[0]))
+        assert abs(intercept[k] - coef[1]) <= 1e-12 * max(1.0, abs(coef[1]))
+        assert abs(stderr[k] - se) <= 1e-12 * max(1.0, se)
+    one = halfline_solver._loglog_fit(logx, logy[:, 0])
+    assert all(np.ndim(v) == 0 for v in one)
+
+
 def test_synthetic_channel_metadata():
     q = synthetic_channel(k_eff=2.5, limit=1.0, phase=0.4)
     assert q.limit == 1.0
@@ -333,6 +361,76 @@ def test_detector_rejects_grid_below_limit():
         detect_embedded_eigenvalue(q, np.array([0.5, 2.0]), origin_bc=None)
 
 
+def test_scan_selects_one_mesh_per_channel(monkeypatch):
+    # the grid probe, every zoom round of the firing channel and the
+    # Wronskian pair share one step selection per channel
+    selections = []
+    select = halfline_solver.select_mesh
+
+    def counting(q, *args, **kw):
+        selections.append(q.j)
+        return select(q, *args, **kw)
+
+    monkeypatch.setattr(halfline_solver, "select_mesh", counting)
+    channels = [synthetic_channel(k_eff=4.0, j=0), synthetic_channel(k_eff=4.0, phase=1.0, j=1)]
+    reps = scan_channels(channels, [0.95, 1.0, 1.05], origin_bc=None, r_max=500.0)
+    assert [d.verdict for d in reps[0].detections] == [False, True, False]
+    assert reps[0].detections[1].evidence["refine_probe_calls"] >= 2
+    assert selections == [0, 1]
+
+
+def test_propagate_refuses_a_mismatched_mesh():
+    q = synthetic_channel(k_eff=4.0)
+    mesh = halfline_solver.select_mesh(q, 1.0, 100.0, [0.9, 1.1])
+    y0, t = np.array([[0.0], [1.0]]), np.array([50.0])
+    halfline_solver.propagate(q, [1.1], y0, 1.0, 50.0, t, mesh=mesh)
+    cases = [
+        dict(q=q, lams=[1.2], x1=50.0, rtol=1e-10),
+        dict(q=q, lams=[1.0], x1=150.0, rtol=1e-10),
+        dict(q=q, lams=[1.0], x1=50.0, rtol=1e-12),
+        dict(q=synthetic_channel(k_eff=4.0), lams=[1.0], x1=50.0, rtol=1e-10),
+    ]
+    for c in cases:
+        with pytest.raises(ConfigError, match="mesh"):
+            halfline_solver.propagate(c["q"], c["lams"], y0, 1.0, c["x1"], t, rtol=c["rtol"], mesh=mesh)
+
+
+def test_shared_mesh_makes_a_probe_independent_of_its_batch():
+    # without a shared mesh each call selects its steps for the range of its
+    # energies; on one mesh lam = 1 alone and inside a 201-energy batch
+    # differ only by rounding
+    q = synthetic_channel(k_eff=4.0)
+    grid = np.linspace(0.5, 1.5, 201)
+    grid[100] = 1.0
+    mesh = halfline_solver.select_mesh(q, 1.0, 500.0, halfline_solver._detector_window(q, grid))
+    kw = dict(origin_bc=None, r_max=500.0, rtol=1e-10, mesh=mesh)
+    batch = halfline_solver._probe_exponents(q, grid, **kw)
+    alone = halfline_solver._probe_exponents(q, np.array([1.0]), **kw)
+    for b, a in zip(batch, alone):
+        assert abs(b[100] - a[0]) <= 1e-12
+
+
+def test_scan_window_mesh_matches_a_bracket_mesh(glued_k1):
+    # channel j = 0 of the glued k = 1 profile, probed to r_max 1000 as in
+    # the glued-certify benchmark: energies of the zoom bracket about
+    # lam = 2 on the mesh of the scan's window [1.899, 2.101] and on a mesh
+    # selected for the bracket [1.999, 2.001] alone.  They agree within
+    # 1.4e-8 (measured), inside either mesh's own error of 3e-8 to 1e-7
+    # against an rtol 1e-13 mesh, so the wide window costs no accuracy
+    q = channel_potential(glued_k1.profile, 0)
+    grid = energy_grid(1.9, 2.1, 1e-3)
+    lams = np.array([1.999, 1.9995, 2.0, 2.0007, 2.001])
+    x0 = halfline_solver._regular_start(q)
+    found = []
+    for window in (halfline_solver._detector_window(q, grid), [1.999, 2.001]):
+        mesh = halfline_solver.select_mesh(q, x0, 1000.0, window)
+        probe = halfline_solver._probe_exponents(q, lams, origin_bc="regular", r_max=1000.0, rtol=1e-10, mesh=mesh)
+        found.append(probe)
+    (env_w, _, integ_w), (env_b, _, integ_b) = found
+    assert np.max(np.abs(env_w - env_b)) <= 3e-8
+    assert np.max(np.abs(integ_w - integ_b)) <= 3e-8
+
+
 def _constant_transfer(v: float, d: float) -> np.ndarray:
     """Exact transfer matrix of w'' = v w over a signed length d."""
     if v > 0:
@@ -478,7 +576,8 @@ def _stepwise(q_fn, lams, y0, x0, x1, t_eval):
     own mesh and steps, the state rescaled whenever it reaches 1e150."""
     sign = 1.0 if x1 > x0 else -1.0
     x_out = np.unique(t_eval[(sign * t_eval > sign * x0) & (sign * t_eval <= sign * x1)])
-    nodes = halfline_solver._mesh(q_fn, min(x0, x1), max(x0, x1), (), x_out, lams, 1e-10)
+    lo, hi = min(x0, x1), max(x0, x1)
+    nodes = halfline_solver._nodes(halfline_solver.select_mesh(q_fn, lo, hi, lams), lo, hi, x_out)
     h = np.diff(nodes)
     qv = halfline_solver._sample_q(q_fn, nodes[:-1], h, halfline_solver._NODES)
     mats = halfline_solver._steps([sign * e for e in halfline_solver._step_coefficients(qv, h)], lams)

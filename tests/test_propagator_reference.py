@@ -14,8 +14,8 @@ from warpspec.channel_reduction import channel_potential
 from warpspec.warp_geometry import piece_edges
 
 
-def _dop853_propagate(q, lams, y0, x0, x1, t_eval, *, rtol=1e-10):
-    """propagate's contract, by DOP853 at rtol 1e-12 (the rtol asked for is ignored)."""
+def _dop853_propagate(q, lams, y0, x0, x1, t_eval, *, rtol=1e-10, mesh=None):
+    """propagate's contract, by DOP853 at rtol 1e-12 (the rtol and mesh asked for are ignored)."""
     lams = np.atleast_1d(lams)
     m = len(lams)
     sign = 1.0 if x1 > x0 else -1.0
