@@ -413,7 +413,7 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     nodes = [np.linspace(a, b, 9)[:-1] for a, b in zip(bk[:-1], bk[1:])]
     nodes = np.concatenate(nodes + [np.array([length])])
     gl = GaussLegendrePanels(nodes)
-    cum = np.concatenate([[0.0], np.cumsum(gl.integrals(g_of_t(gl.x.ravel())))])
+    cum = gl.antiderivative(g_of_t(gl.x.ravel()))[1]
     logf_mid_spl = CubicSpline(nodes, math.log(r1) + cum)
     logf_r2 = float(math.log(r1) + cum[-1])
     sh1 = ref.shape

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.polynomial.legendre as npleg
 
-from .channel_reduction import block_max_slope, channel_potential, inverse_liouville, require_oscillatory
+from .channel_reduction import ChannelPotential, block_max_slope, channel_potential, inverse_liouville, require_oscillatory
 from .errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -119,7 +118,7 @@ def _w_form_residual(t: np.ndarray, w: np.ndarray, w_prime: np.ndarray, rhs: np.
     return float(np.max(np.abs(d - rhs)) / scale)
 
 
-def _solve_w(
+def _solve_radial_batch(
     profile: WarpProfile,
     *,
     alpha: float,
@@ -128,11 +127,11 @@ def _solve_w(
     phi_prime0: np.ndarray,
     step: float,
     rtol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid t and (w, w') of shape (M, len(t)) for M sets of boundary data at span[0].
+) -> list[RadialSolution]:
+    """Radial solutions on one grid for M sets of boundary data at span[0].
 
     Maps (phi, phi') to w = f^p phi, w' = f^p (phi' + p S phi) and integrates
-    every column of w'' = (q0 - alpha) w in one propagate call.
+    every column of w'' = (q0 - alpha) w in one propagate call; the columns' RadialSolutions share that q0.
     """
     sh = profile.shape
     p = 0.5 * (profile.n - 1)
@@ -145,9 +144,10 @@ def _solve_w(
     phi0, phi_prime0 = np.atleast_1d(phi0), np.atleast_1d(phi_prime0)
     fp0 = math.exp(p * float(sh.log_f(t0)))
     y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
-    _, y, off = propagate(channel_potential(profile, 0), np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=rtol)
+    q0 = channel_potential(profile, 0)
+    _, y, off = propagate(q0, np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=rtol)
     y = np.concatenate([y0[:, :, None], y * np.exp(off)], axis=2)
-    return t, y[0], y[1]
+    return [_radial_solution_from_w(profile, q0, alpha=alpha, t=t, w=w, w_prime=wp) for w, wp in zip(y[0], y[1])]
 
 
 def solve_radial(
@@ -167,10 +167,7 @@ def solve_radial(
     span[0] is mapped through the same substitution, so the returned phi is
     the genuine solution with those values.
     """
-    t, w, wp = _solve_w(
-        profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi_prime0, step=step, rtol=rtol
-    )
-    return radial_solution_from_w(profile, alpha=alpha, t=t, w=w[0], w_prime=wp[0])
+    return _solve_radial_batch(profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi_prime0, step=step, rtol=rtol)[0]
 
 
 def radial_solution_from_w(
@@ -182,13 +179,18 @@ def radial_solution_from_w(
     w_prime: np.ndarray,
 ) -> RadialSolution:
     """Wrap half-line samples (w, w') as a RadialSolution, recovering phi."""
-    n = profile.n
+    return _radial_solution_from_w(profile, channel_potential(profile, 0), alpha=alpha, t=t, w=w, w_prime=w_prime)
+
+
+def _radial_solution_from_w(
+    profile: WarpProfile, q0: ChannelPotential, *, alpha: float, t: np.ndarray, w: np.ndarray, w_prime: np.ndarray
+) -> RadialSolution:
+    """radial_solution_from_w with the channel-0 potential q0 of profile already built."""
     t = np.asarray(t, dtype=float)
-    q0 = channel_potential(profile, 0).q_fn(t)
     phi, phi_prime = inverse_liouville(profile, t, w, w_prime)
-    res = _w_form_residual(t, w, w_prime, (q0 - alpha) * w)
+    res = _w_form_residual(t, w, w_prime, (q0.q_fn(t) - alpha) * w)
     return RadialSolution(
-        n=n,
+        n=profile.n,
         alpha=float(alpha),
         t=t,
         w=np.asarray(w, dtype=float),
@@ -370,7 +372,7 @@ def verify_growth_theorem(
         )
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=trials)
-    t, w, wp = _solve_w(
+    solutions = _solve_radial_batch(
         profile,
         alpha=alpha,
         span=(t0, t_end),
@@ -382,8 +384,7 @@ def verify_growth_theorem(
     trial_reports = []
     worst: GrowthSeries | None = None
     worst_margin = math.inf
-    for idx, eta in enumerate(angles):
-        sol = radial_solution_from_w(profile, alpha=alpha, t=t, w=w[idx], w_prime=wp[idx])
+    for idx, (eta, sol) in enumerate(zip(angles, solutions)):
         series = growth_series(profile, sol, gamma=gamma)
         rep = final_decade_report(series, blocks=blocks)
         margin = rep["block_minima"][-1] / max(rep["start_value"], 1e-300)
@@ -789,25 +790,6 @@ class IdentityCheck:
     passed: bool
 
 
-def _legendre_cumulative(rule: GaussLegendrePanels, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Antiderivative of the per-panel nodal interpolant, from the span start.
-
-    Returns values at the quadrature nodes plus the full-span integral.  The
-    interpolant agrees with the integrand exactly at the nodes, so a weight
-    built as exp of this antiderivative has the prescribed logarithmic
-    derivative there to interpolation accuracy.
-    """
-    vals = np.reshape(values, rule.x.shape)
-    out = np.empty_like(vals)
-    offset = 0.0
-    for i in range(vals.shape[0]):
-        coef = npleg.legfit(rule.xg, vals[i], rule.order - 1)
-        ic = npleg.legint(coef, lbnd=-1.0)
-        out[i] = offset + npleg.legval(rule.xg, ic) * rule.half[i]
-        offset += float(npleg.legval(1.0, ic)) * rule.half[i]
-    return out.ravel(), offset
-
-
 def gauge_potential(
     profile: WarpProfile,
     gauge: GaugeWeight,
@@ -856,8 +838,9 @@ def check_parts_identities(
     All two-sided evaluations use the same weight W = omega e^{-2cr} f^{n-1}
     and the same Gauss-Legendre nodes, on panels of width at most panel that
     never straddle a kink of the profile (glue radii and spline knots, where
-    S loses smoothness).  The solution u of the conjugated
-    equation u'' + (Delta r - 2c) u' + (c (2c - Delta r) + lam) u = 0 is
+    S loses smoothness); log W is the rule's antiderivative of Delta r - 2c.
+    The solution u of the conjugated equation
+    u'' + (Delta r - 2c) u' + (c (2c - Delta r) + lam) u = 0 is
     u = g w with log g = -(1/2) int (Delta r - 2c), where w solves the
     channel-0 equation w'' = (q0 - c^2 - lam) w; w is integrated once with
     propagate through the nodes, and g reuses the antiderivative behind W.
@@ -887,9 +870,9 @@ def check_parts_identities(
     # (log W)' = Delta r - 2c holds exactly at the nodes; the anchor value at
     # s0 multiplies every term of every identity and cancels in the residual.
     logw_anchor = math.log(omega) + nm1 * float(sh.log_f(s0)) - 2.0 * c * s0
-    cum, cum_total = _legendre_cumulative(rule, lap_x - 2.0 * c)
-    wq = np.exp(logw_anchor + cum)
-    w_ends = np.exp(np.array([logw_anchor, logw_anchor + cum_total]))
+    cum, cum_edges = rule.antiderivative(lap_x - 2.0 * c)
+    wq = np.exp(logw_anchor + cum.ravel())
+    w_ends = np.exp(logw_anchor + cum_edges[[0, -1]])
 
     def integrate(values: np.ndarray) -> float:
         return float(np.sum(rule.integrals(values)))
@@ -936,7 +919,7 @@ def check_parts_identities(
     _, y, off = propagate(
         channel_potential(profile, 0), np.array([c * c + data.lam]), y0, s0, t1, np.append(x, t1), rtol=1e-12
     )
-    g = np.exp(off - 0.5 * np.append(cum, cum_total))
+    g = np.exp(off - 0.5 * np.append(cum, cum_edges[-1]))
     w, w1 = y[0, 0], y[1, 0]
     u = g * w
     u1 = g * (w1 + (c - p * np.append(s_x, sh.s(t1))) * w)

@@ -15,11 +15,13 @@ of a shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import numpy.polynomial.legendre as npleg
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma
 from scipy.special import roots_legendre
@@ -270,9 +272,9 @@ def bochner_residual(fld: CurvatureField, shape: ShapeFns) -> float:
 class GaussLegendrePanels:
     """The order-point Gauss-Legendre rule on every panel between consecutive edges.
 
-    x holds the nodes, shape (panels, order); integrals() maps values at the
-    nodes to per-panel integrals.  xg, wg are the reference nodes and weights
-    on [-1, 1] and half the panel half-widths.
+    x holds the nodes, shape (panels, order); integrals() and antiderivative()
+    map values at the nodes to per-panel and running integrals.  xg, wg are the
+    reference nodes and weights on [-1, 1] and half the panel half-widths.
     """
 
     def __init__(self, edges: np.ndarray, order: int = 16):
@@ -286,6 +288,25 @@ class GaussLegendrePanels:
     def integrals(self, vals: np.ndarray) -> np.ndarray:
         """Per-panel integrals half * (vals @ wg) of values at the nodes."""
         return self.half * (np.reshape(vals, self.x.shape) @ self.wg)
+
+    def antiderivative(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integral from the first edge of the degree-(order-1) interpolant of vals on each panel.
+
+        Exact for data of that degree.  Returns its values at the nodes, shaped
+        like x, and at the edges: 0, then the cumsum of integrals(vals), since
+        on a panel the interpolant integrates to the Gauss sum.
+        """
+        vals = np.reshape(vals, self.x.shape)
+        at_edges = np.concatenate([[0.0], np.cumsum(self.integrals(vals))])
+        return at_edges[:-1, None] + self.half[:, None] * (vals @ self._antiderivative_matrix(self.order).T), at_edges
+
+    @staticmethod
+    @functools.cache
+    def _antiderivative_matrix(order: int) -> np.ndarray:
+        """Node values to the integral from -1 of their interpolant: c_k = (2k+1)/2 sum_i w_i P_k(x_i) v_i, legint."""
+        xg, wg = roots_legendre(order)
+        to_coef = (np.arange(order) + 0.5)[:, None] * (npleg.legvander(xg, order - 1) * wg[:, None]).T
+        return npleg.legvander(xg, order) @ npleg.legint(to_coef, lbnd=-1.0)
 
 
 def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
@@ -358,11 +379,7 @@ def profile_from_shape(
         span = grid[-1] - grid[0]
         dense = np.linspace(grid[0], grid[-1], max(2 * len(grid), int(span / 0.02) + 2))
         gl = GaussLegendrePanels(dense)
-        acc = np.concatenate([[0.0], np.cumsum(gl.integrals(np.asarray(s(gl.x.ravel()), dtype=float)))])
-        spl = CubicSpline(dense, acc)
-
-        def log_f(r, _spl=spl):
-            return _spl(np.asarray(r, dtype=float))
+        log_f = CubicSpline(dense, gl.antiderivative(np.asarray(s(gl.x.ravel()), dtype=float))[1])
 
     f = np.exp(log_f(grid))
     s_grid = s(grid)

@@ -79,3 +79,28 @@ def test_one_block_maxima_fit():
         if isinstance(node, ast.Attribute) and node.attr == "polyfit"
     }
     assert users == {("channel_reduction.py", "block_max_slope")}
+
+
+def test_one_gauss_legendre_rule():
+    # Gauss-Legendre nodes and weights and the Legendre basis behind the nodal
+    # antiderivative are used by warp_geometry.GaussLegendrePanels alone; every
+    # other quadrature or running integral goes through its methods
+    def owners(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        legendre = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if "legendre" in f"{getattr(node, 'module', None) or ''}.{alias.name}"
+        }
+        return {
+            (path.name, top.name if isinstance(top, (ast.ClassDef, ast.FunctionDef)) else None)
+            for top in tree.body
+            if not isinstance(top, (ast.Import, ast.ImportFrom))
+            for node in ast.walk(top)
+            if (isinstance(node, ast.Name) and node.id in legendre)
+            or (isinstance(node, ast.Attribute) and "legendre" in node.attr)
+        }
+
+    assert set().union(*map(owners, SOURCES)) == {("warp_geometry.py", "GaussLegendrePanels")}

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import numpy.polynomial.legendre as npleg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from warpspec import (
     sphere_area,
     uniform_grid,
 )
-from warpspec.warp_geometry import DEFAULT_STEP, MAX_GRID_STEP
+from warpspec.warp_geometry import DEFAULT_STEP, MAX_GRID_STEP, GaussLegendrePanels
 
 # frozen from scripts/oracle_riccati.py (independent fixed-step RK4)
 ORACLE_F1_AT_100 = 0.9949619252164672
@@ -93,6 +94,43 @@ def test_fd_derivative_accuracy():
     err = np.abs(d + np.sin(x))
     assert np.max(err) < 1e-7  # one-sided stencils at the segment edges
     assert np.max(err[3:-3]) < 1e-8
+
+
+def _legfit_antiderivative(rule, vals):
+    """Per-panel legfit/legint/legval loop: the reference for GaussLegendrePanels.antiderivative."""
+    at_nodes, at_edges = np.empty_like(vals), [0.0]
+    for i in range(vals.shape[0]):
+        ic = npleg.legint(npleg.legfit(rule.xg, vals[i], rule.order - 1), lbnd=-1.0)
+        at_nodes[i] = at_edges[-1] + npleg.legval(rule.xg, ic) * rule.half[i]
+        at_edges.append(at_edges[-1] + float(npleg.legval(1.0, ic)) * rule.half[i])
+    return at_nodes, np.array(at_edges)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    start=st.floats(min_value=-10.0, max_value=10.0),
+    widths=st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=1, max_size=6),
+    order=st.sampled_from([4, 8, 16, 32]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gauss_legendre_antiderivative(start, widths, order, seed):
+    # a random polynomial of degree <= order-1 in the panel variable t in [-1, 1]
+    # on each panel: its nodal interpolant is itself, so the antiderivative is exact
+    rule = GaussLegendrePanels(start + np.concatenate([[0.0], np.cumsum(widths)]), order)
+    polys = [np.polynomial.Polynomial(c) for c in np.random.default_rng(seed).normal(size=(len(widths), order))]
+    vals = np.array([p(rule.xg) for p in polys])
+    exact_edges = np.concatenate([[0.0], np.cumsum([h * p.integ(lbnd=-1.0)(1.0) for h, p in zip(rule.half, polys)])])
+    exact_nodes = np.array([e + h * p.integ(lbnd=-1.0)(rule.xg) for e, h, p in zip(exact_edges, rule.half, polys)])
+    scale = np.sum(2.0 * rule.half * np.max(np.abs(vals), axis=1))
+    at_nodes, at_edges = rule.antiderivative(vals.ravel())
+    assert at_nodes.shape == rule.x.shape and at_edges.shape == (len(widths) + 1,)
+    assert np.max(np.abs(at_nodes - exact_nodes)) <= 1e-13 * scale
+    assert np.max(np.abs(at_edges - exact_edges)) <= 1e-13 * scale
+    assert at_edges[0] == 0.0
+    assert abs(at_edges[-1] - np.sum(rule.integrals(vals))) <= 1e-15 * scale
+    ref_nodes, ref_edges = _legfit_antiderivative(rule, vals)
+    assert np.max(np.abs(at_nodes - ref_nodes)) <= 1e-13 * scale
+    assert np.max(np.abs(at_edges - ref_edges)) <= 1e-13 * scale
 
 
 def test_resolution_policy():
