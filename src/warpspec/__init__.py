@@ -96,8 +96,6 @@ from .halfline_solver import (
     fired_detections,
     fit_power_decay,
     frobenius_init,
-    integrate_schrodinger,
-    prufer_series,
     reversibility_check,
     scan_channels,
     synthetic_channel,

@@ -43,7 +43,7 @@ from .growth_and_identities import (
     standard_identity_data,
     verify_growth_theorem,
 )
-from .halfline_solver import ShootingResult, energy_grid, fired_detections, scan_channels
+from .halfline_solver import energy_grid, fired_detections, scan_channels
 from .warp_geometry import (
     CurvatureField,
     WarpProfile,
@@ -127,12 +127,6 @@ def emit_plot_data(series, path: str | Path) -> Path:
     if isinstance(series, GrowthSeries):
         cols = [series.t, series.i_values, series.t_gamma_i]
         header = ["t", "I", "t_gamma_I"]
-    elif isinstance(series, ShootingResult):
-        nan = np.full(len(series.x), math.nan)
-        amp = series.amplitude if series.amplitude is not None else nan
-        ph = series.phase if series.phase is not None else nan
-        cols = [series.x, series.w, series.w_prime, amp, ph]
-        header = ["x", "w", "w_prime", "amplitude", "phase"]
     elif isinstance(series, CurvatureField):
         cols = [series.grid, series.s, series.k_rad, series.grid * (series.k_rad + 1.0)]
         header = ["r", "S", "K_rad", "r_times_K_plus_1"]
@@ -186,9 +180,7 @@ def _cmd_build_example(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     b_n = resonance_energy(cfg.n)
     window = _lambda_window(cfg)
     g = build_construction(cfg.n, cfg.k, r_max=cfg.r_max)
-    report, scans = verify_construction(
-        g, run_scan=True, j_max=cfg.j_max, lambda_window=window, lambda_step=cfg.lambda_step
-    )
+    report, scans = verify_construction(g, j_max=cfg.j_max, lambda_window=window, lambda_step=cfg.lambda_step)
     fired = report["scan"]["fired"]
     checks = {
         "residual_below_tol": report["residual"]["global"] <= cfg.residual_tol,

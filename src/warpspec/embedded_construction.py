@@ -47,7 +47,7 @@ from .halfline_solver import (
     decaying_solution,
     energy_grid,
     fit_power_decay,
-    integrate_schrodinger,
+    propagate,
     scan_channels,
 )
 from .warp_geometry import (
@@ -112,7 +112,7 @@ def _first_bessel_zero(nu: float) -> float:
             raise WarpspecError(f"no sign change found for J_{nu}")
 
 
-def disk_eigenfunction(n: int, *, samples: int = 2001) -> DiskEigenfunction:
+def disk_eigenfunction(n: int) -> DiskEigenfunction:
     if n < 2:
         raise ConfigError("need n >= 2")
     b_n = 0.25 * (n - 1) ** 2 + 1.0
@@ -137,7 +137,7 @@ def disk_eigenfunction(n: int, *, samples: int = 2001) -> DiskEigenfunction:
         series = -b_n * r / n
         return np.where(small, series, vals)
 
-    grid = np.linspace(0.0, r1, samples)
+    grid = np.linspace(0.0, r1, 2001)
     h = h_fn(grid)
     hp = h_prime_fn(grid)
     if abs(h[-1]) > 1e-12:
@@ -318,20 +318,18 @@ def junction_candidates(
     h: np.ndarray,
     h_prime: np.ndarray,
     r1: float,
-    *,
-    delta: float = 0.1,
 ) -> np.ndarray:
     """Indices where the tail solution supports a monotone bridge.
 
     A point qualifies when h and h' carry the same sign and both exceed 10%
     of their running tail maxima (quarter-period interiors, away from the
     sign-ambiguous nodes), strictly so at both neighbors so that a verdict
-    cannot rest on a grid-tangency.  Points must lie beyond max(r1, 1) + delta.
+    cannot rest on a grid-tangency.  Points must lie beyond max(r1, 1) + 0.1.
     """
     tails_h = np.maximum.accumulate(np.abs(h)[::-1])[::-1]
     tails_hp = np.maximum.accumulate(np.abs(h_prime)[::-1])[::-1]
     sgn = np.sign(h)
-    core = (x > max(r1, 1.0) + delta) & (sgn * h > 0.1 * tails_h) & (sgn * h_prime > 0.1 * tails_hp)
+    core = (x > max(r1, 1.0) + 0.1) & (sgn * h > 0.1 * tails_h) & (sgn * h_prime > 0.1 * tails_hp)
     strict = np.zeros_like(core)
     strict[1:-1] = core[1:-1] & core[:-2] & core[2:]
     return np.nonzero(strict)[0]
@@ -466,34 +464,30 @@ def build_construction(
     k: float = 1.0,
     *,
     r_max: float = 2000.0,
-    contact_order: int = 4,
-    delta: float = 0.1,
-    sigma_ladder: tuple[float, ...] = (0.5, 0.8, 1.3, 2.0),
-    max_candidates: int = 20,
     rtol: float = 1e-11,
 ) -> GluedConstruction:
     """Build the glued manifold with eigenvalue b_n = (n-1)^2/4 + 1.
 
-    Junction candidates (quarter-period interiors of the tail solution) are
-    tried in increasing radius, each over the sigma ladder of bridge scales
-    (|psi(r2)| = sigma (r2 - r1)); a candidate is accepted when the bridge
-    constraints are met to 1e-8, the warp factor dips below its r1 value by
-    no more than a factor 200 (channel barriers stay within float64 range),
-    and the bridge channel potential stays bounded by 40.
+    The bridge meets both sides to contact order 4 (C^4 gluing).  The first
+    20 junction candidates (quarter-period interiors of the tail solution)
+    are tried in increasing radius, each over the bridge scales
+    sigma = 0.5, 0.8, 1.3, 2.0 (|psi(r2)| = sigma (r2 - r1)); a candidate
+    is accepted when the bridge constraints are met to 1e-8, the warp factor
+    dips below its r1 value by no more than a factor 200 (channel barriers
+    stay within float64 range), and the bridge channel potential stays
+    bounded by 40.
     """
-    if contact_order != 4:
-        raise ConfigError("only contact order 4 (C^4 gluing) is supported")
     disk = disk_eigenfunction(n)
     ref = reference_profile(n, k, r_max=r_max)
     b_n = resonance_energy(n)
     q0 = channel_potential(ref, 0)
-    tail = decaying_solution(q0, b_n, r_anchor=r_max, x_end=1.0, verify=True, rtol=rtol)
+    tail = decaying_solution(q0, b_n, r_anchor=r_max, rtol=rtol)
 
     x = tail.x
     sh = ref.shape
     h, hp = inverse_liouville(ref, x, tail.w, tail.w_prime)
 
-    idx = junction_candidates(x, h, hp, disk.r1, delta=delta)[:max_candidates]
+    idx = junction_candidates(x, h, hp, disk.r1)[:20]
     if len(idx) == 0:
         raise ConnectorFailureError("no junction candidates found in the tail solution", attempts=0)
 
@@ -506,7 +500,7 @@ def build_construction(
         r2 = float(x[ci])
         length = r2 - disk.r1
         s_tail = [float(sh.s(r2)), float(sh.s_prime(r2)), float(sh.s_second(r2))]
-        for sigma in sigma_ladder:
+        for sigma in (0.5, 0.8, 1.3, 2.0):
             tried += 1
             c_tail = -sigma * length / float(h[ci])
             hd_tail = _ode_derivs(c_tail * float(h[ci]), c_tail * float(hp[ci]), s_tail, b_n, n)
@@ -612,11 +606,9 @@ def _eigen_residual_on(x: np.ndarray, psi: np.ndarray, s_vals: np.ndarray, b_n: 
 def verify_construction(
     g: GluedConstruction,
     *,
-    run_scan: bool = True,
     j_max: int = 5,
     lambda_window: tuple[float, float] | None = None,
     lambda_step: float = 1e-3,
-    fine_step: float = math.pi / 400.0,
     rtol: float = 1e-10,
 ) -> tuple[dict, list]:
     """Numerical certificate for a glued construction.
@@ -626,16 +618,18 @@ def verify_construction(
     cross a kink of the profile), warp-factor continuity at the glue radii,
     exactness of f = r on the ball, tail curvature decay r (K_rad + 1) against the
     predicted sinusoid amplitude, the L^2 norm of psi with the tail-integrand
-    exponent, and (optionally) a channel scan over lambda_window (default
-    b_n +- 0.5, sampled by energy_grid, so an empty window raises
-    ConfigError) whose only firing must be the built eigenvalue.  All quantities are deterministic,
-    so serialized reports are byte-identical across runs.
+    exponent, and a channel scan over lambda_window (default b_n +- 0.5,
+    sampled by energy_grid, so an empty window raises ConfigError) whose only
+    firing must be the built eigenvalue.  The finite differences sample at
+    spacing pi/400.  All quantities are deterministic, so serialized reports
+    are byte-identical across runs.
     """
     n, b_n, r1, r2 = g.n, g.b_n, g.r1, g.r2
     p = 0.5 * (n - 1)
     prof = g.profile
     sh = prof.shape
     report: dict = {}
+    fine_step = math.pi / 400.0
 
     # (a) eigenfunction residual, piecewise FD
     xb = np.arange(fine_step, r1 - 0.5 * fine_step, fine_step)
@@ -656,19 +650,13 @@ def verify_construction(
         raise WarpspecError("junction radius is not a tail sample point")
     x_hi = min(prof.grid[-1], 600.0)
     xt = np.arange(r2 + fine_step, x_hi, fine_step)
-    tail = integrate_schrodinger(
-        channel_potential(g.reference, 0),
-        b_n,
-        span=(r2, float(xt[-1])),
-        init=(g.tail.w[ci], g.tail.w_prime[ci]),
-        t_eval=xt,
-        rtol=1e-12,
-    )
-    if tail.log_offset is not None:
+    y0 = np.array([[g.tail.w[ci]], [g.tail.w_prime[ci]]])
+    xs, y, off = propagate(channel_potential(g.reference, 0), [b_n], y0, r2, xt[-1], xt, rtol=1e-12)
+    if np.any(off != 0.0):
         raise WarpspecError("unexpected rescaling on the tail piece")
     with np.errstate(under="ignore"):
-        psi_t = g.connector.amplitude * g.connector.c_tail * tail.w * np.exp(-p * g.reference.shape.log_f(tail.x))
-    res_tail = _eigen_residual_on(tail.x, psi_t, sh.s(tail.x), b_n, n)
+        psi_t = g.connector.amplitude * g.connector.c_tail * y[0, 0] * np.exp(-p * g.reference.shape.log_f(xs))
+    res_tail = _eigen_residual_on(xs, psi_t, sh.s(xs), b_n, n)
     report["residual"] = {
         "ball": res_ball,
         "bridge": res_mid,
@@ -719,17 +707,15 @@ def verify_construction(
     report["tail_integrand_exponent"] = fit.exponent
     report["tail_integrand_stderr"] = fit.stderr
 
-    scan_reports: list = []
-    if run_scan:
-        chans = [channel_potential(prof, j) for j in range(j_max + 1)]
-        lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
-        lams = energy_grid(lo, hi, lambda_step)
-        scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, rtol=rtol)
-        fired = [(rep.j, d.lam, d.refined_lam) for rep in scan_reports for d in rep.detections if d.verdict]
-        report["scan"] = {
-            "fired": [{"j": j, "lam": lam, "refined_lam": rl} for j, lam, rl in fired],
-            "max_wronskian_drift": max(rep.wronskian_drift for rep in scan_reports),
-            "n_lambda": int(len(lams)),
-            "j_max": j_max,
-        }
+    chans = [channel_potential(prof, j) for j in range(j_max + 1)]
+    lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
+    lams = energy_grid(lo, hi, lambda_step)
+    scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, rtol=rtol)
+    fired = [(rep.j, d.lam, d.refined_lam) for rep in scan_reports for d in rep.detections if d.verdict]
+    report["scan"] = {
+        "fired": [{"j": j, "lam": lam, "refined_lam": rl} for j, lam, rl in fired],
+        "max_wronskian_drift": max(rep.wronskian_drift for rep in scan_reports),
+        "n_lambda": int(len(lams)),
+        "j_max": j_max,
+    }
     return report, scan_reports

@@ -79,3 +79,6 @@ class HypothesisViolatedError(WarpspecError):
 
 class TwoRunMismatchError(WarpspecError):
     """Backward recovery runs from distinct anchors disagree beyond tolerance."""
+
+
+__all__ = [name for name, obj in list(globals().items()) if isinstance(obj, type) and issubclass(obj, WarpspecError)]

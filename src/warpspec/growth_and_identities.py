@@ -125,10 +125,9 @@ def _solve_radial_batch(
     span: tuple[float, float],
     phi0: np.ndarray,
     phi_prime0: np.ndarray,
-    step: float,
     rtol: float,
 ) -> list[RadialSolution]:
-    """Radial solutions on one grid for M sets of boundary data at span[0].
+    """Radial solutions on one DEFAULT_STEP grid for M sets of boundary data at span[0].
 
     Maps (phi, phi') to w = f^p phi, w' = f^p (phi' + p S phi) and integrates
     every column of w'' = (q0 - alpha) w in one propagate call; the columns' RadialSolutions share that q0.
@@ -140,7 +139,7 @@ def _solve_radial_batch(
         raise ConfigError(f"bad radial span {span}")
     if t1 > profile.r_max * (1 + 1e-12):
         raise ConfigError(f"span end {t1} exceeds the profile validity radius {profile.r_max}")
-    t = uniform_grid(t0, t1, step)
+    t = uniform_grid(t0, t1, DEFAULT_STEP)
     phi0, phi_prime0 = np.atleast_1d(phi0), np.atleast_1d(phi_prime0)
     fp0 = math.exp(p * float(sh.log_f(t0)))
     y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
@@ -157,7 +156,6 @@ def solve_radial(
     span: tuple[float, float],
     phi0: float = 1.0,
     phi_prime0: float = 0.0,
-    step: float = DEFAULT_STEP,
     rtol: float = 1e-11,
 ) -> RadialSolution:
     """Integrate the radial eigenvalue equation phi'' + (n-1)S phi' + alpha phi = 0.
@@ -167,7 +165,7 @@ def solve_radial(
     span[0] is mapped through the same substitution, so the returned phi is
     the genuine solution with those values.
     """
-    return _solve_radial_batch(profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi_prime0, step=step, rtol=rtol)[0]
+    return _solve_radial_batch(profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi_prime0, rtol=rtol)[0]
 
 
 def radial_solution_from_w(
@@ -223,12 +221,11 @@ def growth_series(
     solution: RadialSolution,
     *,
     gamma: float = 1.0,
-    residual_tol: float = 1e-6,
 ) -> GrowthSeries:
     """Surface energy I(t) = omega f^{n-1} (phi'^2 + phi^2) of a radial solution.
 
-    Demands alpha above the essential-spectrum edge (n-1)^2/4 and a small
-    equation residual, so the series always refers to an actual solution.
+    Demands alpha above the essential-spectrum edge (n-1)^2/4 and an equation
+    residual of at most 1e-6, so the series always refers to an actual solution.
     """
     sh = profile.shape
     n = profile.n
@@ -239,9 +236,9 @@ def growth_series(
     except NonOscillatoryError as exc:
         # growth statements assume alpha above the essential-spectrum edge
         raise OutsideRegimeError(str(exc)) from None
-    if solution.residual > residual_tol:
+    if solution.residual > 1e-6:
         raise ConfigError(
-            f"solution residual {solution.residual:.3e} exceeds {residual_tol:.1e}; "
+            f"solution residual {solution.residual:.3e} exceeds 1e-6; "
             "refusing to evaluate the growth functional on non-solution data"
         )
     omega = sphere_area(n)
@@ -259,12 +256,12 @@ def growth_series(
     )
 
 
-def final_decade_report(series: GrowthSeries, *, blocks: int = 4) -> dict:
+def final_decade_report(series: GrowthSeries) -> dict:
     """Block minima of t^gamma I over the final decade, with growth verdicts.
 
     The curve oscillates on the wavelength scale, so pointwise monotonicity is
-    meaningless; block minima over geometric sub-blocks of [t_end/10, t_end]
-    are the stable witness.  increasing: the minima strictly increase.
+    meaningless; block minima over four geometric sub-blocks of
+    [t_end/10, t_end] are the stable witness.  increasing: the minima strictly increase.
     exceeds_start: the last block minimum exceeds the value at the first grid
     point (the seeded boundary radius).
     """
@@ -274,7 +271,7 @@ def final_decade_report(series: GrowthSeries, *, blocks: int = 4) -> dict:
     lo = t_end / 10.0
     if lo <= t[0]:
         raise InsufficientDataError("grid too short: final decade reaches back to the seed radius")
-    edges = np.geomspace(lo, t_end, blocks + 1)
+    edges = np.geomspace(lo, t_end, 5)
     minima = []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (t >= a) & (t <= b)
@@ -346,8 +343,6 @@ def verify_growth_theorem(
     t0: float = 50.0,
     t_end: float = 1000.0,
     seed: int = 0,
-    step: float = DEFAULT_STEP,
-    blocks: int = 4,
     rtol: float = 1e-11,
 ) -> GrowthVerdict:
     """Seeded-trial check that every radial solution's t^gamma I(t) grows.
@@ -378,7 +373,6 @@ def verify_growth_theorem(
         span=(t0, t_end),
         phi0=np.cos(angles),
         phi_prime0=np.sin(angles),
-        step=step,
         rtol=rtol,
     )
     trial_reports = []
@@ -386,7 +380,7 @@ def verify_growth_theorem(
     worst_margin = math.inf
     for idx, (eta, sol) in enumerate(zip(angles, solutions)):
         series = growth_series(profile, sol, gamma=gamma)
-        rep = final_decade_report(series, blocks=blocks)
+        rep = final_decade_report(series)
         margin = rep["block_minima"][-1] / max(rep["start_value"], 1e-300)
         trial_reports.append({"trial": idx, "angle": float(eta), **rep})
         if margin < worst_margin:
@@ -481,9 +475,12 @@ def conjugation_energy_margin(u: np.ndarray, u_prime: np.ndarray, *, n: int) -> 
 class GrowthThresholds:
     """Spectral-gap thresholds implied by 1/r decay constants of the geometry.
 
-    a1 bounds the shape deficit from above (S <= 1 + ... no: lower side), b1_half
-    from below; hatted values absorb the dimension factor n-1.  admissible
-    records the window condition 1 - a1_hat > 0 and 2 gamma > a1_hat + b1_hat.
+    a1 gives the lower bound S >= 1 - a1/r on the shape (from the upper
+    curvature bound K_rad <= -1 + 2 a1/r) and b1_half the upper bound
+    S <= 1 + b1_half/r (from K_rad >= -1 - 2 b1_half/r).  The hatted values
+    absorb the dimension factor n-1, so -a1_hat <= r (Delta r - (n-1)) <= b1_hat.
+    admissible records the window condition 1 - a1_hat > 0, which only the
+    lower bound enters, and 2 gamma > a1_hat + b1_hat, the width of the band.
     gap_hessian_ricci uses the mixed Hessian/Ricci constants (ricci_b1 =
     lower-bound coefficient in Ric >= -(n-1)(1 + ricci_b1/r)); gap_hessian_pinch
     uses the two-sided Hessian pinch with ricci_b1 = 2 b1_half implied.
@@ -828,17 +825,15 @@ def check_parts_identities(
     data: IdentityData,
     *,
     span: tuple[float, float],
-    c: float | None = None,
     tol: float = 1e-7,
-    panel: float = 0.35,
-    order: int = 16,
 ) -> list[IdentityCheck]:
     """Quadrature-verify the six radial integration-by-parts identities.
 
-    All two-sided evaluations use the same weight W = omega e^{-2cr} f^{n-1}
-    and the same Gauss-Legendre nodes, on panels of width at most panel that
-    never straddle a kink of the profile (glue radii and spline knots, where
-    S loses smoothness); log W is the rule's antiderivative of Delta r - 2c.
+    All two-sided evaluations use the same weight W = omega e^{-2cr} f^{n-1},
+    c = (n-1)/2, and the same 16-node Gauss-Legendre rule, on panels of width
+    at most 0.35 that never straddle a kink of the profile (glue radii and
+    spline knots, where S loses smoothness); log W is the rule's
+    antiderivative of Delta r - 2c.
     The solution u of the conjugated equation
     u'' + (Delta r - 2c) u' + (c (2c - Delta r) + lam) u = 0 is
     u = g w with log g = -(1/2) int (Delta r - 2c), where w solves the
@@ -850,17 +845,16 @@ def check_parts_identities(
     sh = profile.shape
     n = profile.n
     nm1 = n - 1
-    if c is None:
-        c = 0.5 * nm1
+    c = 0.5 * nm1
     s0, t1 = float(span[0]), float(span[1])
     if not (profile.grid[0] - 1e-9 <= s0 < t1 <= profile.r_max + 1e-9):
         raise ConfigError(f"identity span {span} leaves the profile validity range")
-    # panels of width at most panel, split exactly at the kinks
+    # panels of width at most 0.35, split exactly at the kinks
     pieces = piece_edges(s0, t1, profile.kinks)
     edges = [s0]
     for a, b in zip(pieces[:-1], pieces[1:]):
-        edges.extend(np.linspace(a, b, max(1, int(math.ceil((b - a) / panel))) + 1)[1:].tolist())
-    rule = GaussLegendrePanels(np.asarray(edges), order)
+        edges.extend(np.linspace(a, b, max(1, int(math.ceil((b - a) / 0.35))) + 1)[1:].tolist())
+    rule = GaussLegendrePanels(np.asarray(edges), 16)
     x = rule.x.ravel()
     omega = sphere_area(n)
     s_x = sh.s(x)

@@ -1,10 +1,9 @@
 """Schrodinger problems -w'' + q w = lam w on the half line.
 
-Provides shooting integration with Wronskian verification, phase-amplitude
-(Prufer) decomposition above the essential-spectrum edge, power-law decay
-fitting, recovery of the decaying solution of an oscillatory-tail potential
-by backward integration, and an embedded-eigenvalue detector based on the
-envelope exponent of solutions.
+Provides the linear propagator, power-law decay fitting, recovery of the
+decaying solution of an oscillatory-tail potential above the
+essential-spectrum edge by backward integration, and an embedded-eigenvalue
+detector based on the envelope exponent of solutions.
 
 The core integrator, propagate, takes sixth-order Magnus steps on a fixed
 mesh and steps every energy together.  The mesh comes from a step selection
@@ -54,8 +53,6 @@ __all__ = [
     "DecayFit",
     "EigenDetection",
     "ChannelScanReport",
-    "integrate_schrodinger",
-    "prufer_series",
     "Mesh",
     "select_mesh",
     "propagate",
@@ -92,6 +89,10 @@ _SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(14)]
 _ZOOM_POINTS = 17
 _ZOOM_XTOL = 1e-7
 _ZOOM_MAX_ROUNDS = 20
+# a grid point fires when its envelope exponent and its tail-integrand
+# exponent both fall below these
+_ENVELOPE_THRESHOLD = -0.55
+_INTEGRAND_THRESHOLD = -1.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +101,17 @@ class ShootingResult:
 
     When the integration was renormalized, w and w_prime hold rescaled values
     and log_offset the per-sample logarithm of the removed factor, so the true
-    solution is w * exp(log_offset).  amplitude/phase are the Prufer data
-    rho = hypot(w, w'/kappa), theta = atan2(kappa w, w') with
-    kappa = sqrt(lam - limit) for lam above the potential limit (None
-    otherwise); amplitude is in rescaled units too.
+    solution is w * exp(log_offset).  amplitude is the envelope
+    rho = hypot(w, w'/kappa) with kappa = sqrt(lam - limit), in rescaled
+    units too.
     """
 
     x: np.ndarray
     w: np.ndarray
     w_prime: np.ndarray
     lam: float
-    amplitude: np.ndarray | None = None
-    phase: np.ndarray | None = None
+    amplitude: np.ndarray
     log_offset: np.ndarray | None = None
-    wronskian_drift: float | None = None
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -185,12 +183,11 @@ def fit_power_decay(
     values: np.ndarray,
     *,
     window: tuple[float, float],
-    min_samples: int = 50,
 ) -> DecayFit:
-    """Fit |values| ~ C x^e on a window spanning at least one decade."""
+    """Fit |values| ~ C x^e on a window spanning at least one decade and 50 samples."""
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = decade_window(x, window[0], window[1], min_samples=min_samples)
+    mask = decade_window(x, window[0], window[1])
     xs = x[mask]
     ys = np.abs(values[mask])
     if np.any(ys <= 0):
@@ -508,9 +505,10 @@ def propagate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate w_i'' = (q - lam_i) w_i for all lam_i at once with rescaling.
 
-    This is the one linear propagator of the package: the shooting, scan,
-    decay, growth and identity code and the Riccati comparison curves (as
-    the Jacobi equation) all integrate through it.  q is a
+    This is the one linear propagator of the package: the scan, the decay
+    recovery, the round trip, the glued certificate's tail check, the growth
+    trials, the identity suite and the Riccati comparison curves (as the
+    Jacobi equation) all integrate through it.  q is a
     ChannelPotential or a callable.  Each step is the sixth-order Magnus
     step on three Gauss nodes (_steps): a constant q is integrated exactly,
     every step matrix has determinant 1, and a step backward is the inverse
@@ -601,90 +599,6 @@ def propagate(
     if not forward:
         out, offs = out[:, :, ::-1], offs[::-1]
     return x_out, out, offs
-
-
-def integrate_schrodinger(
-    q,
-    lam: float,
-    *,
-    span: tuple[float, float],
-    init: tuple[float, float],
-    t_eval: np.ndarray | None = None,
-    q_limit: float | None = None,
-    companion: bool = False,
-    rtol: float = 1e-10,
-) -> ShootingResult:
-    """Shooting integration of w'' = (q(x) - lam) w over span = (start, end).
-
-    Runs through propagate, whose mesh holds every kink of a ChannelPotential
-    (the glue radii and bridge spline knots of a glued profile) and every
-    t_eval point (default: spacing about pi/40).  Amplitude and phase data
-    are attached when q_limit is given and lam lies above it.  Solutions
-    that reach 1e150 are rescaled, the removed factors kept in log_offset.
-
-    With companion=True a second, independent solution is propagated alongside
-    and the relative Wronskian drift (measured against the local bilinear
-    scale |w z'| + |z w'|) is recorded.  Raises SingularOriginError when the
-    start point sits inside an x^-2 singular region; use frobenius_init and a
-    start point outside instead.
-    """
-    q_fn, _ = _q_parts(q)
-    x0, x1 = float(span[0]), float(span[1])
-    if min(x0, x1) <= 0:
-        raise ConfigError("span must stay within x > 0")
-    _refuse_singular_start(q_fn, x0)
-    forward = x1 > x0
-    if t_eval is None:
-        npts = max(int(abs(x1 - x0) / (math.pi / 40.0)), 16)
-        t_eval = np.linspace(x0, x1, npts + 1)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < min(x0, x1)) or np.any(t_eval > max(x0, x1)):
-        raise ConfigError(f"t_eval must lie within the span {span}")
-    if np.unique(t_eval).size != t_eval.size:
-        raise ConfigError("t_eval must not repeat a point")
-
-    w0, wp0 = float(init[0]), float(init[1])
-    if companion:
-        cols, wr0 = _companion_columns(w0, wp0)
-    else:
-        cols = np.array([[w0], [wp0]])
-    x, y, off = propagate(q, np.full(cols.shape[1], float(lam)), cols, x0, x1, t_eval, rtol=rtol)
-    if np.any(t_eval == x0):
-        # the start sample is the initial state itself
-        at = 0 if forward else len(x)
-        x = np.insert(x, at, x0)
-        y = np.insert(y, at, cols, axis=2)
-        off = np.insert(off, at, 0.0)
-    drift = _wronskian_drift(y, off, wr0) if companion else None
-    res = ShootingResult(
-        x=x,
-        w=y[0, 0],
-        w_prime=y[1, 0],
-        lam=float(lam),
-        log_offset=off if np.any(off != 0.0) else None,
-        wronskian_drift=drift,
-    )
-    if q_limit is not None and lam > q_limit:
-        res = prufer_series(res, q_limit=q_limit)
-    return res
-
-
-def prufer_series(result: ShootingResult, *, q_limit: float) -> ShootingResult:
-    """Attach phase-amplitude data for lam above the essential-spectrum edge."""
-    kappa = require_oscillatory(result.lam, q_limit)
-    amplitude = np.hypot(result.w, result.w_prime / kappa)
-    phase = np.arctan2(kappa * result.w, result.w_prime)
-    return ShootingResult(
-        x=result.x,
-        w=result.w,
-        w_prime=result.w_prime,
-        lam=result.lam,
-        amplitude=amplitude,
-        phase=phase,
-        log_offset=result.log_offset,
-        wronskian_drift=result.wronskian_drift,
-        meta=dict(result.meta),
-    )
 
 
 def reversibility_check(
@@ -783,105 +697,70 @@ def _decaying_seed(k_eff: float, phase: float, kappa: float, r: float) -> tuple[
 
 
 def decaying_solution(
-    q: ChannelPotential,
-    lam: float,
-    *,
-    r_anchor: float = 2000.0,
-    x_end: float = 1.0,
-    step: float = math.pi / 40.0,
-    verify: bool = True,
-    fit_window: tuple[float, float] | None = None,
-    rtol: float = 1e-11,
+    q: ChannelPotential, lam: float, *, r_anchor: float = 2000.0, rtol: float = 1e-11
 ) -> ShootingResult:
     """Recover the solution decaying at infinity by backward integration.
 
-    Above the potential limit this requires a resonant oscillatory tail with
-    |k_eff| > 2 (otherwise no square-integrable solution exists and
-    NoDecayingSolutionError is raised); the expected envelope is x^(-k_eff/4)
-    and a power-law fit over fit_window (default [r_anchor/20, r_anchor/2])
-    is stored in meta["decay_fit"].  Below the limit (spectral gap) any lam
-    works and meta["gap_rate"] holds the fitted exponential rate of log rho
-    against x, expected -sqrt(limit - lam).
+    Integrates from r_anchor down to x = 1, sampled at 1 + i pi/40.  lam must
+    lie above the potential limit (NonOscillatoryError otherwise) and within
+    0.05 of the resonance at limit + 1, and the tail must be a resonant
+    oscillation with |k_eff| > 2 (otherwise no square-integrable solution
+    exists and NoDecayingSolutionError is raised).  The expected envelope is
+    x^(-k_eff/4); a power-law fit of the amplitude over
+    [r_anchor/20, r_anchor/2] is stored in meta["decay_fit"].
 
-    With verify=True the run is repeated from anchor 2 * r_anchor on the same
-    grid and the two solutions are compared after least-squares rescaling;
-    disagreement beyond 1e-4 raises TwoRunMismatchError and the achieved
-    agreement lands in meta["two_run_agreement"].
+    The run is repeated from anchor 2 * r_anchor on the same grid and the two
+    solutions are compared after least-squares rescaling; disagreement beyond
+    1e-4 raises TwoRunMismatchError and the achieved agreement lands in
+    meta["two_run_agreement"].
     """
     if not isinstance(q, ChannelPotential):
         raise ConfigError("decaying_solution needs a ChannelPotential")
-    if lam >= q.limit:
-        kappa = require_oscillatory(lam, q.limit)
-        if q.k_eff is None:
-            raise NoDecayingSolutionError("potential tail is not a fitted x^-1 sinusoid")
-        if q.k_eff <= 2.0:
-            raise NoDecayingSolutionError(
-                f"k_eff = {q.k_eff:.6g} <= 2: envelope x^(-k_eff/4) is not square integrable"
-            )
-        if abs(lam - (q.limit + 1.0)) > 0.05:
-            raise NoDecayingSolutionError(
-                f"lam = {lam} is detuned from the resonance at {q.limit + 1.0}"
-            )
+    kappa = require_oscillatory(lam, q.limit)
+    if q.k_eff is None:
+        raise NoDecayingSolutionError("potential tail is not a fitted x^-1 sinusoid")
+    if q.k_eff <= 2.0:
+        raise NoDecayingSolutionError(
+            f"k_eff = {q.k_eff:.6g} <= 2: envelope x^(-k_eff/4) is not square integrable"
+        )
+    if abs(lam - (q.limit + 1.0)) > 0.05:
+        raise NoDecayingSolutionError(
+            f"lam = {lam} is detuned from the resonance at {q.limit + 1.0}"
+        )
 
     def run(anchor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward run from anchor to x_end, sampled at x_end + i * step."""
-        grid = x_end + step * np.arange(int((anchor - x_end) / step + 1e-9) + 1)
-        if lam < q.limit:
-            seed = (1.0, -math.sqrt(q.limit - lam))
-        else:
-            seed = _decaying_seed(q.k_eff, q.phase, kappa, anchor)
-        x, y, off = propagate(q, np.array([lam]), np.array([[seed[0]], [seed[1]]]), anchor, x_end, grid, rtol=rtol)
+        """Backward run from anchor to 1, sampled at 1 + i * step."""
+        step = math.pi / 40.0
+        grid = 1.0 + step * np.arange(int((anchor - 1.0) / step + 1e-9) + 1)
+        seed = _decaying_seed(q.k_eff, q.phase, kappa, anchor)
+        x, y, off = propagate(q, np.array([lam]), np.array([[seed[0]], [seed[1]]]), anchor, 1.0, grid, rtol=rtol)
         return x, y[:, 0, :], off
 
     x, y, off = run(r_anchor)
     w, wp = y[0], y[1]
-
-    agreement = None
-    if verify:
-        xb, yb, offb = run(2.0 * r_anchor)
-        m = min(len(x), len(xb))
-        if not np.allclose(x[:m], xb[:m], rtol=0, atol=1e-9):
-            raise WarpspecError("two-run grids failed to align")
-        if lam > q.limit:
-            # no rescaling happens in the oscillatory regime; compare raw values
-            wb = yb[0, :m]
-            sc = float(np.dot(wb, w[:m]) / np.dot(wb, wb))
-            agreement = float(np.max(np.abs(sc * wb - w[:m])) / np.max(np.abs(w[:m])))
-        else:
-            # exponential regime: solutions differ by a scale factor only, so the
-            # log envelopes (offsets folded in) must agree up to a constant
-            kg = math.sqrt(q.limit - lam)
-            la1 = np.log(np.hypot(w[:m], wp[:m] / kg)) + off[:m]
-            la2 = np.log(np.hypot(yb[0, :m], yb[1, :m] / kg)) + offb[:m]
-            delta = la1 - la2
-            agreement = float(np.max(np.abs(delta - np.mean(delta))))
-        if agreement > 1e-4:
-            raise TwoRunMismatchError(
-                f"backward runs from {r_anchor} and {2 * r_anchor} disagree by {agreement:.3g}"
-            )
+    xb, yb, _ = run(2.0 * r_anchor)
+    m = min(len(x), len(xb))
+    if not np.allclose(x[:m], xb[:m], rtol=0, atol=1e-9):
+        raise WarpspecError("two-run grids failed to align")
+    # no rescaling happens in the oscillatory regime; compare raw values
+    wb = yb[0, :m]
+    sc = float(np.dot(wb, w[:m]) / np.dot(wb, wb))
+    agreement = float(np.max(np.abs(sc * wb - w[:m])) / np.max(np.abs(w[:m])))
+    if agreement > 1e-4:
+        raise TwoRunMismatchError(
+            f"backward runs from {r_anchor} and {2 * r_anchor} disagree by {agreement:.3g}"
+        )
 
     res = ShootingResult(
         x=x,
         w=w,
         w_prime=wp,
         lam=float(lam),
+        amplitude=np.hypot(w, wp / kappa),
         log_offset=off if np.max(np.abs(off)) > 0 else None,
     )
-    if agreement is not None:
-        res.meta["two_run_agreement"] = agreement
-    if lam > q.limit:
-        res = prufer_series(res, q_limit=q.limit)
-        win = fit_window if fit_window is not None else (r_anchor / 20.0, r_anchor / 2.0)
-        res.meta["decay_fit"] = fit_power_decay(res.x, res.amplitude, window=win)
-    else:
-        kg = math.sqrt(q.limit - lam)
-        la = np.log(np.hypot(w, wp / kg)) + off
-        lo = max(2.0 * x_end, 2.0)
-        hi = r_anchor / 2.0
-        mask = (x >= lo) & (x <= hi) & np.isfinite(la)
-        slope, stderr, _ = _loglog_fit(x[mask], la[mask])
-        res.meta["gap_rate"] = float(slope)
-        res.meta["gap_rate_stderr"] = float(stderr)
+    res.meta["two_run_agreement"] = agreement
+    res.meta["decay_fit"] = fit_power_decay(res.x, res.amplitude, window=(r_anchor / 20.0, r_anchor / 2.0))
     return res
 
 
@@ -1024,8 +903,6 @@ def detect_embedded_eigenvalue(
     *,
     origin_bc: str | None = None,
     r_max: float = 2000.0,
-    envelope_threshold: float = -0.55,
-    integrand_threshold: float = -1.1,
     refine: bool = True,
     rtol: float = 1e-10,
     mesh: Mesh | None = None,
@@ -1036,10 +913,10 @@ def detect_embedded_eigenvalue(
     condition at the origin (an eigenvalue fires only when that solution is
     itself square integrable); origin_bc = None probes for the existence of a
     square-integrable solution by seeding the decaying direction at r_max and
-    integrating backward.  A point fires when the envelope exponent and the
-    tail-integrand exponent both clear their thresholds.  With refine, the
-    fired point of lowest envelope exponent is refined by minimising that
-    exponent over [lam - h, lam + h] (h the grid step, the bracket kept above
+    integrating backward.  A point fires when the envelope exponent is below
+    -0.55 and the tail-integrand exponent below -1.1.  With refine, the fired
+    point of lowest envelope exponent is refined by minimising that exponent
+    over [lam - h, lam + h] (h the grid step, the bracket kept above
     the essential-spectrum edge) with batched zooming, one probe call of 17
     energies per round down to a relative spacing of 1e-7; its evidence
     records refine_probe_calls, refine_lambdas and refine_bracket_width.  When
@@ -1060,7 +937,7 @@ def detect_embedded_eigenvalue(
     if mesh is None:
         mesh = select_mesh(q, _probe_start(q, origin_bc), r_max, _detector_window(q, lambda_grid), rtol=rtol)
     env, env_se, integ = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)
-    fired = (env < envelope_threshold) & (integ < integrand_threshold)
+    fired = (env < _ENVELOPE_THRESHOLD) & (integ < _INTEGRAND_THRESHOLD)
 
     detections: list[EigenDetection] = []
     refine_target = None
@@ -1137,10 +1014,9 @@ def scan_channels(
     *,
     origin_bc: str | None = "regular",
     r_max: float = 2000.0,
-    refine: bool = True,
     rtol: float = 1e-10,
 ) -> list[ChannelScanReport]:
-    """Run the detector over several channels, in channel order.
+    """Run the detector, with refinement, over several channels, in channel order.
 
     Each channel also records the relative Wronskian drift of an independent
     solution pair at the middle grid energy.  A channel's steps are selected
@@ -1160,7 +1036,7 @@ def scan_channels(
                 lam_sphere=ch.lam_sphere,
                 multiplicity=sphere_multiplicity(ch.n, ch.j),
                 detections=detect_embedded_eigenvalue(
-                    ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, refine=refine, rtol=rtol, mesh=mesh
+                    ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh
                 ),
                 wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol, mesh),
                 k_eff=ch.k_eff,

@@ -25,9 +25,7 @@ def glued_k1():
 @pytest.fixture(scope="session")
 def glued_k1_verified(glued_k1):
     """(report, scan_reports) of the full certificate, scan included."""
-    return verify_construction(
-        glued_k1, run_scan=True, j_max=5, lambda_window=(1.5, 2.5), lambda_step=1e-3
-    )
+    return verify_construction(glued_k1, j_max=5, lambda_window=(1.5, 2.5), lambda_step=1e-3)
 
 
 @pytest.fixture(scope="session")
@@ -50,10 +48,10 @@ def growth_power_verdict(power_profile):
 @pytest.fixture(scope="session")
 def decay_fit_k25():
     q = synthetic_channel(k_eff=2.5)
-    return decaying_solution(q, 1.0, r_anchor=2000.0, fit_window=(100.0, 1000.0))
+    return decaying_solution(q, 1.0, r_anchor=2000.0)
 
 
 @pytest.fixture(scope="session")
 def decay_fit_k40():
     q = synthetic_channel(k_eff=4.0)
-    return decaying_solution(q, 1.0, r_anchor=2000.0, fit_window=(100.0, 1000.0))
+    return decaying_solution(q, 1.0, r_anchor=2000.0)

@@ -9,7 +9,6 @@ import pytest
 from warpspec.cli import emit_plot_data, main
 from warpspec.errors import ConfigError
 from warpspec.growth_and_identities import GrowthSeries
-from warpspec.halfline_solver import integrate_schrodinger, synthetic_channel
 from warpspec.warp_geometry import curvature_of_profile, euclidean_profile, profile_from_json
 
 
@@ -180,12 +179,6 @@ def test_emit_plot_data_layouts(tmp_path):
     series = GrowthSeries(n=3, gamma=1.0, alpha=2.0, t=t, i_values=t, t_gamma_i=t * t)
     p = emit_plot_data(series, tmp_path / "g.csv")
     assert p.read_text().splitlines()[0] == "t,I,t_gamma_I"
-
-    shot = integrate_schrodinger(
-        synthetic_channel(k_eff=2.5), 1.0, span=(1.0, 30.0), init=(0.0, 1.0)
-    )
-    p = emit_plot_data(shot, tmp_path / "s.csv")
-    assert p.read_text().splitlines()[0] == "x,w,w_prime,amplitude,phase"
 
     fld = curvature_of_profile(euclidean_profile(3))
     p = emit_plot_data(fld, tmp_path / "c.csv")

@@ -104,3 +104,17 @@ def test_one_gauss_legendre_rule():
         }
 
     assert set().union(*map(owners, SOURCES)) == {("warp_geometry.py", "GaussLegendrePanels")}
+
+
+def test_package_exports_are_module_exports():
+    # warpspec re-exports only what its modules export, so a function taken
+    # out of a module's __all__ cannot linger as a package-level name
+    tree = ast.parse(Path(warpspec.__file__).read_text(encoding="utf-8"))
+    stray = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"warpspec.{node.module}").__all__
+    ]
+    assert not stray, stray
