@@ -12,12 +12,9 @@ identities.
 from .channel_reduction import (
     ChannelPotential,
     ChannelSpec,
-    ConjugatedSolution,
     channel_potential,
     decade_window,
-    exp_conjugation,
     inverse_liouville,
-    liouville_transform,
     predicted_k_eff,
     predicted_phase_constant,
     require_oscillatory,
@@ -26,7 +23,15 @@ from .channel_reduction import (
     sphere_multiplicity,
     sphere_spectrum,
 )
-from .cli import RunConfig, config_from_json, config_to_json, emit_plot_data, main
+from .cli import (
+    RunConfig,
+    config_from_json,
+    config_to_json,
+    emit_plot_data,
+    main,
+    profile_from_json,
+    profile_to_json,
+)
 from .embedded_construction import (
     Connector,
     DiskEigenfunction,
@@ -113,10 +118,7 @@ from .warp_geometry import (
     fd_derivative,
     hessian_comparison_check,
     hyperbolic_profile,
-    profile_from_json,
     profile_from_shape,
-    profile_to_json,
-    register_profile_kind,
     solve_riccati_bound,
     sphere_area,
     uniform_grid,

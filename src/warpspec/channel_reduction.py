@@ -31,15 +31,12 @@ __all__ = [
     "ChannelSpec",
     "ChannelPotential",
     "TailFit",
-    "ConjugatedSolution",
     "sphere_spectrum",
     "sphere_multiplicity",
     "channel_potential",
     "fit_tail_oscillation",
     "block_max_slope",
-    "liouville_transform",
     "inverse_liouville",
-    "exp_conjugation",
     "resonance_coupling_threshold",
     "predicted_k_eff",
     "predicted_phase_constant",
@@ -81,13 +78,14 @@ def sphere_spectrum(n: int, j_max: int) -> list[ChannelSpec]:
 class ChannelPotential:
     """Half-line Schrodinger potential of one channel.
 
-    q_fn gives closed-form values on [x_min, x_max] (beyond the sample grid
-    when profile arrays were capped); k_eff is the fitted amplitude (always
-    nonnegative, sign absorbed into phase) of x * (q - limit) on the tail fit
-    window, absent (None) when the tail is not an x^-1 sinusoid.
+    q_fn gives closed-form values from x_min on, up to the profile's r_max
+    (beyond the sample grid when profile arrays were capped); k_eff is the
+    fitted amplitude (always nonnegative, sign absorbed into phase) of
+    x * (q - limit) on the tail window of fit_tail_oscillation, absent (None)
+    when the tail is not an x^-1 sinusoid.
     origin_exponent is the indicial root s of the x -> 0 singularity
     q ~ s(s-1)/x^2 for profiles covering the origin, None otherwise.
-    kinks are the profile's kinks inside (x_min, x_max), where q is only C^1;
+    kinks are the profile's kinks inside (x_min, r_max), where q is only C^1;
     the ODE mesh has nodes there.
     """
 
@@ -99,12 +97,10 @@ class ChannelPotential:
     q: np.ndarray
     q_fn: Callable[[np.ndarray], np.ndarray]
     x_min: float
-    x_max: float
     origin_exponent: float | None = None
     k_eff: float | None = None
     phase: float | None = None
     remainder_slope: float | None = None
-    fit_window: tuple[float, float] | None = None
     kinks: tuple[float, ...] = ()
 
 
@@ -202,13 +198,12 @@ def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> Chann
         return out
 
     q = q_fn(grid)
-    x_max = profile.r_max
 
     # tail oscillation fit, used with enough samples and a clear amplitude
-    k_eff = phase = remainder_slope = fit_window = None
+    k_eff = phase = remainder_slope = None
     fit = fit_tail_oscillation(grid, q, limit)
     if fit is not None and fit.samples >= 200 and fit.k_eff > max(1e-10, 4.0 * fit.rms):
-        k_eff, phase, remainder_slope, fit_window = fit.k_eff, fit.phase, fit.remainder_slope, fit.window
+        k_eff, phase, remainder_slope = fit.k_eff, fit.phase, fit.remainder_slope
 
     origin_exponent = None
     if grid[0] < 0.5 and abs(profile.f[0] / grid[0] - 1.0) < 0.01:
@@ -224,99 +219,28 @@ def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> Chann
         q=q,
         q_fn=q_fn,
         x_min=float(grid[0]),
-        x_max=float(x_max),
         origin_exponent=origin_exponent,
         k_eff=k_eff,
         phase=phase,
         remainder_slope=remainder_slope,
-        fit_window=fit_window,
-        kinks=tuple(r for r in profile.kinks if grid[0] < r < x_max),
+        kinks=tuple(r for r in profile.kinks if grid[0] < r < profile.r_max),
     )
 
 
-def liouville_transform(
-    profile: WarpProfile,
-    r: np.ndarray,
-    h: np.ndarray,
-    h_prime: np.ndarray | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Map h at radii r to w = f^p h (and h' to w' = f^p (h' + p S h) when given).
-
-    f^p and S are evaluated from the profile's shape at r.
-    """
-    p = 0.5 * (profile.n - 1)
-    r = np.asarray(r, dtype=float)
-    fp = np.exp(p * profile.shape.log_f(r))
-    w = fp * h
-    if h_prime is None:
-        return w
-    return w, fp * (h_prime + p * profile.shape.s(r) * h)
-
-
 def inverse_liouville(
-    profile: WarpProfile,
-    r: np.ndarray,
-    w: np.ndarray,
-    w_prime: np.ndarray | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Map w at radii r back to h = f^-p w (and w' to h' = f^-p (w' - p S w)).
+    profile: WarpProfile, r: np.ndarray, w: np.ndarray, w_prime: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map (w, w') at radii r back to h = f^-p w and h' = f^-p (w' - p S w).
 
-    f^-p and S are evaluated from the profile's shape at r; f^-p underflows
-    to 0 silently far out on an exponential end.
+    This inverts the substitution w = f^p h of the channel equations.  f^-p
+    and S are evaluated from the profile's shape at r; f^-p underflows to 0
+    silently far out on an exponential end.
     """
     p = 0.5 * (profile.n - 1)
     r = np.asarray(r, dtype=float)
     with np.errstate(under="ignore"):
         fmp = np.exp(-p * profile.shape.log_f(r))
-    h = fmp * w
-    if w_prime is None:
-        return h
-    return h, fmp * (w_prime - p * profile.shape.s(r) * w)
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugatedSolution:
-    """u = e^{c r} phi together with its shifted spectral parameter."""
-
-    grid: np.ndarray
-    u: np.ndarray
-    u_prime: np.ndarray
-    c: float
-    alpha: float
-    lam: float
-    below_shifted_spectrum: bool
-
-
-def exp_conjugation(
-    profile: WarpProfile,
-    phi: np.ndarray,
-    phi_prime: np.ndarray,
-    *,
-    alpha: float,
-    c: float | None = None,
-) -> ConjugatedSolution:
-    """Exponential conjugation u = e^{c r} phi, shifting alpha to lam = alpha - c^2.
-
-    A radial solution of the eigenvalue equation at alpha becomes a solution of
-
-        u'' + ((n-1) S - 2 c) u' + (c (2 c - (n-1) S) + alpha - c^2) u = 0.
-
-    The flag marks lam <= 0 (alpha at or below c^2), where decay arguments based
-    on the shifted equation degenerate.
-    """
-    if c is None:
-        c = 0.5 * (profile.n - 1)
-    lam = alpha - c * c
-    e = np.exp(c * profile.grid)
-    return ConjugatedSolution(
-        grid=profile.grid,
-        u=e * phi,
-        u_prime=e * (phi_prime + c * phi),
-        c=float(c),
-        alpha=float(alpha),
-        lam=float(lam),
-        below_shifted_spectrum=bool(lam <= 0.0),
-    )
+    return fmp * w, fmp * (w_prime - p * profile.shape.s(r) * w)
 
 
 def resonance_coupling_threshold(n: int) -> float:

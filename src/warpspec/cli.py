@@ -15,7 +15,9 @@ to r = 40 and the power and log ends to r = 1100; the glued construction and
 the wvn end reach r = 2000.  All artifacts are written atomically and print
 floats with 17 significant digits, so repeated runs are byte-identical;
 wall-clock time goes to stderr (and into the report only under --timings,
-which deliberately breaks byte-identity).
+which deliberately breaks byte-identity).  A profile.json artifact holds a
+profile's kind and the parameters of its builder, and profile_from_json
+reads it back into the same profile.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -51,13 +54,33 @@ from .warp_geometry import (
     cusp_profile,
     euclidean_profile,
     hyperbolic_profile,
-    profile_to_json,
 )
 
-__all__ = ["RunConfig", "main", "emit_plot_data", "config_to_json", "config_from_json"]
+__all__ = [
+    "RunConfig",
+    "main",
+    "emit_plot_data",
+    "config_to_json",
+    "config_from_json",
+    "profile_to_json",
+    "profile_from_json",
+]
 
 _COMMANDS = ("build-example", "curvature-report", "scan", "verify-growth", "check-identities")
+# the builder of each profile kind, called as builder(n, **params) with the
+# params the kind stores (the glued kind's step is always the default)
+_PROFILE_KINDS: dict[str, Callable[..., WarpProfile]] = {
+    "euclidean": euclidean_profile,
+    "hyperbolic": hyperbolic_profile,
+    "cusp": cusp_profile,
+    "wvn": reference_profile,
+    "glued": lambda n, *, k, r_max, **_: build_construction(n, k, r_max=r_max).profile,
+    "power_decay": power_decay_profile,
+    "log_decay": slow_log_decay_profile,
+}
+# --profile names: the kinds, two of them shortened
 _PROFILES = ("euclidean", "hyperbolic", "cusp", "wvn", "glued", "power", "log")
+_KIND_OF = {"power": "power_decay", "log": "log_decay"}
 # default range of the closed-form model profiles in the commands that take
 # --profile (everything else defaults to RunConfig.r_max)
 _PROFILE_R_MAX = {"euclidean": 40.0, "hyperbolic": 40.0, "cusp": 40.0, "power": 1100.0, "log": 1100.0}
@@ -101,6 +124,8 @@ class RunConfig:
             raise ConfigError(f"unknown profile {self.profile!r}; choose from {_PROFILES}")
         if self.r_max <= 0 or self.lambda_step <= 0 or self.trials < 1:
             raise ConfigError("r_max, lambda_step must be positive and trials >= 1")
+        if self.j_max < 0 or self.seed < 0:
+            raise ConfigError("j_max and seed must be nonnegative")
 
 
 def config_to_json(cfg: RunConfig) -> dict:
@@ -148,20 +173,28 @@ def _outdir(cfg: RunConfig) -> Path | None:
 
 def _named_profile(cfg: RunConfig) -> WarpProfile:
     name = cfg.profile
-    if name in ("euclidean", "hyperbolic", "cusp"):
-        builder = {"euclidean": euclidean_profile, "hyperbolic": hyperbolic_profile, "cusp": cusp_profile}[name]
-        if name != "euclidean" and cfg.r_max > 600.0:
-            raise ConfigError(f"profile {name} overflows beyond r = 600; lower --r-max")
-        return builder(cfg.n, r_max=cfg.r_max)
-    if name == "wvn":
-        return reference_profile(cfg.n, cfg.k, r_max=cfg.r_max)
-    if name == "glued":
-        return build_construction(cfg.n, cfg.k, r_max=cfg.r_max).profile
-    if name == "power":
-        return power_decay_profile(cfg.n, r_max=cfg.r_max)
-    if name == "log":
-        return slow_log_decay_profile(cfg.n, r_max=cfg.r_max)
-    raise ConfigError(f"unknown profile {name!r}")
+    if name in ("hyperbolic", "cusp") and cfg.r_max > 600.0:
+        raise ConfigError(f"profile {name} overflows beyond r = 600; lower --r-max")
+    params = {"k": cfg.k} if name in ("wvn", "glued") else {}
+    return _PROFILE_KINDS[_KIND_OF.get(name, name)](cfg.n, r_max=cfg.r_max, **params)
+
+
+def profile_to_json(profile: WarpProfile) -> dict:
+    """JSON-ready dict of a profile: its n, kind, r_max and the params its kind's builder takes.
+
+    A shape is code, not data, so a kind without a builder in the CLI's
+    table cannot be stored and raises ConfigError.
+    """
+    if profile.kind not in _PROFILE_KINDS:
+        raise ConfigError(f"profile kind {profile.kind!r} has no builder")
+    return {"n": profile.n, "kind": profile.kind, "r_max": profile.r_max, "params": dict(profile.params)}
+
+
+def profile_from_json(doc: Mapping) -> WarpProfile:
+    """Rebuild a profile from profile_to_json output through its kind's builder."""
+    if doc["kind"] not in _PROFILE_KINDS:
+        raise ConfigError(f"profile kind {doc['kind']!r} has no builder")
+    return _PROFILE_KINDS[doc["kind"]](int(doc["n"]), **doc.get("params", {}))
 
 
 # --------------------------------------------------------------------------

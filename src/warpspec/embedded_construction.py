@@ -57,7 +57,6 @@ from .warp_geometry import (
     fd_derivative,
     piece_edges,
     profile_from_shape,
-    register_profile_kind,
     uniform_grid,
 )
 
@@ -178,10 +177,6 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
         r = np.asarray(r, dtype=float)
         return k * (2.0 * np.cos(2.0 * r) / r - np.sin(2.0 * r) / r**2)
 
-    def s_second(r):
-        r = np.asarray(r, dtype=float)
-        return k * (-4.0 * np.sin(2.0 * r) / r - 4.0 * np.cos(2.0 * r) / r**2 + 2.0 * np.sin(2.0 * r) / r**3)
-
     def log_f(r):
         r = np.asarray(r, dtype=float)
         return (r - 1.0) + k * (sici(2.0 * r)[0] - si2)
@@ -191,7 +186,6 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        s_second=s_second,
         grid=uniform_grid(1.0, min(r_max, 600.0), step),
         kind="wvn",
         params={"k": k, "r_max": r_max, "step": step},
@@ -199,7 +193,10 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
     )
 
 
-register_profile_kind("wvn", lambda n, **p: reference_profile(n, p.pop("k"), **p))
+def _reference_s_second(k: float, r: float) -> float:
+    """S'' of the reference shape S = 1 + k sin(2r)/r, where a bridge meets the end."""
+    r = np.asarray(r, dtype=float)
+    return float(k * (-4.0 * np.sin(2.0 * r) / r - 4.0 * np.cos(2.0 * r) / r**2 + 2.0 * np.sin(2.0 * r) / r**3))
 
 
 # ------------------------------------------------------------- bridge piece
@@ -499,7 +496,7 @@ def build_construction(
     for attempt, ci in enumerate(idx, start=1):
         r2 = float(x[ci])
         length = r2 - disk.r1
-        s_tail = [float(sh.s(r2)), float(sh.s_prime(r2)), float(sh.s_second(r2))]
+        s_tail = [float(sh.s(r2)), float(sh.s_prime(r2)), _reference_s_second(k, r2)]
         for sigma in (0.5, 0.8, 1.3, 2.0):
             tried += 1
             c_tail = -sigma * length / float(h[ci])
@@ -580,14 +577,6 @@ def scale_construction(g: GluedConstruction, factor: float) -> GluedConstruction
         psi_fn=psi_fn,
         diagnostics=dict(g.diagnostics),
     )
-
-
-def _glued_from_params(n: int, **params) -> WarpProfile:
-    g = build_construction(n=n, k=float(params["k"]), r_max=float(params.get("r_max", 2000.0)))
-    return g.profile
-
-
-register_profile_kind("glued", _glued_from_params)
 
 
 # -------------------------------------------------------------- verification

@@ -46,7 +46,6 @@ from .warp_geometry import (
     fd_derivative,
     piece_edges,
     profile_from_shape,
-    register_profile_kind,
     sphere_area,
     uniform_grid,
 )
@@ -118,19 +117,21 @@ def _w_form_residual(t: np.ndarray, w: np.ndarray, w_prime: np.ndarray, rhs: np.
     return float(np.max(np.abs(d - rhs)) / scale)
 
 
-def _solve_radial_batch(
+def solve_radial(
     profile: WarpProfile,
     *,
     alpha: float,
     span: tuple[float, float],
     phi0: np.ndarray,
     phi_prime0: np.ndarray,
-    rtol: float,
+    rtol: float = 1e-11,
 ) -> list[RadialSolution]:
-    """Radial solutions on one DEFAULT_STEP grid for M sets of boundary data at span[0].
+    """Integrate phi'' + (n-1)S phi' + alpha phi = 0 for each column of boundary data at span[0].
 
-    Maps (phi, phi') to w = f^p phi, w' = f^p (phi' + p S phi) and integrates
-    every column of w'' = (q0 - alpha) w in one propagate call; the columns' RadialSolutions share that q0.
+    Maps (phi0, phi_prime0) to w = f^p phi, w' = f^p (phi' + p S phi) and
+    integrates every column of the channel-0 equation w'' = (q0 - alpha) w in
+    one propagate call on a DEFAULT_STEP grid, so the returned phi are the
+    genuine solutions with those values, one RadialSolution per column.
     """
     sh = profile.shape
     p = 0.5 * (profile.n - 1)
@@ -146,44 +147,13 @@ def _solve_radial_batch(
     q0 = channel_potential(profile, 0)
     _, y, off = propagate(q0, np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=rtol)
     y = np.concatenate([y0[:, :, None], y * np.exp(off)], axis=2)
-    return [_radial_solution_from_w(profile, q0, alpha=alpha, t=t, w=w, w_prime=wp) for w, wp in zip(y[0], y[1])]
-
-
-def solve_radial(
-    profile: WarpProfile,
-    *,
-    alpha: float,
-    span: tuple[float, float],
-    phi0: float = 1.0,
-    phi_prime0: float = 0.0,
-    rtol: float = 1e-11,
-) -> RadialSolution:
-    """Integrate the radial eigenvalue equation phi'' + (n-1)S phi' + alpha phi = 0.
-
-    Internally solves the channel-0 equation w'' = (q0 - alpha) w for
-    w = f^p phi with propagate; the boundary data (phi0, phi_prime0) at
-    span[0] is mapped through the same substitution, so the returned phi is
-    the genuine solution with those values.
-    """
-    return _solve_radial_batch(profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi_prime0, rtol=rtol)[0]
+    return [radial_solution_from_w(profile, q0, alpha=alpha, t=t, w=w, w_prime=wp) for w, wp in zip(y[0], y[1])]
 
 
 def radial_solution_from_w(
-    profile: WarpProfile,
-    *,
-    alpha: float,
-    t: np.ndarray,
-    w: np.ndarray,
-    w_prime: np.ndarray,
-) -> RadialSolution:
-    """Wrap half-line samples (w, w') as a RadialSolution, recovering phi."""
-    return _radial_solution_from_w(profile, channel_potential(profile, 0), alpha=alpha, t=t, w=w, w_prime=w_prime)
-
-
-def _radial_solution_from_w(
     profile: WarpProfile, q0: ChannelPotential, *, alpha: float, t: np.ndarray, w: np.ndarray, w_prime: np.ndarray
 ) -> RadialSolution:
-    """radial_solution_from_w with the channel-0 potential q0 of profile already built."""
+    """Wrap half-line samples (w, w') as a RadialSolution, recovering phi; q0 is the profile's channel 0."""
     t = np.asarray(t, dtype=float)
     phi, phi_prime = inverse_liouville(profile, t, w, w_prime)
     res = _w_form_residual(t, w, w_prime, (q0.q_fn(t) - alpha) * w)
@@ -367,7 +337,7 @@ def verify_growth_theorem(
         )
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=trials)
-    solutions = _solve_radial_batch(
+    solutions = solve_radial(
         profile,
         alpha=alpha,
         span=(t0, t_end),
@@ -415,8 +385,9 @@ def eigenfunction_growth_series(construction, *, gamma: float = 1.0, t_min: floa
     offs = tail.log_offset[mask] if tail.log_offset is not None else 0.0
     w = tail.w[mask] * np.exp(offs) * scale
     wp = tail.w_prime[mask] * np.exp(offs) * scale
-    sol = radial_solution_from_w(construction.profile, alpha=construction.b_n, t=tail.x[mask], w=w, w_prime=wp)
-    return growth_series(construction.profile, sol, gamma=gamma)
+    prof = construction.profile
+    sol = radial_solution_from_w(prof, channel_potential(prof, 0), alpha=construction.b_n, t=tail.x[mask], w=w, w_prime=wp)
+    return growth_series(prof, sol, gamma=gamma)
 
 
 def check_growth_dichotomy(
@@ -562,9 +533,6 @@ def power_decay_profile(
     def s_prime(r):
         return -a * e * np.asarray(r, dtype=float) ** (-e - 1.0)
 
-    def s_second(r):
-        return a * e * (e + 1.0) * np.asarray(r, dtype=float) ** (-e - 2.0)
-
     if e == 1.0:
         def log_f(r):
             r = np.asarray(r, dtype=float)
@@ -578,7 +546,6 @@ def power_decay_profile(
         n,
         s=s,
         s_prime=s_prime,
-        s_second=s_second,
         log_f=log_f,
         grid=uniform_grid(r_min, min(r_cap, r_max), step),
         kind="power_decay",
@@ -611,11 +578,6 @@ def slow_log_decay_profile(
         lg = np.log(r)
         return -a * (lg + 1.0) / (r * lg) ** 2
 
-    def s_second(r):
-        r = np.asarray(r, dtype=float)
-        lg = np.log(r)
-        return a * (2.0 * lg**2 + 3.0 * lg + 2.0) / (r**3 * lg**3)
-
     def log_f(r):
         r = np.asarray(r, dtype=float)
         return r + a * np.log(np.log(r))
@@ -624,17 +586,12 @@ def slow_log_decay_profile(
         n,
         s=s,
         s_prime=s_prime,
-        s_second=s_second,
         log_f=log_f,
         grid=uniform_grid(r_min, min(r_cap, r_max), step),
         kind="log_decay",
         params={"amplitude": a, "r_min": r_min, "r_cap": r_cap, "r_max": r_max, "step": step},
         r_max=r_max,
     )
-
-
-register_profile_kind("power_decay", lambda n, **p: power_decay_profile(n, **{k: v for k, v in p.items()}))
-register_profile_kind("log_decay", lambda n, **p: slow_log_decay_profile(n, **{k: v for k, v in p.items()}))
 
 
 # --------------------------------------------------------------------------

@@ -673,12 +673,10 @@ def synthetic_channel(
         q=q,
         q_fn=q_fn,
         x_min=float(x_min),
-        x_max=float(x_max),
         origin_exponent=None,
         k_eff=fit.k_eff,
         phase=fit.phase,
         remainder_slope=fit.remainder_slope,
-        fit_window=fit.window,
     )
 
 

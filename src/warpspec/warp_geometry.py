@@ -52,9 +52,6 @@ __all__ = [
     "GaussLegendrePanels",
     "solve_riccati_bound",
     "hessian_comparison_check",
-    "profile_to_json",
-    "profile_from_json",
-    "register_profile_kind",
 ]
 
 # sampling must resolve the sin(2r) oscillation scale
@@ -77,16 +74,16 @@ def uniform_grid(r_min: float, r_max: float, step: float = DEFAULT_STEP) -> np.n
 
 @dataclass(frozen=True)
 class ShapeFns:
-    """Closed-form shape of a profile: S = f'/f, S', log f and optionally S''.
+    """Closed-form shape of a profile: S = f'/f, S' and log f.
 
-    All callables accept scalars or arrays.  S'' is read only where the
-    glued construction matches a bridge to an end (build_construction).
+    All callables accept scalars or arrays.  S'' is not stored: the one
+    place that reads it, where a bridge meets the reference end, evaluates
+    it in closed form (embedded_construction).
     """
 
     s: Callable[[np.ndarray], np.ndarray]
     s_prime: Callable[[np.ndarray], np.ndarray]
     log_f: Callable[[np.ndarray], np.ndarray]
-    s_second: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,25 +208,20 @@ def curvature_of_profile(profile: WarpProfile) -> CurvatureField:
     n = profile.n
     s = profile.f_prime / profile.f
     k_rad = -profile.f_second / profile.f
-    lap = (n - 1) * s
-    ric = (n - 1) * k_rad
-    fld = CurvatureField(
+    return CurvatureField(
         n=n,
         grid=profile.grid,
         s=s,
         k_rad=k_rad,
-        laplacian_r=lap,
-        ricci_rr=ric,
+        laplacian_r=(n - 1) * s,
+        ricci_rr=(n - 1) * k_rad,
         kinks=profile.kinks,
-        trace_residual=0.0,
+        trace_residual=bochner_residual(profile),
     )
-    res = bochner_residual(fld, profile.shape)
-    object.__setattr__(fld, "trace_residual", res)
-    return fld
 
 
-def bochner_residual(fld: CurvatureField, shape: ShapeFns) -> float:
-    """Max residual of d/dr(Delta r) + (n-1) S^2 + Ric(dr,dr) = 0 from samples of a shape.
+def bochner_residual(profile: WarpProfile) -> float:
+    """Max residual of d/dr(Delta r) + (n-1) S^2 + Ric(dr,dr) = 0 from samples of a profile's shape.
 
     The derivative side is always a finite difference of sampled S (never the
     closed-form S'), so the identity tests the consistency of the pair
@@ -239,11 +231,12 @@ def bochner_residual(fld: CurvatureField, shape: ShapeFns) -> float:
     analytic, so the substitution keeps the stencil error uniformly small
     without excluding any grid points.
 
-    Each smooth piece of [grid[0], grid[-1]] between the field's kinks is
+    Each smooth piece of [grid[0], grid[-1]] between the profile's kinks is
     resampled on its own uniform grid, fine enough for the 7-point stencil.
     """
-    nm1 = fld.n - 1
-    edges = piece_edges(fld.grid[0], fld.grid[-1], fld.kinks)
+    shape = profile.shape
+    nm1 = profile.n - 1
+    edges = piece_edges(profile.grid[0], profile.grid[-1], profile.kinks)
     worst = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         width = b - a
@@ -316,7 +309,6 @@ def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step:
         s=lambda r: 1.0 / np.asarray(r, dtype=float),
         s_prime=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
         log_f=lambda r: np.log(np.asarray(r, dtype=float)),
-        s_second=lambda r: 2.0 / np.asarray(r, dtype=float) ** 3,
         grid=uniform_grid(r_min, r_max, step),
         kind="euclidean",
         params={"r_min": r_min, "r_max": r_max, "step": step},
@@ -330,7 +322,6 @@ def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step
         s=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
         s_prime=lambda r: -1.0 / np.sinh(np.asarray(r, dtype=float)) ** 2,
         log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
-        s_second=lambda r: 2.0 * np.cosh(r) / np.sinh(np.asarray(r, dtype=float)) ** 3,
         grid=uniform_grid(r_min, r_max, step),
         kind="hyperbolic",
         params={"r_min": r_min, "r_max": r_max, "step": step},
@@ -344,7 +335,6 @@ def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: floa
         s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_f=lambda r: np.asarray(r, dtype=float),
-        s_second=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         grid=uniform_grid(r_min, r_max, step),
         kind="cusp",
         params={"r_min": r_min, "r_max": r_max, "step": step},
@@ -358,7 +348,6 @@ def profile_from_shape(
     s_prime: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
     log_f: Callable[[np.ndarray], np.ndarray] | None = None,
-    s_second: Callable[[np.ndarray], np.ndarray] | None = None,
     kind: str = "tabulated",
     params: Mapping[str, float] | None = None,
     kinks: Sequence[float] = (),
@@ -372,7 +361,9 @@ def profile_from_shape(
     by Gauss-Legendre quadrature of S along a refined grid (normalized so
     f(grid[0]) = 1) and interpolated with a cubic spline; supply an exact
     log_f whenever one is available.  kinks are the ascending radii where S
-    loses smoothness.
+    loses smoothness.  kind and params name the builder that remakes the
+    profile; a profile persists to JSON only when the CLI knows that kind
+    (cli.profile_to_json).
     """
     grid = np.asarray(grid, dtype=float)
     if log_f is None:
@@ -392,7 +383,7 @@ def profile_from_shape(
         f_prime=s_grid * f,
         f_second=(s_prime(grid) + s_grid * s_grid) * f,
         r_max=float(r_max if r_max is not None else grid[-1]),
-        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f, s_second=s_second),
+        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f),
         kinks=tuple(float(k) for k in kinks),
     )
 
@@ -404,13 +395,10 @@ class RiccatiBound:
     f1 solves the Riccati equation with curvature -1 + 2*A1/r (upper curvature
     bound, lower shape bound, started at 0); f2 with curvature -1 - 2*B1/r
     (lower curvature bound, upper shape bound, started at upper_start).
-    b1 = 2*B1 records the coefficient in the curvature normalization
-    K >= -1 - b1/r used by the threshold predicates.
     """
 
     a1: float
     b1_half: float
-    b1: float
     r0: float
     upper_start: float
     grid: np.ndarray
@@ -480,7 +468,6 @@ def solve_riccati_bound(
     return RiccatiBound(
         a1=float(a1),
         b1_half=float(b1_half),
-        b1=float(2.0 * b1_half),
         r0=float(r0),
         upper_start=float(upper_start),
         grid=grid,
@@ -531,37 +518,3 @@ def hessian_comparison_check(
             return ComparisonReport(False, float(r[idx_low]), "lower", float(np.max(lower_gap)), float(np.max(upper_gap)))
         return ComparisonReport(False, float(r[idx_up]), "upper", float(np.max(lower_gap)), float(np.max(upper_gap)))
     return ComparisonReport(True, None, None, float(np.max(lower_gap)), float(np.max(upper_gap)))
-
-
-# profile (de)serialization; closed-form kinds rebuild from params via this registry
-_PROFILE_BUILDERS: dict[str, Callable[..., WarpProfile]] = {}
-
-
-def register_profile_kind(kind: str, builder: Callable[..., WarpProfile]) -> None:
-    _PROFILE_BUILDERS[kind] = builder
-
-
-register_profile_kind("euclidean", lambda n, **p: euclidean_profile(n, **p))
-register_profile_kind("hyperbolic", lambda n, **p: hyperbolic_profile(n, **p))
-register_profile_kind("cusp", lambda n, **p: cusp_profile(n, **p))
-
-
-def _builder(kind: str) -> Callable[..., WarpProfile]:
-    if kind not in _PROFILE_BUILDERS:
-        raise ConfigError(f"profile kind {kind!r} has no registered builder")
-    return _PROFILE_BUILDERS[kind]
-
-
-def profile_to_json(profile: WarpProfile) -> dict:
-    """JSON-ready dict of a registered kind: the parameters its builder takes.
-
-    A shape is code, not data, so a kind without a builder cannot be stored
-    and raises ConfigError.
-    """
-    _builder(profile.kind)
-    return {"n": profile.n, "kind": profile.kind, "r_max": profile.r_max, "params": dict(profile.params)}
-
-
-def profile_from_json(doc: Mapping) -> WarpProfile:
-    """Rebuild a profile from profile_to_json output through its kind's builder."""
-    return _builder(doc["kind"])(int(doc["n"]), **doc.get("params", {}))

@@ -11,10 +11,8 @@ from warpspec import (
     channel_potential,
     cusp_profile,
     decade_window,
-    exp_conjugation,
     InsufficientDataError,
     inverse_liouville,
-    liouville_transform,
     predicted_k_eff,
     predicted_phase_constant,
     reference_profile,
@@ -98,7 +96,9 @@ def test_liouville_round_trip_and_isometry():
     rng = np.random.default_rng(5)
     h = rng.normal(size=prof.grid.shape)
     hp = rng.normal(size=prof.grid.shape)
-    w, wp = liouville_transform(prof, prof.grid, h, hp)
+    # forward map w = f^p h, w' = f^p (h' + p S h), p = (n-1)/2, from the samples
+    fp = prof.f ** (0.5 * (prof.n - 1))
+    w, wp = fp * h, fp * (hp + 0.5 * (prof.n - 1) * prof.s_values * h)
     h2, hp2 = inverse_liouville(prof, prof.grid, w, wp)
     assert np.max(np.abs(h2 - h)) < 1e-12
     assert np.max(np.abs(hp2 - hp)) < 1e-12
@@ -124,21 +124,6 @@ def test_require_oscillatory():
         require_oscillatory(1.0, 1.0)
     with pytest.raises(NonOscillatoryError):
         require_oscillatory(0.5, 1.0)
-
-
-def test_exp_conjugation_consistency():
-    prof = cusp_profile(3)
-    r = prof.grid
-    phi = np.exp(-0.3 * r) * np.sin(r)
-    phi_p = np.exp(-0.3 * r) * (np.cos(r) - 0.3 * np.sin(r))
-    conj = exp_conjugation(prof, phi, phi_p, alpha=2.0)
-    assert conj.c == pytest.approx(1.0)
-    assert conj.lam == pytest.approx(1.0)
-    assert not conj.below_shifted_spectrum
-    assert np.allclose(conj.u, np.exp(r) * phi, rtol=1e-13)
-    assert np.allclose(conj.u_prime, np.exp(r) * (phi_p + phi), rtol=1e-12, atol=1e-12)
-    low = exp_conjugation(prof, phi, phi_p, alpha=0.5)
-    assert low.below_shifted_spectrum
 
 
 def test_decade_window_guards():

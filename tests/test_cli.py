@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from warpspec.cli import emit_plot_data, main
+from warpspec.cli import emit_plot_data, main, profile_from_json
 from warpspec.errors import ConfigError
 from warpspec.growth_and_identities import GrowthSeries
-from warpspec.warp_geometry import curvature_of_profile, euclidean_profile, profile_from_json
+from warpspec.warp_geometry import curvature_of_profile, euclidean_profile
 
 
 def run_cli(capsys, argv):
@@ -86,6 +86,21 @@ def test_overflowing_profile_range_exits_2(capsys):
     code, _, err = run_cli(capsys, ["curvature-report", "--profile", "hyperbolic", "--r-max", "2000"])
     assert code == 2
     assert "r = 600" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-example", "--j-max", "-1", "--r-max", "300"],
+        ["verify-growth", "--profile", "power", "--seed", "-1"],
+    ],
+    ids=["negative_j_max", "negative_seed"],
+)
+def test_negative_counts_exit_2_before_any_build(capsys, argv):
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2
+    assert doc is None
+    assert "config error" in err and "nonnegative" in err
 
 
 # --------------------------------------------------------------------------

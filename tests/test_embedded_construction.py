@@ -10,11 +10,10 @@ from warpspec import (
     build_construction,
     disk_eigenfunction,
     junction_candidates,
-    profile_from_json,
-    profile_to_json,
     resonance_coupling_threshold,
     scale_construction,
 )
+from warpspec.cli import profile_from_json, profile_to_json
 
 # frozen from scripts/oracle_ball_shooting.py (series-seeded RK4, no Bessel)
 ORACLE_R1 = {
@@ -142,7 +141,7 @@ def test_k25_frozen_invariants(glued_k25):
 def test_glued_profile_json_rebuilds_identically(glued_k25):
     prof = glued_k25.profile
     doc = profile_to_json(prof)
-    assert "grid" not in doc  # registered kind: parameters only
+    assert "grid" not in doc  # a kind with a builder: parameters only
     back = profile_from_json(doc)
     assert back.f.tobytes() == prof.f.tobytes()
     assert back.kinks == prof.kinks

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warpspec.channel_reduction import channel_potential
+from warpspec.cli import profile_from_json, profile_to_json
 from warpspec.errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -33,13 +35,7 @@ from warpspec.growth_and_identities import (
     zero_gauge,
 )
 from warpspec.halfline_solver import fit_power_decay
-from warpspec.warp_geometry import (
-    cusp_profile,
-    euclidean_profile,
-    hyperbolic_profile,
-    profile_from_json,
-    profile_to_json,
-)
+from warpspec.warp_geometry import cusp_profile, euclidean_profile, hyperbolic_profile
 
 IDENTITY_NAMES = (
     "divergence_flux",
@@ -61,7 +57,7 @@ def test_cusp_radial_solution_closed_form():
     # S = 1, n = 3: phi'' + 2 phi' + 2 phi = 0 with phi(1) = 1, phi'(1) = 0
     # has roots -1 +- i, so phi = e^{-tau} (cos tau + sin tau), tau = t - 1.
     prof = cusp_profile(3)
-    sol = solve_radial(prof, alpha=2.0, span=(1.0, 30.0))
+    sol = solve_radial(prof, alpha=2.0, span=(1.0, 30.0), phi0=1.0, phi_prime0=0.0)[0]
     tau = sol.t - 1.0
     exact = np.exp(-tau) * (np.cos(tau) + np.sin(tau))
     assert float(np.max(np.abs(sol.phi - exact))) < 1e-8
@@ -76,7 +72,7 @@ def test_cusp_radial_solution_closed_form():
 def test_growth_series_cusp_closed_form():
     # I(t) = omega ((w' - S w)^2 + w^2) = omega (3 - 2 cos 2tau + sin 2tau)
     prof = cusp_profile(3)
-    sol = solve_radial(prof, alpha=2.0, span=(1.0, 30.0))
+    sol = solve_radial(prof, alpha=2.0, span=(1.0, 30.0), phi0=1.0, phi_prime0=0.0)[0]
     series = growth_series(prof, sol, gamma=1.0)
     tau = series.t - 1.0
     scale = sol.w[0] ** 2
@@ -90,7 +86,7 @@ def test_growth_series_cusp_closed_form():
 
 def test_growth_series_matches_direct_energy():
     prof = cusp_profile(3)
-    sol = solve_radial(prof, alpha=1.7, span=(1.0, 25.0))
+    sol = solve_radial(prof, alpha=1.7, span=(1.0, 25.0), phi0=1.0, phi_prime0=0.0)[0]
     series = growth_series(prof, sol)
     f_sq = np.exp(2.0 * prof.shape.log_f(sol.t))
     direct = OMEGA_2 * f_sq * (sol.phi_prime**2 + sol.phi**2)
@@ -99,7 +95,7 @@ def test_growth_series_matches_direct_energy():
 
 def test_growth_series_outside_regime():
     prof = cusp_profile(3)
-    sol = solve_radial(prof, alpha=0.9, span=(1.0, 20.0))
+    sol = solve_radial(prof, alpha=0.9, span=(1.0, 20.0), phi0=1.0, phi_prime0=0.0)[0]
     # alpha at or below (n-1)^2/4 = 1: no oscillation, no growth statement
     with pytest.raises(OutsideRegimeError):
         growth_series(prof, sol)
@@ -109,10 +105,11 @@ def test_growth_series_outside_regime():
 
 def test_growth_series_rejects_non_solutions():
     prof = cusp_profile(3)
-    sol = solve_radial(prof, alpha=2.0, span=(1.0, 20.0))
+    sol = solve_radial(prof, alpha=2.0, span=(1.0, 20.0), phi0=1.0, phi_prime0=0.0)[0]
     rng = np.random.default_rng(3)
     noisy = radial_solution_from_w(
         prof,
+        channel_potential(prof, 0),
         alpha=2.0,
         t=sol.t,
         w=sol.w * (1.0 + 1e-3 * rng.standard_normal(sol.w.size)),
@@ -138,7 +135,7 @@ def test_solve_radial_matches_model_closed_forms(alpha, eta, model):
     else:
         prof, f, f1, k = hyperbolic_profile(3), np.sinh, np.cosh, math.sqrt(alpha - 1.0)
     phi0, phi1 = math.cos(eta), math.sin(eta)
-    sol = solve_radial(prof, alpha=alpha, span=(t0, 30.0), phi0=phi0, phi_prime0=phi1)
+    sol = solve_radial(prof, alpha=alpha, span=(t0, 30.0), phi0=phi0, phi_prime0=phi1)[0]
     w0, w1 = f(t0) * phi0, f1(t0) * phi0 + f(t0) * phi1
     exact = w0 * np.cos(k * (sol.t - t0)) + (w1 / k) * np.sin(k * (sol.t - t0))
     assert float(np.max(np.abs(f(sol.t) * sol.phi - exact))) <= 1e-8 * math.hypot(w0, w1 / k)
@@ -152,7 +149,7 @@ def test_growth_trials_match_single_solutions(power_profile, seed, alpha):
     for rep in verdict.trials:
         sol = solve_radial(
             power_profile, alpha=alpha, span=(20.0, 300.0), phi0=math.cos(rep["angle"]), phi_prime0=math.sin(rep["angle"])
-        )
+        )[0]
         alone = final_decade_report(growth_series(power_profile, sol))
         assert rep["start_value"] == pytest.approx(alone["start_value"], rel=1e-9)
         assert rep["block_minima"] == pytest.approx(alone["block_minima"], rel=1e-9)
@@ -162,9 +159,9 @@ def test_growth_trials_match_single_solutions(power_profile, seed, alpha):
 def test_solve_radial_span_validation():
     prof = cusp_profile(3)
     with pytest.raises(ConfigError):
-        solve_radial(prof, alpha=2.0, span=(5.0, 2.0))
+        solve_radial(prof, alpha=2.0, span=(5.0, 2.0), phi0=1.0, phi_prime0=0.0)[0]
     with pytest.raises(ConfigError):
-        solve_radial(prof, alpha=2.0, span=(1.0, prof.r_max + 10.0))
+        solve_radial(prof, alpha=2.0, span=(1.0, prof.r_max + 10.0), phi0=1.0, phi_prime0=0.0)[0]
 
 
 # --------------------------------------------------------------------------

@@ -118,3 +118,48 @@ def test_package_exports_are_module_exports():
         if alias.name not in importlib.import_module(f"warpspec.{node.module}").__all__
     ]
     assert not stray, stray
+
+
+# public names that no program path calls yet, each with the reason it stays;
+# a name that gains a caller leaves this table
+UNCALLED_PUBLIC = {
+    "growth_thresholds": "absence chain that verify-growth is to report (ROADMAP item 7)",
+    "conjugation_energy_margin": "absence chain that verify-growth is to report (ROADMAP item 7)",
+    "check_growth_dichotomy": "absence chain that verify-growth is to report (ROADMAP item 7)",
+    "predicted_k_eff": "closed form that the fitted tail amplitude is tested against",
+    "predicted_phase_constant": "closed form that the fitted tail phase is tested against",
+    "profile_from_json": "reads back the profile.json artifact that the CLI writes",
+}
+
+
+def _referenced_names(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names and attributes used in a module, outside its top-level definition called skip."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in tree.body
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip)
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ must be used by another package module, by
+    # its own module outside its definition, by perfbench or the scripts, or
+    # by the acceptance criteria; tests of the name alone do not count
+    root = Path(__file__).resolve().parents[1]
+    callers = {
+        path: _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in [p for p in SOURCES if p.name != "__init__.py"]
+        + [p for d in ("perfbench", "scripts") for p in sorted((root / d).glob("*.py")) if not p.name.startswith("test_")]
+        + [root / "tests" / "test_acceptance.py", root / "tests" / "conftest.py"]
+    }
+    uncalled = {
+        name: f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in getattr(importlib.import_module(f"warpspec.{path.stem}"), "__all__", ())
+        if name not in _referenced_names(ast.parse(path.read_text(encoding="utf-8")), skip=name)
+        and not any(name in names for other, names in callers.items() if other != path)
+    }
+    # either a new name without a caller or a table entry that gained one
+    assert uncalled.keys() == UNCALLED_PUBLIC.keys(), sorted(uncalled.get(n, n) for n in uncalled.keys() ^ UNCALLED_PUBLIC.keys())

@@ -22,14 +22,13 @@ from warpspec import (
     fd_derivative,
     hessian_comparison_check,
     hyperbolic_profile,
-    profile_from_json,
     profile_from_shape,
-    profile_to_json,
     reference_profile,
     solve_riccati_bound,
     sphere_area,
     uniform_grid,
 )
+from warpspec.cli import profile_from_json, profile_to_json
 from warpspec.warp_geometry import DEFAULT_STEP, MAX_GRID_STEP, GaussLegendrePanels
 
 # frozen from scripts/oracle_riccati.py (independent fixed-step RK4)
@@ -186,7 +185,7 @@ def test_profile_json_round_trip_registered_kinds(make):
 
 
 def test_profile_json_refuses_unregistered_kinds():
-    # a shape is code, not data: only kinds with a registered builder persist
+    # a shape is code, not data: only kinds with a builder in the CLI's table persist
     g = uniform_grid(1.0, 10.0)
     prof = profile_from_shape(
         3,
@@ -196,10 +195,10 @@ def test_profile_json_refuses_unregistered_kinds():
         log_f=lambda r: np.asarray(r, dtype=float) - 1.0,
     )
     assert prof.kind == "tabulated"
-    with pytest.raises(ConfigError, match="no registered builder"):
+    with pytest.raises(ConfigError, match="no builder"):
         profile_to_json(prof)
     doc = profile_to_json(euclidean_profile(3))
-    with pytest.raises(ConfigError, match="no registered builder"):
+    with pytest.raises(ConfigError, match="no builder"):
         profile_from_json({**doc, "kind": "flat-torus"})
 
 
