@@ -11,7 +11,6 @@ identities.
 
 from .channel_reduction import (
     ChannelPotential,
-    ChannelSpec,
     channel_potential,
     decade_window,
     inverse_liouville,
@@ -21,7 +20,6 @@ from .channel_reduction import (
     resonance_coupling_threshold,
     resonance_energy,
     sphere_multiplicity,
-    sphere_spectrum,
 )
 from .cli import (
     RunConfig,
@@ -61,7 +59,6 @@ from .errors import (
     WarpspecError,
 )
 from .growth_and_identities import (
-    GaugeWeight,
     GrowthSeries,
     GrowthThresholds,
     GrowthVerdict,
@@ -83,12 +80,10 @@ from .growth_and_identities import (
     power_decay_profile,
     radial_solution_from_w,
     sine_fn,
-    sine_gauge,
     slow_log_decay_profile,
     solve_radial,
     standard_identity_data,
     verify_growth_theorem,
-    zero_gauge,
 )
 from .halfline_solver import (
     ChannelScanReport,

@@ -28,10 +28,8 @@ from .errors import ConfigError, InsufficientDataError, NonOscillatoryError
 from .warp_geometry import WarpProfile
 
 __all__ = [
-    "ChannelSpec",
     "ChannelPotential",
     "TailFit",
-    "sphere_spectrum",
     "sphere_multiplicity",
     "channel_potential",
     "fit_tail_oscillation",
@@ -46,15 +44,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One rotational channel: sphere eigenvalue lam_j with its multiplicity."""
-
-    j: int
-    lam_sphere: float
-    multiplicity: int
-
-
 def sphere_multiplicity(n: int, j: int) -> int:
     """Dimension of the space of degree-j spherical harmonics on the (n-1)-sphere."""
     if n < 2 or j < 0:
@@ -62,16 +51,6 @@ def sphere_multiplicity(n: int, j: int) -> int:
     if j < 2:
         return 1 if j == 0 else n
     return math.comb(n + j - 1, j) - math.comb(n + j - 3, j - 2)
-
-
-def sphere_spectrum(n: int, j_max: int) -> list[ChannelSpec]:
-    """Channels j = 0..j_max with eigenvalues j (j + n - 2), ordered by j."""
-    if j_max < 0:
-        raise ConfigError("j_max must be nonnegative")
-    return [
-        ChannelSpec(j=j, lam_sphere=float(j * (j + n - 2)), multiplicity=sphere_multiplicity(n, j))
-        for j in range(j_max + 1)
-    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,22 +149,18 @@ def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailF
     return TailFit(amp, phase, rms, (float(xs[0]), float(xs[-1])), int(len(xs)), slope)
 
 
-def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> ChannelPotential:
-    """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of a channel over a profile.
+def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
+    """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
     q_fn evaluates the profile's shape, so it is valid on [grid[0], r_max],
     also beyond the capped sample arrays; q holds its values on the grid.
     """
-    if isinstance(channel, int):
-        channel = ChannelSpec(
-            j=channel,
-            lam_sphere=float(channel * (channel + profile.n - 2)),
-            multiplicity=sphere_multiplicity(profile.n, channel),
-        )
+    if j < 0:
+        raise ConfigError(f"channel index j must be nonnegative, got {j}")
     n = profile.n
     p = 0.5 * (n - 1)
     limit = 0.25 * (n - 1) ** 2
-    lam_j = channel.lam_sphere
+    lam_j = float(j * (j + n - 2))
     grid = profile.grid
     sh = profile.shape
 
@@ -212,7 +187,7 @@ def channel_potential(profile: WarpProfile, channel: ChannelSpec | int) -> Chann
 
     return ChannelPotential(
         n=n,
-        j=channel.j,
+        j=j,
         lam_sphere=lam_j,
         limit=limit,
         grid=grid,

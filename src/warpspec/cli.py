@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ._format import dumps_json, write_csv_atomic, write_json_atomic, write_text_atomic
-from .channel_reduction import block_max_slope, channel_potential, resonance_energy, sphere_spectrum
+from .channel_reduction import block_max_slope, channel_potential, resonance_energy
 from .embedded_construction import build_construction, reference_profile, verify_construction
 from .errors import ConfigError, WarpspecError
 from .growth_and_identities import (
@@ -260,7 +260,7 @@ def _cmd_scan(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     lo, hi = _lambda_window(cfg)
     lams = energy_grid(lo, hi, cfg.lambda_step)
     g = build_construction(cfg.n, cfg.k, r_max=cfg.r_max)
-    chans = [channel_potential(g.profile, spec) for spec in sphere_spectrum(cfg.n, cfg.j_max)]
+    chans = [channel_potential(g.profile, j) for j in range(cfg.j_max + 1)]
     scans = scan_channels(chans, lams, origin_bc="regular", r_max=cfg.r_max)
     fired = [
         {"j": rep.j, "lam": d.lam, "refined_lam": d.refined_lam, "envelope_exponent": d.envelope_exponent}

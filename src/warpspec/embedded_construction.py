@@ -14,7 +14,9 @@ The construction glues three pieces into one smooth warped-product metric:
 Because the bridge metric is defined by S = -(b_n psi + psi'')/((n-1) psi'),
 psi is an exact eigenfunction on all three pieces, and the multiplicative
 freedom psi -> c psi cancels from S, so rescaling the eigenfunction cannot
-change the metric (this is checked bit-for-bit in the tests).
+change the metric (this is checked bit-for-bit in the tests).  That formula
+and its S' live in _bridge alone: the connector screen and the glued profile
+both read the bridge from it.
 """
 
 from __future__ import annotations
@@ -87,11 +89,7 @@ class DiskEigenfunction:
 
     n: int
     b_n: float
-    nu: float
     r1: float
-    grid: np.ndarray
-    h: np.ndarray
-    h_prime: np.ndarray
     h_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     h_prime_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
@@ -145,9 +143,7 @@ def disk_eigenfunction(n: int) -> DiskEigenfunction:
         raise WarpspecError("H must stay positive before its first zero")
     if np.any(hp[1:] >= 0):
         raise WarpspecError("H must be strictly decreasing on (0, r1]")
-    return DiskEigenfunction(
-        n=n, b_n=b_n, nu=nu, r1=r1, grid=grid, h=h, h_prime=hp, h_fn=h_fn, h_prime_fn=h_prime_fn
-    )
+    return DiskEigenfunction(n=n, b_n=b_n, r1=r1, h_fn=h_fn, h_prime_fn=h_prime_fn)
 
 
 # ----------------------------------------------------------- reference end
@@ -217,6 +213,31 @@ def _ode_derivs(seed0: float, seed1: float, s_derivs: list[float], b_n: float, n
     return d
 
 
+def _bridge(knots: np.ndarray, coeffs: np.ndarray, b_n: float, n: int):
+    """psi (with psi' = -spline, psi(0) = 0) and shape(t) = (S, S') of the bridge at t = r - r1.
+
+    S = -(b_n psi + psi'')/((n-1) psi') makes psi an exact eigenfunction at
+    b_n; shape evaluates each spline once per call.
+    """
+    spl = BSpline(knots, coeffs, 4)
+    anti = spl.antiderivative()
+    dspl1, dspl2 = spl.derivative(1), spl.derivative(2)
+    anti0 = float(anti(0.0))
+
+    def psi(t):
+        return -(anti(t) - anti0)
+
+    def shape(t):
+        psi_v, psi_p, psi_pp, psi_ppp = psi(t), -spl(t), -dspl1(t), -dspl2(t)
+        s = -(b_n * psi_v + psi_pp) / ((n - 1) * psi_p)
+        s_prime = -(b_n * psi_p + psi_ppp) / ((n - 1) * psi_p) + (b_n * psi_v + psi_pp) * psi_pp / (
+            (n - 1) * psi_p**2
+        )
+        return s, s_prime
+
+    return psi, shape
+
+
 @dataclass(frozen=True)
 class _ConnectorTrial:
     knots: np.ndarray
@@ -265,15 +286,8 @@ def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, si
     coeffs = sol.x
     err = float(np.max(np.abs(a_mat @ coeffs - b_vec)))
 
-    spl = BSpline(tk, coeffs, 4)
-    anti_c = spl.antiderivative()
     tt = np.linspace(0.0, length, 4001)
-    psi = hd_ball[0] - (anti_c(tt) - anti_c(0.0))
-    psi_p = -spl(tt)
-    psi_pp = -spl.derivative(1)(tt)
-    psi_ppp = -spl.derivative(2)(tt)
-    g = -(b_n * psi + psi_pp) / ((n - 1) * psi_p)
-    gp = -(b_n * psi_p + psi_ppp) / ((n - 1) * psi_p) + (b_n * psi + psi_pp) * psi_pp / ((n - 1) * psi_p**2)
+    g, gp = _bridge(tk, coeffs, b_n, n)[1](tt)
     p = 0.5 * (n - 1)
     q0 = p * p * g * g + p * gp
     cum = cumulative_trapezoid(g, tt, initial=0.0)
@@ -291,11 +305,12 @@ class Connector:
     """Bridge data: psi' = -s on [r1, r2] with s a positive degree-4 spline.
 
     amplitude is an overall scalar on the eigenfunction only; the bridge
-    metric is computed from knots/coeffs/c_tail alone, so rescaling amplitude
-    provably cannot perturb the glued warp factor.
+    metric is computed from knots/coeffs alone, so rescaling amplitude
+    provably cannot perturb the glued warp factor.  constraint_err is the
+    accepted spline's largest matching-row defect, and attempts counts the
+    (junction, sigma) trials of the search, the accepted one included.
     """
 
-    n: int
     r1: float
     r2: float
     sigma: float
@@ -304,9 +319,6 @@ class Connector:
     c_tail: float
     amplitude: float = 1.0
     constraint_err: float = 0.0
-    fmin_rel: float = 1.0
-    max_mid_potential: float = 0.0
-    candidates_tried: int = 0
     attempts: int = 0
 
 
@@ -353,7 +365,12 @@ def _piecewise(r, r1: float, r2: float, f_ball, f_mid_t, f_tail):
 
 @dataclass(frozen=True, eq=False)
 class GluedConstruction:
-    """A glued profile together with its embedded eigenfunction psi at b_n."""
+    """A glued profile together with its embedded eigenfunction psi at b_n.
+
+    diagnostics holds k_eff (the reference end's channel-0 sinusoid amplitude)
+    and s_jump_r1, s_jump_r2 (the jumps of S at the glue radii); the search's
+    defect and trial count sit on connector, the two-run agreement on tail.meta.
+    """
 
     n: int
     k: float
@@ -371,37 +388,19 @@ class GluedConstruction:
     diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail: ShootingResult, *, grid_step: float = DEFAULT_STEP):
-    """Assemble the glued profile and the eigenfunction callable."""
-    n = connector.n
-    b_n = disk.b_n
+def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail: ShootingResult):
+    """Assemble the glued profile and psi: (profile, psi_fn, c2, {s_jump_r1, s_jump_r2}).
+
+    c2 scales the reference end's warp factor to meet the bridge at r2.
+    """
+    n = disk.n
     p = 0.5 * (n - 1)
     r1, r2 = connector.r1, connector.r2
     length = r2 - r1
-
-    spl = BSpline(connector.knots, connector.coeffs, 4)
-    anti = spl.antiderivative()
-    dspl1 = spl.derivative(1)
-    dspl2 = spl.derivative(2)
-    anti0 = float(anti(0.0))
-
-    def psi_mid_raw(t):
-        return -(anti(t) - anti0)
+    psi_mid_raw, bridge_shape = _bridge(connector.knots, connector.coeffs, disk.b_n, n)
 
     def g_of_t(t):
-        psi = psi_mid_raw(t)
-        psi_p = -spl(t)
-        psi_pp = -dspl1(t)
-        return -(b_n * psi + psi_pp) / ((n - 1) * psi_p)
-
-    def gp_of_t(t):
-        psi = psi_mid_raw(t)
-        psi_p = -spl(t)
-        psi_pp = -dspl1(t)
-        psi_ppp = -dspl2(t)
-        return -(b_n * psi_p + psi_ppp) / ((n - 1) * psi_p) + (b_n * psi + psi_pp) * psi_pp / (
-            (n - 1) * psi_p**2
-        )
+        return bridge_shape(t)[0]
 
     # accumulate log f across the bridge on spline-break-aligned GL panels
     bk = np.unique(connector.knots)
@@ -410,10 +409,8 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     gl = GaussLegendrePanels(nodes)
     cum = gl.antiderivative(g_of_t(gl.x.ravel()))[1]
     logf_mid_spl = CubicSpline(nodes, math.log(r1) + cum)
-    logf_r2 = float(math.log(r1) + cum[-1])
     sh1 = ref.shape
-    log_c2 = logf_r2 - float(sh1.log_f(r2))
-    c2 = math.exp(log_c2)
+    log_c2 = float(math.log(r1) + cum[-1]) - float(sh1.log_f(r2))
 
     # the glue radii and the interior spline knots, where S is only C^2: quadrature
     # panels, stencils and ODE steps must not straddle them
@@ -421,39 +418,36 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     profile = profile_from_shape(
         n,
         s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
-        s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, gp_of_t, sh1.s_prime),
+        s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, lambda t: bridge_shape(t)[1], sh1.s_prime),
         log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
-        grid=uniform_grid(grid_step, min(ref.r_max, 600.0), grid_step),
+        grid=uniform_grid(DEFAULT_STEP, min(ref.r_max, 600.0), DEFAULT_STEP),
         kind="glued",
-        params={"k": float(ref.params["k"]), "r_max": ref.r_max, "step": grid_step},
+        params={"k": float(ref.params["k"]), "r_max": ref.r_max, "step": DEFAULT_STEP},
         kinks=(r1, *knots, r2),
         r_max=ref.r_max,
     )
 
     ball_scale = 1.0 / abs(float(disk.h_prime_fn(r1)))
     tail_interp = CubicSpline(tail.x, tail.w)
+    amp, c_tail = connector.amplitude, connector.c_tail
 
-    def psi_fn(r, _amp=connector.amplitude, _c=connector.c_tail):
+    def psi_fn(r):
         def ball(v):
-            return _amp * ball_scale * disk.h_fn(v)
+            return amp * ball_scale * disk.h_fn(v)
 
         def mid(t):
-            return _amp * psi_mid_raw(t)
+            return amp * psi_mid_raw(t)
 
         def tail_piece(v):
-            return _amp * _c * tail_interp(v) * np.exp(-p * sh1.log_f(v))
+            return amp * c_tail * tail_interp(v) * np.exp(-p * sh1.log_f(v))
 
         return _piecewise(r, r1, r2, ball, mid, tail_piece)
 
-    extras = {
-        "log_c2": log_c2,
-        "c2": c2,
-        "f_r2": math.exp(logf_r2),
-        "f_min_rel_bridge": float(np.exp(np.min(cum))),
+    jumps = {
         "s_jump_r1": abs(float(g_of_t(0.0)) - 1.0 / r1),
         "s_jump_r2": abs(float(g_of_t(length)) - float(sh1.s(r2))),
     }
-    return profile, psi_fn, extras
+    return profile, psi_fn, math.exp(log_c2), jumps
 
 
 def build_construction(
@@ -493,7 +487,7 @@ def build_construction(
 
     tried = 0
     best: tuple[float, dict] | None = None
-    for attempt, ci in enumerate(idx, start=1):
+    for ci in idx:
         r2 = float(x[ci])
         length = r2 - disk.r1
         s_tail = [float(sh.s(r2)), float(sh.s_prime(r2)), _reference_s_second(k, r2)]
@@ -506,30 +500,10 @@ def build_construction(
                 best = (trial.err, {"r2": r2, "sigma": sigma, "fmin_rel": trial.fmin_rel, "max_q0": trial.max_q0})
             if trial.err <= 1e-8 and trial.fmin_rel >= 5e-3 and trial.max_q0 <= 40.0:
                 connector = Connector(
-                    n=n,
-                    r1=disk.r1,
-                    r2=r2,
-                    sigma=sigma,
-                    knots=trial.knots,
-                    coeffs=trial.coeffs,
-                    c_tail=c_tail,
-                    constraint_err=trial.err,
-                    fmin_rel=trial.fmin_rel,
-                    max_mid_potential=trial.max_q0,
-                    candidates_tried=attempt,
-                    attempts=tried,
+                    r1=disk.r1, r2=r2, sigma=sigma, knots=trial.knots, coeffs=trial.coeffs, c_tail=c_tail,
+                    constraint_err=trial.err, attempts=tried,
                 )
-                profile, psi_fn, extras = _glue(connector, disk, ref, tail)
-                diagnostics = dict(extras)
-                diagnostics.update(
-                    {
-                        "constraint_err": trial.err,
-                        "attempts": tried,
-                        "candidates_tried": attempt,
-                        "k_eff": q0.k_eff,
-                        "two_run_agreement": tail.meta.get("two_run_agreement"),
-                    }
-                )
+                profile, psi_fn, c2, jumps = _glue(connector, disk, ref, tail)
                 return GluedConstruction(
                     n=n,
                     k=k,
@@ -537,18 +511,18 @@ def build_construction(
                     r1=disk.r1,
                     r2=r2,
                     sigma=sigma,
-                    c2=extras["c2"],
+                    c2=c2,
                     connector=connector,
                     disk=disk,
                     reference=ref,
                     profile=profile,
                     tail=tail,
                     psi_fn=psi_fn,
-                    diagnostics=diagnostics,
+                    diagnostics={"k_eff": q0.k_eff, **jumps},
                 )
     raise ConnectorFailureError(
-        f"no admissible bridge after {len(idx)} junction candidates",
-        attempts=len(idx),
+        f"no admissible bridge after {len(idx)} junction candidates ({tried} trials)",
+        attempts=tried,
         diagnostics=best[1] if best else {},
     )
 
@@ -560,23 +534,8 @@ def scale_construction(g: GluedConstruction, factor: float) -> GluedConstruction
     identical because the bridge shape depends only on ratios of psi.
     """
     connector = replace(g.connector, amplitude=g.connector.amplitude * float(factor))
-    profile, psi_fn, extras = _glue(connector, g.disk, g.reference, g.tail)
-    return GluedConstruction(
-        n=g.n,
-        k=g.k,
-        b_n=g.b_n,
-        r1=g.r1,
-        r2=g.r2,
-        sigma=g.sigma,
-        c2=extras["c2"],
-        connector=connector,
-        disk=g.disk,
-        reference=g.reference,
-        profile=profile,
-        tail=g.tail,
-        psi_fn=psi_fn,
-        diagnostics=dict(g.diagnostics),
-    )
+    profile, psi_fn, c2, _ = _glue(connector, g.disk, g.reference, g.tail)
+    return replace(g, connector=connector, profile=profile, psi_fn=psi_fn, c2=c2)
 
 
 # -------------------------------------------------------------- verification
@@ -611,8 +570,10 @@ def verify_construction(
     sampled by energy_grid, so an empty window raises ConfigError) whose only
     firing must be the built eigenvalue.  The finite differences sample at
     spacing pi/400.  All quantities are deterministic, so serialized reports
-    are byte-identical across runs.
+    are byte-identical across runs.  j_max < 0 raises ConfigError.
     """
+    if j_max < 0:
+        raise ConfigError(f"j_max must be nonnegative, got {j_max}")
     n, b_n, r1, r2 = g.n, g.b_n, g.r1, g.r2
     p = 0.5 * (n - 1)
     prof = g.profile
@@ -655,7 +616,8 @@ def verify_construction(
 
     # (b) junction continuity (q0 read 1e-9 to either side) and ball exactness
     f_r2 = math.exp(float(sh.log_f(r2)))
-    q0_fn = channel_potential(prof, 0).q_fn
+    chans = [channel_potential(prof, j) for j in range(j_max + 1)]
+    q0_fn = chans[0].q_fn
     report["continuity"] = {
         "s_jump_r1": g.diagnostics["s_jump_r1"],
         "s_jump_r2": g.diagnostics["s_jump_r2"],
@@ -696,7 +658,6 @@ def verify_construction(
     report["tail_integrand_exponent"] = fit.exponent
     report["tail_integrand_stderr"] = fit.stderr
 
-    chans = [channel_potential(prof, j) for j in range(j_max + 1)]
     lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
     lams = energy_grid(lo, hi, lambda_step)
     scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, rtol=rtol)

@@ -65,7 +65,10 @@ class NoDecayingSolutionError(WarpspecError):
 
 
 class ConnectorFailureError(WarpspecError):
-    """Monotone bridge construction failed for every admissible junction candidate."""
+    """Monotone bridge construction failed for every admissible junction candidate.
+
+    attempts counts the (junction, sigma) trials, in the unit of Connector.attempts.
+    """
 
     def __init__(self, message: str, *, attempts: int, diagnostics: dict | None = None):
         super().__init__(message)

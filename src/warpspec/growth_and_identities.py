@@ -57,7 +57,6 @@ __all__ = [
     "GrowthThresholds",
     "IdentityCheck",
     "SmoothFn",
-    "GaugeWeight",
     "IdentityData",
     "solve_radial",
     "radial_solution_from_w",
@@ -74,8 +73,6 @@ __all__ = [
     "sine_fn",
     "gaussian_fn",
     "poly_fn",
-    "sine_gauge",
-    "zero_gauge",
     "standard_identity_data",
     "gauge_potential",
     "check_parts_identities",
@@ -600,11 +597,12 @@ def slow_log_decay_profile(
 
 @dataclass(frozen=True)
 class SmoothFn:
-    """Closed-form scalar test function with the derivatives the checks need."""
+    """Closed-form scalar function of r and its first three derivatives: identity test data and gauges."""
 
     value: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray] | None = None
+    d2: Callable[[np.ndarray], np.ndarray]
+    d3: Callable[[np.ndarray], np.ndarray]
 
 
 def sine_fn(amp: float, freq: float, shift: float = 0.0) -> SmoothFn:
@@ -613,6 +611,7 @@ def sine_fn(amp: float, freq: float, shift: float = 0.0) -> SmoothFn:
         value=lambda r: amp * np.sin(freq * np.asarray(r, dtype=float)) + shift,
         d1=lambda r: amp * freq * np.cos(freq * np.asarray(r, dtype=float)),
         d2=lambda r: -amp * freq * freq * np.sin(freq * np.asarray(r, dtype=float)),
+        d3=lambda r: -amp * freq**3 * np.cos(freq * np.asarray(r, dtype=float)),
     )
 
 
@@ -623,50 +622,29 @@ def gaussian_fn(center: float, width: float, amp: float = 1.0) -> SmoothFn:
         r = np.asarray(r, dtype=float)
         return amp * np.exp(-(((r - center) / width) ** 2))
 
+    def d3(r):
+        y = (np.asarray(r, dtype=float) - center) / width**2
+        return g(r) * (12.0 * y / width**2 - 8.0 * y**3)
+
     return SmoothFn(
         value=g,
         d1=lambda r: g(r) * (-2.0 * (np.asarray(r, dtype=float) - center) / width**2),
         d2=lambda r: g(r)
         * (4.0 * ((np.asarray(r, dtype=float) - center) / width**2) ** 2 - 2.0 / width**2),
+        d3=d3,
     )
 
 
 def poly_fn(coeffs: Sequence[float]) -> SmoothFn:
     """Polynomial sum c_k r^k with closed-form derivatives."""
     pol = np.polynomial.Polynomial(list(coeffs))
-    d1 = pol.deriv(1)
-    d2 = pol.deriv(2)
+    d1, d2, d3 = (pol.deriv(m) for m in (1, 2, 3))
     return SmoothFn(
         value=lambda r: pol(np.asarray(r, dtype=float)),
         d1=lambda r: d1(np.asarray(r, dtype=float)),
         d2=lambda r: d2(np.asarray(r, dtype=float)),
+        d3=lambda r: d3(np.asarray(r, dtype=float)),
     )
-
-
-@dataclass(frozen=True)
-class GaugeWeight:
-    """Exponent rho(r) of the change of gauge v = e^rho u, with derivatives."""
-
-    rho: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
-
-
-def sine_gauge(amp: float, freq: float) -> GaugeWeight:
-    """rho = amp sin(freq r)."""
-    a, b = float(amp), float(freq)
-    return GaugeWeight(
-        rho=lambda r: a * np.sin(b * np.asarray(r, dtype=float)),
-        d1=lambda r: a * b * np.cos(b * np.asarray(r, dtype=float)),
-        d2=lambda r: -a * b * b * np.sin(b * np.asarray(r, dtype=float)),
-        d3=lambda r: -a * b**3 * np.cos(b * np.asarray(r, dtype=float)),
-    )
-
-
-def zero_gauge() -> GaugeWeight:
-    z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return GaugeWeight(rho=z, d1=z, d2=z, d3=z)
 
 
 @dataclass(frozen=True)
@@ -674,7 +652,8 @@ class IdentityData:
     """One bundle of test data driving all six identity checks.
 
     a and b are free smooth test functions; psi multiplies the Dirichlet
-    energy; gauge is the rho of v = e^rho u; beta/gamma_exp/eps parametrize
+    energy; gauge is the exponent rho of v = e^rho u (its value and three
+    derivatives enter the gauged potential); beta/gamma_exp/eps parametrize
     the weighted flux identities; lam is the shifted spectral parameter of the
     conjugated radial equation solved for u.
     """
@@ -683,7 +662,7 @@ class IdentityData:
     a: SmoothFn
     b: SmoothFn
     psi: SmoothFn
-    gauge: GaugeWeight
+    gauge: SmoothFn
     beta: float
     gamma_exp: float
     eps: float
@@ -699,7 +678,7 @@ def standard_identity_data() -> tuple[IdentityData, IdentityData, IdentityData]:
             a=sine_fn(1.0, 1.0, 2.0),
             b=gaussian_fn(8.0, 4.0),
             psi=poly_fn([1.0, 0.05]),
-            gauge=zero_gauge(),
+            gauge=poly_fn([0.0]),
             beta=0.0,
             gamma_exp=1.0,
             eps=1.0,
@@ -710,7 +689,7 @@ def standard_identity_data() -> tuple[IdentityData, IdentityData, IdentityData]:
             a=sine_fn(0.7, 1.7, 1.5),
             b=sine_fn(1.0, 0.6, 0.5),
             psi=gaussian_fn(10.0, 6.0, 2.0),
-            gauge=sine_gauge(0.12, 0.7),
+            gauge=sine_fn(0.12, 0.7),
             beta=0.5,
             gamma_exp=1.3,
             eps=0.8,
@@ -722,7 +701,7 @@ def standard_identity_data() -> tuple[IdentityData, IdentityData, IdentityData]:
             a=gaussian_fn(6.0, 3.0, 1.5),
             b=poly_fn([0.5, 0.1, -0.002]),
             psi=sine_fn(0.5, 1.2, 2.0),
-            gauge=sine_gauge(0.08, 1.9),
+            gauge=sine_fn(0.08, 1.9),
             beta=1.2,
             gamma_exp=0.7,
             eps=1.4,
@@ -746,7 +725,7 @@ class IdentityCheck:
 
 def gauge_potential(
     profile: WarpProfile,
-    gauge: GaugeWeight,
+    gauge: SmoothFn,
     *,
     lam: float,
     c: float | None = None,
@@ -849,8 +828,6 @@ def check_parts_identities(
     )
 
     # Laplacian parts: int (Lap a) b W = [a' b W] - int a' b' W + 2c int a' b W
-    if data.a.d2 is None:
-        raise ConfigError("test function a needs a second derivative for the Laplacian identity")
     lap_a_x = data.a.d2(x) + lap_x * a1_x
     b_x, b1_x = data.b.value(x), data.b.d1(x)
     a1_ends, b_ends = data.a.d1(ends), data.b.value(ends)
@@ -878,7 +855,7 @@ def check_parts_identities(
 
     def gauged(r, u, u1):
         """v = e^rho u and v' = e^rho (u' + rho' u)."""
-        e = np.exp(data.gauge.rho(r))
+        e = np.exp(data.gauge.value(r))
         return e * u, e * (u1 + data.gauge.d1(r) * u)
 
     v_x, v1_x = gauged(x, u[:-1], u1[:-1])

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from warpspec import (
+    ConfigError,
+    ConnectorFailureError,
     CouplingTooWeakError,
     build_construction,
     disk_eigenfunction,
     junction_candidates,
     resonance_coupling_threshold,
     scale_construction,
+    verify_construction,
 )
 from warpspec.cli import profile_from_json, profile_to_json
 
@@ -88,8 +91,8 @@ def test_build_frozen_invariants(glued_k1):
     assert g.c2 == pytest.approx(K1["c2"], rel=1e-9)
     assert g.sigma == K1["sigma"]
     assert g.diagnostics["k_eff"] == pytest.approx(K1["k_eff"], rel=1e-9)
-    assert g.diagnostics["two_run_agreement"] < 1e-4
-    assert g.diagnostics["two_run_agreement"] == pytest.approx(K1["two_run"], rel=1e-3)
+    assert g.tail.meta["two_run_agreement"] < 1e-4
+    assert g.tail.meta["two_run_agreement"] == pytest.approx(K1["two_run"], rel=1e-3)
     assert g.profile.kind == "glued"
     kinks = g.profile.kinks
     assert len(kinks) == 14 and (kinks[0], kinks[-1]) == (g.r1, g.r2)
@@ -100,7 +103,7 @@ def test_junction_smoothness_diagnostics(glued_k1):
     d = glued_k1.diagnostics
     assert d["s_jump_r1"] < 1e-12
     assert d["s_jump_r2"] < 1e-12
-    assert d["constraint_err"] < 1e-8
+    assert glued_k1.connector.constraint_err < 1e-8
 
 
 def test_ball_region_is_flat(glued_k1):
@@ -129,6 +132,20 @@ def test_scale_construction_leaves_metric_alone(glued_k25):
     assert g3.connector.amplitude == pytest.approx(3.0 * g.connector.amplitude, rel=1e-15)
     x = np.linspace(0.5, 20.0, 101)
     assert np.allclose(g3.psi_fn(x), 3.0 * g.psi_fn(x), rtol=1e-13)
+
+
+def test_connector_failure_counts_every_trial():
+    # n = 4 finds no admissible bridge: all 20 junction candidates are tried,
+    # each over the four bridge scales sigma, and the error counts those trials
+    # in the unit of Connector.attempts
+    with pytest.raises(ConnectorFailureError) as exc:
+        build_construction(4, 1.0, r_max=1000.0)
+    assert exc.value.attempts == 4 * 20
+
+
+def test_verify_refuses_negative_j_max(glued_k25):
+    with pytest.raises(ConfigError):
+        verify_construction(glued_k25, j_max=-1)
 
 
 def test_k25_frozen_invariants(glued_k25):

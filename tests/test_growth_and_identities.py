@@ -24,15 +24,17 @@ from warpspec.growth_and_identities import (
     eigenfunction_growth_series,
     final_decade_report,
     gauge_potential,
+    gaussian_fn,
     growth_series,
     growth_thresholds,
+    poly_fn,
     power_decay_profile,
     radial_solution_from_w,
+    sine_fn,
     slow_log_decay_profile,
     solve_radial,
     standard_identity_data,
     verify_growth_theorem,
-    zero_gauge,
 )
 from warpspec.halfline_solver import fit_power_decay
 from warpspec.warp_geometry import cusp_profile, euclidean_profile, hyperbolic_profile
@@ -321,13 +323,63 @@ def test_check_growth_dichotomy_quadrature():
 # gauge potential and the six integration-by-parts identities
 
 
+# peaks of |d^k/dx^k exp(-x^2)| for k = 0..5 (Hermite functions, rounded up)
+GAUSSIAN_PEAKS = (1.0, 0.858, 2.0, 3.91, 12.0, 32.72)
+FD_STEP = 1e-3
+FD_RADII = np.linspace(-4.0, 4.0, 81)
+
+
+def _poly_peak(coeffs, m):
+    # bound on |p^(m)| over |r| <= 4 + FD_STEP
+    r = 4.0 + FD_STEP
+    return sum(abs(c) * math.perm(k, m) * r ** (k - m) for k, c in enumerate(coeffs) if k >= m)
+
+
+def _sine_case(amp, freq, shift):
+    return sine_fn(amp, freq, shift), lambda m: abs(amp) * freq**m + (abs(shift) if m == 0 else 0.0)
+
+
+def _gaussian_case(center, width, amp):
+    return gaussian_fn(center, width, amp), lambda m: abs(amp) * GAUSSIAN_PEAKS[m] / width**m
+
+
+def _poly_case(coeffs):
+    return poly_fn(coeffs), lambda m: _poly_peak(coeffs, m)
+
+
+def _floats(lo, hi):
+    # subnormal parameters round in absolute, not relative, terms
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+SMOOTH_FNS = st.one_of(
+    st.builds(_sine_case, _floats(-2.0, 2.0), _floats(0.1, 3.0), _floats(-2.0, 2.0)),
+    st.builds(_gaussian_case, _floats(-5.0, 5.0), _floats(0.5, 5.0), _floats(-2.0, 2.0)),
+    st.builds(_poly_case, st.lists(_floats(-1.0, 1.0), min_size=1, max_size=6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMOOTH_FNS)
+def test_smooth_fn_derivatives_match_central_differences(case):
+    # each of d1, d2, d3 is the central difference of the one below it, up to
+    # the truncation h^2/6 max|f^(m+3)| and the rounding of the quotient
+    fn, peak = case
+    chain = (fn.value, fn.d1, fn.d2, fn.d3)
+    eps = np.finfo(float).eps
+    for m in range(3):
+        cd = (chain[m](FD_RADII + FD_STEP) - chain[m](FD_RADII - FD_STEP)) / (2.0 * FD_STEP)
+        bound = FD_STEP**2 / 6.0 * peak(m + 3) + 64.0 * eps / FD_STEP * (peak(m) + peak(m + 1))
+        assert np.max(np.abs(cd - chain[m + 1](FD_RADII))) <= bound, m
+
+
 def test_gauge_potential_constant_on_cusp():
     prof = cusp_profile(3)
     r = np.linspace(1.0, 30.0, 400)
-    q, qp = gauge_potential(prof, zero_gauge(), lam=2.0)
+    q, qp = gauge_potential(prof, poly_fn([0.0]), lam=2.0)
     assert np.allclose(q(r), 2.0, atol=1e-12)
     assert np.allclose(qp(r), 0.0, atol=1e-12)
-    q_off, _ = gauge_potential(prof, zero_gauge(), lam=2.0, c=0.7)
+    q_off, _ = gauge_potential(prof, poly_fn([0.0]), lam=2.0, c=0.7)
     assert np.allclose(q_off(r), 2.0 + 0.7 * (1.4 - 2.0), atol=1e-12)
 
 
