@@ -1,22 +1,23 @@
 """Deterministic text serialization and atomic file output.
 
-All floating point values are rendered with repr-faithful 17 significant
-digits so that artifacts are byte-identical across runs and platforms.  The
-stdlib json module does not allow custom float formatting, hence the small
-emitter here.
+JSON comes from the standard library with sorted keys and a two-space
+indent; CSV cells are str(int) for integers and repr(float) for every other
+number.  Either way a float prints as the shortest string that reads back to
+the same double (0.1, 2.0; NaN and Infinity in JSON, nan and inf in CSV), so
+artifacts are exact and byte-identical across runs and platforms.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
+import json
 import os
-import tempfile
-from collections.abc import Mapping, Sequence
+import secrets
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
-    "fmt_float",
     "dumps_json",
     "write_text_atomic",
     "write_json_atomic",
@@ -24,98 +25,32 @@ __all__ = [
 ]
 
 
-def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _emit(obj, parts: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(_escape(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(fmt_float(float(obj)))
-    elif isinstance(obj, Mapping):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        keys = sorted(obj.keys())
-        for i, k in enumerate(keys):
-            parts.append(pad + "  " + _escape(str(k)) + ": ")
-            _emit(obj[k], parts, indent + 1)
-            parts.append(",\n" if i < len(keys) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts, indent)
-    elif isinstance(obj, Sequence):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad + "  ")
-            _emit(v, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize object of type {type(obj)!r}")
+def _plain(obj):
+    """json.dumps fallback: numpy scalars and arrays become Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize object of type {type(obj)!r}")
 
 
 def dumps_json(obj) -> str:
-    """Serialize to JSON with sorted keys and 17-digit floats."""
-    parts: list[str] = []
-    _emit(obj, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    """Serialize to indented JSON with sorted keys and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, default=_plain) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write text to path via a temp file + rename in the same directory.
+
+    The temp file is created as open(path, "w") would create path, so the
+    artifact's mode is 0666 less the process umask.
+    """
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(6)}~"
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -124,24 +59,11 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 def write_csv_atomic(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write columns of equal length as CSV with 17-digit floats."""
-    cols = [np.asarray(c) for c in columns]
-    if len(cols) != len(header):
+    """Write columns of equal length as CSV: str(int) for integer cells, repr(float) for the rest."""
+    if len(columns) != len(header):
         raise ValueError("header/column count mismatch")
-    nrows = len(cols[0]) if cols else 0
-    for c in cols:
-        if len(c) != nrows:
-            raise ValueError("ragged columns")
-    lines = [",".join(header)]
-    for i in range(nrows):
-        cells = []
-        for c in cols:
-            v = c[i]
-            if isinstance(v, (np.integer, int)):
-                cells.append(str(int(v)))
-            elif isinstance(v, str):
-                cells.append(v)
-            else:
-                cells.append(fmt_float(float(v)))
-        lines.append(",".join(cells))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    cols = [np.asarray(c).tolist() for c in columns]
+    if any(len(c) != len(cols[0]) for c in cols):
+        raise ValueError("ragged columns")
+    cells = [[str(int(v)) if isinstance(v, int) else repr(float(v)) for v in c] for c in cols]
+    write_text_atomic(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")

@@ -72,8 +72,6 @@ class ChannelPotential:
     j: int
     lam_sphere: float
     limit: float
-    grid: np.ndarray
-    q: np.ndarray
     q_fn: Callable[[np.ndarray], np.ndarray]
     x_min: float
     origin_exponent: float | None = None
@@ -153,7 +151,8 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
     q_fn evaluates the profile's shape, so it is valid on [grid[0], r_max],
-    also beyond the capped sample arrays; q holds its values on the grid.
+    also beyond the capped sample arrays; its values on the grid feed the
+    tail fit.
     """
     if j < 0:
         raise ConfigError(f"channel index j must be nonnegative, got {j}")
@@ -172,11 +171,9 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
             out = out + _lam * np.exp(-2.0 * _sh.log_f(x))
         return out
 
-    q = q_fn(grid)
-
     # tail oscillation fit, used with enough samples and a clear amplitude
     k_eff = phase = remainder_slope = None
-    fit = fit_tail_oscillation(grid, q, limit)
+    fit = fit_tail_oscillation(grid, q_fn(grid), limit)
     if fit is not None and fit.samples >= 200 and fit.k_eff > max(1e-10, 4.0 * fit.rms):
         k_eff, phase, remainder_slope = fit.k_eff, fit.phase, fit.remainder_slope
 
@@ -190,8 +187,6 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
         j=j,
         lam_sphere=lam_j,
         limit=limit,
-        grid=grid,
-        q=q,
         q_fn=q_fn,
         x_min=float(grid[0]),
         origin_exponent=origin_exponent,

@@ -12,12 +12,13 @@ codes: 0 all requested checks passed, 1 a computation or check failed, 2 the
 configuration was invalid.  Without --r-max (or an r_max key) the commands
 that take --profile build the model profiles euclidean, hyperbolic and cusp
 to r = 40 and the power and log ends to r = 1100; the glued construction and
-the wvn end reach r = 2000.  All artifacts are written atomically and print
-floats with 17 significant digits, so repeated runs are byte-identical;
-wall-clock time goes to stderr (and into the report only under --timings,
-which deliberately breaks byte-identity).  A profile.json artifact holds a
-profile's kind and the parameters of its builder, and profile_from_json
-reads it back into the same profile.
+the wvn end reach r = 2000.  Non-finite settings are refused.  All artifacts
+are written atomically and print each float as Python's repr, the shortest
+string that reads back to the same double, so repeated runs are
+byte-identical; wall-clock time goes to stderr (and into the report only
+under --timings, which deliberately breaks byte-identity).  A profile.json
+artifact holds a profile's kind and the parameters of its builder, and
+profile_from_json reads it back into the same profile.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ _PROFILE_COMMANDS = ("curvature-report", "verify-growth", "check-identities")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one CLI run; unknown keys are rejected."""
+    """Validated parameters of one CLI run; unknown keys and non-finite floats are rejected."""
 
     command: str
     n: int = 3
@@ -116,6 +117,9 @@ class RunConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
+        nonfinite = [name for name, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)]
+        if nonfinite:
+            raise ConfigError(f"settings must be finite: {', '.join(nonfinite)}")
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}; choose from {_COMMANDS}")
         if self.n < 2:
@@ -242,9 +246,9 @@ def _write_scan_csv(path: Path, scans) -> None:
     rows_j, rows_lam, rows_verdict, rows_env, rows_integ, rows_ref = [], [], [], [], [], []
     for rep in scans:
         for d in rep.detections:
-            rows_j.append(float(d.j))
+            rows_j.append(d.j)
             rows_lam.append(d.lam)
-            rows_verdict.append(1.0 if d.verdict else 0.0)
+            rows_verdict.append(int(d.verdict))
             rows_env.append(d.envelope_exponent)
             rows_integ.append(d.integrand_exponent)
             rows_ref.append(d.refined_lam if d.refined_lam is not None else math.nan)
@@ -507,8 +511,8 @@ def main(argv: list[str] | None = None) -> int:
     text = dumps_json(report)
     out = _outdir(cfg)
     if out is not None:
-        write_text_atomic(out / "report.json", text + "\n")
-    print(text)
+        write_text_atomic(out / "report.json", text)
+    print(text, end="")
     print(f"wall clock: {elapsed:.3f} s", file=sys.stderr)
     return 0 if ok else 1
 

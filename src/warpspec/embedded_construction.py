@@ -455,7 +455,6 @@ def build_construction(
     k: float = 1.0,
     *,
     r_max: float = 2000.0,
-    rtol: float = 1e-11,
 ) -> GluedConstruction:
     """Build the glued manifold with eigenvalue b_n = (n-1)^2/4 + 1.
 
@@ -472,7 +471,7 @@ def build_construction(
     ref = reference_profile(n, k, r_max=r_max)
     b_n = resonance_energy(n)
     q0 = channel_potential(ref, 0)
-    tail = decaying_solution(q0, b_n, r_anchor=r_max, rtol=rtol)
+    tail = decaying_solution(q0, b_n, r_anchor=r_max)
 
     x = tail.x
     sh = ref.shape
@@ -557,7 +556,6 @@ def verify_construction(
     j_max: int = 5,
     lambda_window: tuple[float, float] | None = None,
     lambda_step: float = 1e-3,
-    rtol: float = 1e-10,
 ) -> tuple[dict, list]:
     """Numerical certificate for a glued construction.
 
@@ -567,14 +565,17 @@ def verify_construction(
     exactness of f = r on the ball, tail curvature decay r (K_rad + 1) against the
     predicted sinusoid amplitude, the L^2 norm of psi with the tail-integrand
     exponent, and a channel scan over lambda_window (default b_n +- 0.5,
-    sampled by energy_grid, so an empty window raises ConfigError) whose only
-    firing must be the built eigenvalue.  The finite differences sample at
-    spacing pi/400.  All quantities are deterministic, so serialized reports
-    are byte-identical across runs.  j_max < 0 raises ConfigError.
+    sampled by energy_grid) whose only firing must be the built eigenvalue.
+    The finite differences sample at spacing pi/400.  All quantities are
+    deterministic, so serialized reports are byte-identical across runs.
+    j_max < 0 and a window or step that energy_grid refuses raise ConfigError
+    before any work.
     """
     if j_max < 0:
         raise ConfigError(f"j_max must be nonnegative, got {j_max}")
     n, b_n, r1, r2 = g.n, g.b_n, g.r1, g.r2
+    lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
+    lams = energy_grid(lo, hi, lambda_step)
     p = 0.5 * (n - 1)
     prof = g.profile
     sh = prof.shape
@@ -658,9 +659,7 @@ def verify_construction(
     report["tail_integrand_exponent"] = fit.exponent
     report["tail_integrand_stderr"] = fit.stderr
 
-    lo, hi = lambda_window if lambda_window is not None else (b_n - 0.5, b_n + 0.5)
-    lams = energy_grid(lo, hi, lambda_step)
-    scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max, rtol=rtol)
+    scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max)
     fired = [(rep.j, d.lam, d.refined_lam) for rep in scan_reports for d in rep.detections if d.verdict]
     report["scan"] = {
         "fired": [{"j": j, "lam": lam, "refined_lam": rl} for j, lam, rl in fired],

@@ -25,7 +25,7 @@ c^2 + lam; it and the growth trials integrate through halfline_solver.propagate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,7 +102,6 @@ class RadialSolution:
     phi: np.ndarray
     phi_prime: np.ndarray
     residual: float
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _w_form_residual(t: np.ndarray, w: np.ndarray, w_prime: np.ndarray, rhs: np.ndarray) -> float:
@@ -121,14 +120,14 @@ def solve_radial(
     span: tuple[float, float],
     phi0: np.ndarray,
     phi_prime0: np.ndarray,
-    rtol: float = 1e-11,
 ) -> list[RadialSolution]:
     """Integrate phi'' + (n-1)S phi' + alpha phi = 0 for each column of boundary data at span[0].
 
     Maps (phi0, phi_prime0) to w = f^p phi, w' = f^p (phi' + p S phi) and
     integrates every column of the channel-0 equation w'' = (q0 - alpha) w in
-    one propagate call on a DEFAULT_STEP grid, so the returned phi are the
-    genuine solutions with those values, one RadialSolution per column.
+    one propagate call (rtol 1e-11) on a DEFAULT_STEP grid, so the returned
+    phi are the genuine solutions with those values, one RadialSolution per
+    column.
     """
     sh = profile.shape
     p = 0.5 * (profile.n - 1)
@@ -142,7 +141,7 @@ def solve_radial(
     fp0 = math.exp(p * float(sh.log_f(t0)))
     y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
     q0 = channel_potential(profile, 0)
-    _, y, off = propagate(q0, np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=rtol)
+    _, y, off = propagate(q0, np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=1e-11)
     y = np.concatenate([y0[:, :, None], y * np.exp(off)], axis=2)
     return [radial_solution_from_w(profile, q0, alpha=alpha, t=t, w=w, w_prime=wp) for w, wp in zip(y[0], y[1])]
 
@@ -180,7 +179,6 @@ class GrowthSeries:
     t: np.ndarray
     i_values: np.ndarray
     t_gamma_i: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def growth_series(
@@ -219,7 +217,6 @@ def growth_series(
         t=t,
         i_values=i_vals,
         t_gamma_i=t ** float(gamma) * i_vals,
-        meta={"residual": solution.residual},
     )
 
 
@@ -310,16 +307,18 @@ def verify_growth_theorem(
     t0: float = 50.0,
     t_end: float = 1000.0,
     seed: int = 0,
-    rtol: float = 1e-11,
 ) -> GrowthVerdict:
     """Seeded-trial check that every radial solution's t^gamma I(t) grows.
 
     Refuses (HypothesisViolatedError) when the profile's curvature does not
     satisfy r |K_rad + 1| -> 0, since the growth statement is then out of
-    scope -- that failure mode is the sharpness phenomenon, not a bug.
+    scope -- that failure mode is the sharpness phenomenon, not a bug.  A
+    non-finite alpha or gamma raises ConfigError before any work.
     Boundary data is drawn uniformly from the unit circle in (phi, phi')(t0);
     all trials integrate together, one column each, in a single propagate call.
     """
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise ConfigError(f"alpha and gamma must be finite, got {alpha} and {gamma}")
     limit = 0.25 * (profile.n - 1) ** 2
     try:
         require_oscillatory(alpha, limit)
@@ -340,7 +339,6 @@ def verify_growth_theorem(
         span=(t0, t_end),
         phi0=np.cos(angles),
         phi_prime0=np.sin(angles),
-        rtol=rtol,
     )
     trial_reports = []
     worst: GrowthSeries | None = None

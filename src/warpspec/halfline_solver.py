@@ -128,7 +128,11 @@ class DecayFit:
 
 @dataclass(frozen=True, eq=False)
 class EigenDetection:
-    """Verdict for one spectral grid point of one channel."""
+    """Verdict for one spectral grid point of one channel.
+
+    evidence holds the refinement counters of _zoom_minimum at the refined
+    point and is empty elsewhere.
+    """
 
     j: int
     lam: float
@@ -137,7 +141,6 @@ class EigenDetection:
     envelope_stderr: float
     integrand_exponent: float
     refined_lam: float | None = None
-    refined_exponent: float | None = None
     evidence: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -639,16 +642,14 @@ def synthetic_channel(
     limit: float = 0.0,
     phase: float = 0.0,
     remainder_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    x_min: float = 1.0,
-    x_max: float = 2000.0,
-    n: int = 3,
     j: int = 0,
 ) -> ChannelPotential:
-    """Channel potential q = limit + k_eff sin(2x + phase)/x + remainder.
+    """Channel potential q = limit + k_eff sin(2x + phase)/x + remainder on [1, oo), labelled n = 3.
 
     For detector and decay studies independent of any warp profile.  The tail
-    fit metadata is computed from the samples exactly as channel_potential
-    does, so the detector preconditions are exercised honestly.
+    fit metadata is computed from samples on [1, 600] at spacing pi/40 exactly
+    as channel_potential does, so the detector preconditions are exercised
+    honestly.
     """
 
     def q_fn(x):
@@ -658,21 +659,16 @@ def synthetic_channel(
             out = out + remainder_fn(x)
         return out
 
-    grid = x_min + (math.pi / 40.0) * np.arange(int((min(x_max, 600.0) - x_min) / (math.pi / 40.0)) + 1)
-    q = q_fn(grid)
+    grid = 1.0 + (math.pi / 40.0) * np.arange(int(599.0 / (math.pi / 40.0)) + 1)
     # any amplitude is accepted: the caller chose the tail
-    fit = fit_tail_oscillation(grid, q, limit)
-    if fit is None:
-        raise ConfigError("synthetic channel needs samples beyond x = 50 for its tail fit")
+    fit = fit_tail_oscillation(grid, q_fn(grid), limit)
     return ChannelPotential(
-        n=n,
+        n=3,
         j=j,
         lam_sphere=0.0,
         limit=float(limit),
-        grid=grid,
-        q=q,
         q_fn=q_fn,
-        x_min=float(x_min),
+        x_min=1.0,
         origin_exponent=None,
         k_eff=fit.k_eff,
         phase=fit.phase,
@@ -943,22 +939,19 @@ def detect_embedded_eigenvalue(
         refine_target = int(np.argmin(np.where(fired, env, np.inf)))
 
     for i, lam in enumerate(lambda_grid):
-        refined_lam = refined_exp = None
-        evidence = {"k_eff": q.k_eff, "origin_bc": origin_bc, "r_max": r_max}
+        refined_lam, evidence = None, {}
         if i == refine_target:
             lam = float(lam)
             h = _grid_step(lambda_grid)
             try:
-                refined_lam, refined_exp, counters = _zoom_minimum(
+                refined_lam, _, evidence = _zoom_minimum(
                     lambda lams: _probe_exponents(q, lams, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)[0],
                     max(lam - h, 0.5 * (q.limit + lam)),
                     lam,
                     lam + h,
                 )
-                evidence.update(counters)
             except WarpspecError:
                 refined_lam = lam
-                refined_exp = float(env[i])
         detections.append(
             EigenDetection(
                 j=q.j,
@@ -968,7 +961,6 @@ def detect_embedded_eigenvalue(
                 envelope_stderr=float(env_se[i]),
                 integrand_exponent=float(integ[i]),
                 refined_lam=refined_lam,
-                refined_exponent=refined_exp,
                 evidence=evidence,
             )
         )
@@ -994,9 +986,11 @@ def energy_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Energies lo, lo + step, ... spaced by step within the window [lo, hi].
 
     A window that is a whole multiple of step (to 1e-9 steps) ends exactly
-    on hi; any other ends on the last point below hi.  An empty window
-    (hi <= lo) raises ConfigError.
+    on hi; any other ends on the last point below hi.  A non-finite bound or
+    step, a step <= 0 and an empty window (hi <= lo) raise ConfigError.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0:
+        raise ConfigError(f"energy grid needs finite bounds and a positive finite step, got [{lo}, {hi}] by {step}")
     if not hi > lo:
         raise ConfigError(f"empty lambda window [{lo}, {hi}]")
     steps = (hi - lo) / step

@@ -53,7 +53,7 @@ def test_cusp_channel_potential_is_constant():
     prof = cusp_profile(3)
     q0 = channel_potential(prof, 0)
     assert q0.limit == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(q0.q - 1.0)) < 1e-12
+    assert np.max(np.abs(q0.q_fn(prof.grid) - 1.0)) < 1e-12
     x = np.linspace(prof.grid[0], prof.r_max, 777)
     assert np.max(np.abs(q0.q_fn(x) - 1.0)) < 1e-12
 
@@ -66,7 +66,7 @@ def test_channel_differences_are_centrifugal():
     for j in (1, 3):
         qj = channel_potential(prof, j)
         lam_j = j * (j + 1)
-        assert np.allclose(qj.q - q0.q, lam_j / prof.f**2, rtol=1e-10, atol=1e-15)
+        assert np.allclose(qj.q_fn(prof.grid) - q0.q_fn(prof.grid), lam_j / prof.f**2, rtol=1e-10, atol=1e-15)
 
 
 def test_reference_channel_k_eff_fit():

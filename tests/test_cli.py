@@ -103,6 +103,22 @@ def test_negative_counts_exit_2_before_any_build(capsys, argv):
     assert "config error" in err and "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--lambda-step", "nan", "--r-max", "200", "--j-max", "0"],
+        ["curvature-report", "--profile", "euclidean", "--r-max", "inf"],
+        ["verify-growth", "--profile", "power", "--gamma", "nan"],
+    ],
+    ids=["nan_lambda_step", "infinite_r_max", "nan_gamma"],
+)
+def test_non_finite_settings_exit_2_before_any_build(capsys, argv):
+    code, doc, err = run_cli(capsys, argv)
+    assert code == 2
+    assert doc is None
+    assert "config error" in err and "finite" in err
+
+
 # --------------------------------------------------------------------------
 # exit codes 0 and 1 on the cheap subcommand
 
@@ -289,6 +305,21 @@ def test_build_example_smoke(capsys, tmp_path):
     assert (out / "psi.csv").read_text().splitlines()[0] == "r,psi"
     prof = profile_from_json(json.loads((out / "profile.json").read_text()))
     assert prof.kind == "glued"
+
+
+def test_build_example_report_reads_back_float_settings(capsys, tmp_path):
+    out = tmp_path / "art"
+    argv = ["build-example", "--r-max", "400", "--j-max", "0", "--lambda-lo", "1.8", "--lambda-hi", "2.2",
+            "--lambda-step", "0.05", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    config = json.loads((out / "report.json").read_text())["config"]
+    # 400.0 is written as 400.0, not 400, so it loads as the float it was
+    assert type(config["r_max"]) is float and config["r_max"] == 400.0
+    assert type(config["n"]) is int
+    rows = (out / "scan.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0"] * (len(rows) - 1)
+    assert {row.split(",")[2] for row in rows[1:]} == {"0", "1"}
 
 
 def test_build_example_scans_the_requested_window(capsys, tmp_path):

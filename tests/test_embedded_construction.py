@@ -146,6 +146,9 @@ def test_connector_failure_counts_every_trial():
 def test_verify_refuses_negative_j_max(glued_k25):
     with pytest.raises(ConfigError):
         verify_construction(glued_k25, j_max=-1)
+    # a zero step is refused by energy_grid, before any work
+    with pytest.raises(ConfigError, match="positive finite step"):
+        verify_construction(glued_k25, lambda_step=0.0)
 
 
 def test_k25_frozen_invariants(glued_k25):

@@ -303,6 +303,9 @@ def test_energy_grid_whole_windows_end_on_hi():
     assert len(lams) == 11 and lams[-1] == 2.3
     with pytest.raises(ConfigError, match="empty lambda window"):
         energy_grid(2.3, 2.2, 0.01)
+    for lo, hi, step in [(1.9, 2.1, 0.0), (1.9, 2.1, -0.01), (1.9, 2.1, math.nan), (1.9, math.inf, 0.01), (math.nan, 2.1, 0.01)]:
+        with pytest.raises(ConfigError, match="positive finite step"):
+            energy_grid(lo, hi, step)
 
 
 def test_detector_silent_below_threshold():
