@@ -18,7 +18,10 @@ string that reads back to the same double, so repeated runs are
 byte-identical; wall-clock time goes to stderr (and into the report only
 under --timings, which deliberately breaks byte-identity).  A profile.json
 artifact holds a profile's kind and the parameters of its builder, and
-profile_from_json reads it back into the same profile.
+profile_from_json reads it back into the same profile.  A scan.csv artifact
+(build-example, scan) has one row per channel j and energy lam, with the
+columns j, lam, verdict (1 fired, 0 not), envelope_exponent and refined_lam,
+which is nan off the refined point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, get_args, get_type_hints
 
 import numpy as np
 
@@ -90,7 +93,9 @@ _PROFILE_COMMANDS = ("curvature-report", "verify-growth", "check-identities")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one CLI run; unknown keys and non-finite floats are rejected."""
+    """Validated parameters of one CLI run; unknown keys, values of another type
+    than their field's and non-finite floats are rejected.  A bool is never a
+    number and a float never an int; an int for a float field becomes that float."""
 
     command: str
     n: int = 3
@@ -117,6 +122,16 @@ class RunConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
+        for name, hint in get_type_hints(RunConfig).items():
+            types, value = get_args(hint) or (hint,), getattr(self, name)
+            if type(value) is int and float in types:
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"settings must be finite: {name}") from None
+            elif type(value) not in types:
+                wanted = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(f"{name} must be {wanted}, got {type(value).__name__} {value!r}")
         nonfinite = [name for name, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)]
         if nonfinite:
             raise ConfigError(f"settings must be finite: {', '.join(nonfinite)}")
@@ -243,20 +258,12 @@ def _cmd_build_example(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
 
 
 def _write_scan_csv(path: Path, scans) -> None:
-    rows_j, rows_lam, rows_verdict, rows_env, rows_integ, rows_ref = [], [], [], [], [], []
-    for rep in scans:
-        for d in rep.detections:
-            rows_j.append(d.j)
-            rows_lam.append(d.lam)
-            rows_verdict.append(int(d.verdict))
-            rows_env.append(d.envelope_exponent)
-            rows_integ.append(d.integrand_exponent)
-            rows_ref.append(d.refined_lam if d.refined_lam is not None else math.nan)
-    write_csv_atomic(
-        path,
-        ["j", "lam", "verdict", "envelope_exponent", "integrand_exponent", "refined_lam"],
-        [rows_j, rows_lam, rows_verdict, rows_env, rows_integ, rows_ref],
-    )
+    rows = [
+        (d.j, d.lam, int(d.verdict), d.envelope_exponent, math.nan if d.refined_lam is None else d.refined_lam)
+        for rep in scans
+        for d in rep.detections
+    ]
+    write_csv_atomic(path, ["j", "lam", "verdict", "envelope_exponent", "refined_lam"], list(zip(*rows)))
 
 
 def _cmd_scan(cfg: RunConfig) -> tuple[dict, bool, list[str]]:

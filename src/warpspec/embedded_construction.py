@@ -48,6 +48,7 @@ from .halfline_solver import (
     ShootingResult,
     decaying_solution,
     energy_grid,
+    fired_detections,
     fit_power_decay,
     propagate,
     scan_channels,
@@ -660,9 +661,9 @@ def verify_construction(
     report["tail_integrand_stderr"] = fit.stderr
 
     scan_reports = scan_channels(chans, lams, origin_bc="regular", r_max=prof.r_max)
-    fired = [(rep.j, d.lam, d.refined_lam) for rep in scan_reports for d in rep.detections if d.verdict]
+    fired = [d for rep in scan_reports for d in fired_detections(rep.detections)]
     report["scan"] = {
-        "fired": [{"j": j, "lam": lam, "refined_lam": rl} for j, lam, rl in fired],
+        "fired": [{"j": d.j, "lam": d.lam, "refined_lam": d.refined_lam} for d in fired],
         "max_wronskian_drift": max(rep.wronskian_drift for rep in scan_reports),
         "n_lambda": int(len(lams)),
         "j_max": j_max,

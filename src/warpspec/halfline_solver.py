@@ -89,10 +89,9 @@ _SINHC_TAYLOR = [1.0 / math.factorial(2 * k + 1) for k in range(14)]
 _ZOOM_POINTS = 17
 _ZOOM_XTOL = 1e-7
 _ZOOM_MAX_ROUNDS = 20
-# a grid point fires when its envelope exponent and its tail-integrand
-# exponent both fall below these
+# a grid point fires when its envelope exponent e falls below this: e < -0.55
+# gives rho^2 = O(x^-1.1), so the solution is L^2 (e < -1/2) with a margin
 _ENVELOPE_THRESHOLD = -0.55
-_INTEGRAND_THRESHOLD = -1.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +127,8 @@ class DecayFit:
 
 @dataclass(frozen=True, eq=False)
 class EigenDetection:
-    """Verdict for one spectral grid point of one channel.
+    """Verdict for one spectral grid point of one channel: envelope_exponent
+    < -0.55, so the probed solution is L^2 (detect_embedded_eigenvalue).
 
     evidence holds the refinement counters of _zoom_minimum at the refined
     point and is empty elsewhere.
@@ -139,7 +139,6 @@ class EigenDetection:
     verdict: bool
     envelope_exponent: float
     envelope_stderr: float
-    integrand_exponent: float
     refined_lam: float | None = None
     evidence: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -147,37 +146,33 @@ class EigenDetection:
 @dataclass(frozen=True, eq=False)
 class ChannelScanReport:
     j: int
-    lam_sphere: float
     multiplicity: int
     detections: list[EigenDetection]
     wronskian_drift: float
-    k_eff: float | None
 
 
-def _loglog_fit(
-    logx: np.ndarray, logy: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loglog_fit(logx: np.ndarray, logy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slope, stderr of slope, intercept for logy ~ slope*logx + intercept, per column.
 
     logy holds one column (shape (M,), scalar results) or K columns (shape
-    (M, K)) sampled at the M abscissas logx; mask, of logy's shape, selects
-    the samples of each column's fit, and logy must be finite everywhere.
-    The least-squares line in closed form about the column's mean abscissa,
-    with the residual variance over max(n - 2, 1) degrees of freedom.
+    (M, K)) sampled at the M abscissas logx.  The least-squares line in
+    closed form about the mean abscissa, with the residual variance over
+    max(M - 2, 1) degrees of freedom.
     """
-    x = logx.reshape(-1, *[1] * (logy.ndim - 1))
-    w = np.broadcast_to(1.0 if mask is None else mask, logy.shape).astype(float)
-    n = np.sum(w, axis=0)
-    if np.any(n < 2):
+    n = len(logx)
+    if n < 2:
         raise WarpspecError("a log-log fit needs at least two samples")
-    x_mean = np.sum(w * x, axis=0) / n
-    y_mean = np.sum(w * logy, axis=0) / n
+    # the abscissas take logy's shape: summing an (M, 1) column instead adds
+    # in another order and moves the last digits of the slope
+    x = np.broadcast_to(logx.reshape(-1, *[1] * (logy.ndim - 1)), logy.shape)
+    x_mean = np.sum(x, axis=0) / n
+    y_mean = np.sum(logy, axis=0) / n
     dx = x - x_mean
-    sxx = np.sum(w * dx * dx, axis=0)
-    slope = np.sum(w * dx * (logy - y_mean), axis=0) / sxx
+    sxx = np.sum(dx * dx, axis=0)
+    slope = np.sum(dx * (logy - y_mean), axis=0) / sxx
     intercept = y_mean - slope * x_mean
-    res = w * (logy - slope * x - intercept)
-    sigma2 = np.sum(res * res, axis=0) / np.maximum(n - 2, 1)
+    res = logy - slope * x - intercept
+    sigma2 = np.sum(res * res, axis=0) / max(n - 2, 1)
     return slope, np.sqrt(sigma2 / sxx), intercept
 
 
@@ -827,11 +822,13 @@ def _probe_exponents(
     r_max: float,
     rtol: float,
     mesh: Mesh | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope exponent, its stderr, and integrand exponent for each lam.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope exponent and its stderr for each lam: the log-log slope of
+    rho = hypot(w, w'/kappa) over [r_max / 10, r_max].
 
     Every lam is integrated in one propagate call, on mesh when given, and
-    all of them are fitted at once.
+    all of them are fitted at once; the samples from r_max / 20 fix mesh
+    nodes, so they stay although the fit skips them.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     t_eval = np.geomspace(r_max / 20.0, r_max, 100)
@@ -846,17 +843,9 @@ def _probe_exponents(
 
     # log envelopes, one column per lam
     la = (np.log(np.hypot(y[0], y[1] / kaps[:, None])) + off).T
-    lx = np.log(x)
-    env_mask = x >= r_max / 10.0
-    env, env_se, _ = _loglog_fit(lx[env_mask], la[env_mask])
-    # partial integrals of the period-averaged integrand rho^2 / 2,
-    # accumulated from the far end; shift-invariant in the offsets
-    rho2 = np.exp(2.0 * (la - np.max(la, axis=0)))
-    seg = 0.5 * np.diff(x)[:, None] * (rho2[1:] + rho2[:-1]) * 0.5
-    tail = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1], np.zeros((1, lams.size))])
-    tmask = (x <= r_max / 8.0)[:, None] & (tail > 0)
-    st, _, _ = _loglog_fit(lx, np.log(np.where(tmask, tail, 1.0)), tmask)
-    return env, env_se, st - 1.0
+    keep = x >= r_max / 10.0
+    env, env_se, _ = _loglog_fit(np.log(x)[keep], la[keep])
+    return env, env_se
 
 
 def _zoom_minimum(
@@ -907,10 +896,10 @@ def detect_embedded_eigenvalue(
     condition at the origin (an eigenvalue fires only when that solution is
     itself square integrable); origin_bc = None probes for the existence of a
     square-integrable solution by seeding the decaying direction at r_max and
-    integrating backward.  A point fires when the envelope exponent is below
-    -0.55 and the tail-integrand exponent below -1.1.  With refine, the fired
-    point of lowest envelope exponent is refined by minimising that exponent
-    over [lam - h, lam + h] (h the grid step, the bracket kept above
+    integrating backward.  A point fires when its envelope exponent is below
+    -0.55: rho^2 = O(x^-1.1), so the probed solution is L^2.  With refine,
+    the fired point of lowest envelope exponent is refined by minimising that
+    exponent over [lam - h, lam + h] (h the grid step, the bracket kept above
     the essential-spectrum edge) with batched zooming, one probe call of 17
     energies per round down to a relative spacing of 1e-7; its evidence
     records refine_probe_calls, refine_lambdas and refine_bracket_width.  When
@@ -930,8 +919,8 @@ def detect_embedded_eigenvalue(
     _detector_preflight(q, lambda_grid)
     if mesh is None:
         mesh = select_mesh(q, _probe_start(q, origin_bc), r_max, _detector_window(q, lambda_grid), rtol=rtol)
-    env, env_se, integ = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)
-    fired = (env < _ENVELOPE_THRESHOLD) & (integ < _INTEGRAND_THRESHOLD)
+    env, env_se = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)
+    fired = env < _ENVELOPE_THRESHOLD
 
     detections: list[EigenDetection] = []
     refine_target = None
@@ -959,7 +948,6 @@ def detect_embedded_eigenvalue(
                 verdict=bool(fired[i]),
                 envelope_exponent=float(env[i]),
                 envelope_stderr=float(env_se[i]),
-                integrand_exponent=float(integ[i]),
                 refined_lam=refined_lam,
                 evidence=evidence,
             )
@@ -1025,13 +1013,11 @@ def scan_channels(
         reports.append(
             ChannelScanReport(
                 j=ch.j,
-                lam_sphere=ch.lam_sphere,
                 multiplicity=sphere_multiplicity(ch.n, ch.j),
                 detections=detect_embedded_eigenvalue(
                     ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh
                 ),
                 wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol, mesh),
-                k_eff=ch.k_eff,
             )
         )
     return reports

@@ -119,6 +119,29 @@ def test_non_finite_settings_exit_2_before_any_build(capsys, argv):
     assert "config error" in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"n": "3"}, {"r_max": None}, {"j_max": 1.5}, {"timings": "yes"}, {"n": 3.0}, {"trials": True}],
+    ids=["str_n", "null_r_max", "float_j_max", "str_timings", "float_n", "bool_trials"],
+)
+def test_wrongly_typed_config_value_exits_2(capsys, tmp_path, bad):
+    # a bool is never a number and a float never an int
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "euclidean", **bad}))
+    code, doc, err = run_cli(capsys, ["curvature-report", "--config", str(cfg)])
+    assert code == 2
+    assert doc is None
+    assert "config error" in err and next(iter(bad)) in err
+
+
+def test_int_config_value_for_a_float_setting_is_stored_as_float(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "euclidean", "r_max": 30}))
+    code, doc, _ = run_cli(capsys, ["curvature-report", "--config", str(cfg)])
+    assert code == 0
+    assert doc["config"]["r_max"] == 30.0 and isinstance(doc["config"]["r_max"], float)
+
+
 # --------------------------------------------------------------------------
 # exit codes 0 and 1 on the cheap subcommand
 
@@ -274,7 +297,7 @@ def test_scan_smoke(capsys, tmp_path):
     assert doc["report"]["channels"] == 1
     assert doc["report"]["resonance_energy"] == 2.0
     header = (out / "scan.csv").read_text().splitlines()[0]
-    assert header == "j,lam,verdict,envelope_exponent,integrand_exponent,refined_lam"
+    assert header == "j,lam,verdict,envelope_exponent,refined_lam"
 
 
 def test_build_example_smoke(capsys, tmp_path):
