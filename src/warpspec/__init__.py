@@ -114,6 +114,7 @@ from .warp_geometry import (
     hessian_comparison_check,
     hyperbolic_profile,
     profile_from_shape,
+    radial_curvature,
     solve_riccati_bound,
     sphere_area,
     uniform_grid,

@@ -58,7 +58,7 @@ class ChannelPotential:
     """Half-line Schrodinger potential of one channel.
 
     q_fn gives closed-form values from x_min on, up to the profile's r_max
-    (beyond the sample grid when profile arrays were capped); k_eff is the
+    (beyond the sample grid when that stops at GRID_CAP); k_eff is the
     fitted amplitude (always nonnegative, sign absorbed into phase) of
     x * (q - limit) on the tail window of fit_tail_oscillation, absent (None)
     when the tail is not an x^-1 sinusoid.
@@ -99,17 +99,19 @@ class TailFit:
     remainder_slope: float | None
 
 
-def block_max_slope(
-    x: np.ndarray, y: np.ndarray, nblocks: int = 8, *, peak_floor: float | None = None
-) -> tuple[float | None, list[float]]:
+# number of geometric blocks of block_max_slope
+_BLOCKS = 8
+
+
+def block_max_slope(x: np.ndarray, y: np.ndarray, *, peak_floor: float | None = None) -> tuple[float | None, list[float]]:
     """Slope of log(max|y| per block) against log(block centre), and the log peaks.
 
-    The blocks split [x[0], x[-1]] geometrically.  Without peak_floor a block
+    _BLOCKS blocks split [x[0], x[-1]] geometrically.  Without peak_floor a block
     with fewer than four samples or a zero peak is skipped, and the slope is
     None when fewer than four blocks remain; with it every block counts, its
     peak raised to at least peak_floor.
     """
-    edges = np.geomspace(x[0], x[-1], nblocks + 1)
+    edges = np.geomspace(x[0], x[-1], _BLOCKS + 1)
     lx, lm = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         m = (x >= a) & (x <= b)
@@ -151,8 +153,7 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
     q_fn evaluates the profile's shape, so it is valid on [grid[0], r_max],
-    also beyond the capped sample arrays; its values on the grid feed the
-    tail fit.
+    also beyond the last grid node; its values on the grid feed the tail fit.
     """
     if j < 0:
         raise ConfigError(f"channel index j must be nonnegative, got {j}")
@@ -178,7 +179,7 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
         k_eff, phase, remainder_slope = fit.k_eff, fit.phase, fit.remainder_slope
 
     origin_exponent = None
-    if grid[0] < 0.5 and abs(profile.f[0] / grid[0] - 1.0) < 0.01:
+    if grid[0] < 0.5 and abs(math.exp(float(sh.log_f(grid[0]))) / grid[0] - 1.0) < 0.01:
         # profile covers the origin with f ~ r: indicial root of s(s-1) = p(p-1) + lam_j
         origin_exponent = 0.5 + math.sqrt(0.25 + p * (p - 1.0) + lam_j)
 

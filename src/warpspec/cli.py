@@ -17,16 +17,20 @@ are written atomically and print each float as Python's repr, the shortest
 string that reads back to the same double, so repeated runs are
 byte-identical; wall-clock time goes to stderr (and into the report only
 under --timings, which deliberately breaks byte-identity).  A profile.json
-artifact holds a profile's kind and the parameters of its builder, and
-profile_from_json reads it back into the same profile.  A scan.csv artifact
-(build-example, scan) has one row per channel j and energy lam, with the
-columns j, lam, verdict (1 fired, 0 not), envelope_exponent and refined_lam,
-which is nan off the refined point.
+artifact holds exactly the keys n, kind and params, the keyword arguments of
+that kind's builder, and profile_from_json reads it back into the same
+profile.  A curvature.csv artifact (curvature-report) has the columns r, S,
+K_rad and r_times_K_plus_1 on the profile's grid, S and K_rad evaluated from
+the closed-form shape.  A scan.csv artifact (build-example, scan) has one
+row per channel j and energy lam, with the columns j, lam, verdict (1 fired,
+0 not), envelope_exponent and refined_lam, which is nan off the refined
+point.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -72,13 +76,13 @@ __all__ = [
 
 _COMMANDS = ("build-example", "curvature-report", "scan", "verify-growth", "check-identities")
 # the builder of each profile kind, called as builder(n, **params) with the
-# params the kind stores (the glued kind's step is always the default)
+# params the kind stores
 _PROFILE_KINDS: dict[str, Callable[..., WarpProfile]] = {
     "euclidean": euclidean_profile,
     "hyperbolic": hyperbolic_profile,
     "cusp": cusp_profile,
     "wvn": reference_profile,
-    "glued": lambda n, *, k, r_max, **_: build_construction(n, k, r_max=r_max).profile,
+    "glued": lambda n, *, k, r_max: build_construction(n, k, r_max=r_max).profile,
     "power_decay": power_decay_profile,
     "log_decay": slow_log_decay_profile,
 }
@@ -199,21 +203,40 @@ def _named_profile(cfg: RunConfig) -> WarpProfile:
 
 
 def profile_to_json(profile: WarpProfile) -> dict:
-    """JSON-ready dict of a profile: its n, kind, r_max and the params its kind's builder takes.
+    """JSON-ready dict of a profile: its n, kind and the params its kind's builder takes.
 
     A shape is code, not data, so a kind without a builder in the CLI's
     table cannot be stored and raises ConfigError.
     """
     if profile.kind not in _PROFILE_KINDS:
         raise ConfigError(f"profile kind {profile.kind!r} has no builder")
-    return {"n": profile.n, "kind": profile.kind, "r_max": profile.r_max, "params": dict(profile.params)}
+    return {"n": profile.n, "kind": profile.kind, "params": dict(profile.params)}
 
 
 def profile_from_json(doc: Mapping) -> WarpProfile:
-    """Rebuild a profile from profile_to_json output through its kind's builder."""
-    if doc["kind"] not in _PROFILE_KINDS:
-        raise ConfigError(f"profile kind {doc['kind']!r} has no builder")
-    return _PROFILE_KINDS[doc["kind"]](int(doc["n"]), **doc.get("params", {}))
+    """Rebuild a profile from profile_to_json output through its kind's builder.
+
+    The document must hold exactly n (an int >= 2), kind (a kind with a
+    builder) and params (finite real numbers that bind to the builder's
+    keywords); anything else raises ConfigError naming what is wrong.
+    """
+    if not isinstance(doc, Mapping) or set(doc) != {"n", "kind", "params"}:
+        got = sorted(map(str, doc)) if isinstance(doc, Mapping) else type(doc).__name__
+        raise ConfigError(f"a profile document holds exactly the keys kind, n and params, got {got}")
+    n, kind, params = doc["n"], doc["kind"], doc["params"]
+    if type(n) is not int or n < 2:
+        raise ConfigError(f"profile n must be an int >= 2, got {n!r}")
+    if not isinstance(kind, str) or kind not in _PROFILE_KINDS:
+        raise ConfigError(f"profile kind {kind!r} has no builder")
+    builder = _PROFILE_KINDS[kind]
+    try:
+        inspect.signature(builder).bind(n, **params)
+    except TypeError as exc:
+        raise ConfigError(f"profile params do not fit the {kind} builder: {exc}") from None
+    bad = [k for k, v in params.items() if type(v) not in (int, float) or (type(v) is float and not math.isfinite(v))]
+    if bad:
+        raise ConfigError(f"profile params must be finite real numbers: {', '.join(bad)}")
+    return builder(n, **params)
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +354,7 @@ def _cmd_verify_growth(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
         start = float(series.t_gamma_i[0])
         end = float(series.t_gamma_i[-1])
         # the L^2 tail decays like t^(-k_eff/4), so t^gamma I ~ t^(gamma - k_eff/2)
-        slope, _ = block_max_slope(series.t, series.t_gamma_i, 8)
+        slope, _ = block_max_slope(series.t, series.t_gamma_i)
         predicted = cfg.gamma - 0.5 * g.diagnostics["k_eff"]
         ok = slope is not None and slope < 0 and abs(slope - predicted) <= 0.05
         report = {

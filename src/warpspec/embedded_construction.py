@@ -55,11 +55,13 @@ from .halfline_solver import (
 )
 from .warp_geometry import (
     DEFAULT_STEP,
+    GRID_CAP,
     GaussLegendrePanels,
     WarpProfile,
     fd_derivative,
     piece_edges,
     profile_from_shape,
+    radial_curvature,
     uniform_grid,
 )
 
@@ -150,13 +152,13 @@ def disk_eigenfunction(n: int) -> DiskEigenfunction:
 # ----------------------------------------------------------- reference end
 
 
-def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = DEFAULT_STEP) -> WarpProfile:
+def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile:
     """Shape S = 1 + k sin(2r)/r on [1, r_max]; log f via the sine integral.
 
     Requires the coupling to clear the resonance threshold
     |k| (n-1) sqrt((n-1)^2 + 4) > 4 so that the channel sinusoid amplitude
-    k_eff exceeds 2.  Sample arrays are capped at r = 600 (f ~ e^r would
-    overflow float64); the shape callables remain valid on [1, r_max].
+    k_eff exceeds 2.  The grid stops at GRID_CAP; the shape callables remain
+    valid on [1, r_max].
     """
     thr = resonance_coupling_threshold(n)
     if abs(k) <= thr:
@@ -183,9 +185,9 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0, step: float = 
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        grid=uniform_grid(1.0, min(r_max, 600.0), step),
+        grid=uniform_grid(1.0, min(r_max, GRID_CAP)),
         kind="wvn",
-        params={"k": k, "r_max": r_max, "step": step},
+        params={"k": k, "r_max": r_max},
         r_max=r_max,
     )
 
@@ -421,9 +423,9 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
         s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
         s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, lambda t: bridge_shape(t)[1], sh1.s_prime),
         log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
-        grid=uniform_grid(DEFAULT_STEP, min(ref.r_max, 600.0), DEFAULT_STEP),
+        grid=uniform_grid(DEFAULT_STEP, min(ref.r_max, GRID_CAP)),
         kind="glued",
-        params={"k": float(ref.params["k"]), "r_max": ref.r_max, "step": DEFAULT_STEP},
+        params={"k": float(ref.params["k"]), "r_max": ref.r_max},
         kinks=(r1, *knots, r2),
         r_max=ref.r_max,
     )
@@ -600,8 +602,7 @@ def verify_construction(
     ci = int(np.searchsorted(g.tail.x, r2))
     if abs(g.tail.x[ci] - r2) > 1e-9:
         raise WarpspecError("junction radius is not a tail sample point")
-    x_hi = min(prof.grid[-1], 600.0)
-    xt = np.arange(r2 + fine_step, x_hi, fine_step)
+    xt = np.arange(r2 + fine_step, prof.grid[-1], fine_step)
     y0 = np.array([[g.tail.w[ci]], [g.tail.w_prime[ci]]])
     xs, y, off = propagate(channel_potential(g.reference, 0), [b_n], y0, r2, xt[-1], xt, rtol=1e-12)
     if np.any(off != 0.0):
@@ -629,12 +630,11 @@ def verify_construction(
         "q0_jump_r2": abs(float(q0_fn(r2 - 1e-9)) - float(q0_fn(r2 + 1e-9))),
     }
     mask_ball = prof.grid < r1
-    report["ball_max_dev"] = float(np.max(np.abs(prof.f[mask_ball] - prof.grid[mask_ball])))
+    report["ball_max_dev"] = float(np.max(np.abs(np.exp(sh.log_f(prof.grid))[mask_ball] - prof.grid[mask_ball])))
 
     # (c) tail curvature decay
     rr = np.arange(r2, prof.r_max, math.pi / 40.0)
-    k_plus_1 = 1.0 - (sh.s_prime(rr) + sh.s(rr) ** 2)
-    y = rr * k_plus_1
+    y = rr * (1.0 + radial_curvature(sh, rr))
     report["sup_r_k_plus_1"] = float(np.max(np.abs(y)))
     wmask = (rr >= 100.0) & (rr <= 500.0)
     design = np.column_stack([np.sin(2.0 * rr[wmask]), np.cos(2.0 * rr[wmask])])

@@ -41,11 +41,13 @@ from .errors import (
 from .halfline_solver import propagate
 from .warp_geometry import (
     DEFAULT_STEP,
+    GRID_CAP,
     GaussLegendrePanels,
     WarpProfile,
     fd_derivative,
     piece_edges,
     profile_from_shape,
+    radial_curvature,
     sphere_area,
     uniform_grid,
 )
@@ -267,25 +269,23 @@ class GrowthVerdict:
     hypothesis: dict
 
 
-def _decay_hypothesis_report(profile: WarpProfile, *, r_hi: float, nblocks: int = 8) -> dict:
+def _decay_hypothesis_report(profile: WarpProfile, *, r_hi: float) -> dict:
     """Evidence that r |K_rad + 1| tends to zero (shape converges to 1 fast).
 
     Accepts either sup <= 1e-8 on the window (exact cusp-like ends) or block
     maxima with log-log slope <= -0.05 and a final/first ratio <= 0.5.
     """
-    sh = profile.shape
     r_lo = max(5.0, float(profile.grid[0]))
     if r_hi < 10.0 * r_lo:
         raise InsufficientDataError("decay window spans less than one decade")
     r = np.geomspace(r_lo, min(r_hi, profile.r_max), 4000)
-    k_plus_1 = 1.0 - (sh.s_prime(r) + sh.s(r) ** 2)
-    y = r * np.abs(k_plus_1)
+    y = r * np.abs(1.0 + radial_curvature(profile.shape, r))
     sup = float(np.max(y))
     report: dict = {"window": (float(r[0]), float(r[-1])), "sup": sup}
     if sup <= 1e-8:
         report.update({"ok": True, "mode": "vanishing"})
         return report
-    slope, log_peaks = block_max_slope(r, y, nblocks, peak_floor=1e-300)
+    slope, log_peaks = block_max_slope(r, y, peak_floor=1e-300)
     ratio = math.exp(log_peaks[-1] - log_peaks[0])
     report.update(
         {
@@ -502,89 +502,63 @@ def growth_thresholds(*, n: int, gamma: float, a1: float, b1_half: float, ricci_
 # benchmark shapes for the growth hypothesis class
 
 
-def power_decay_profile(
-    n: int,
-    *,
-    exponent: float = 1.5,
-    amplitude: float = 1.0,
-    r_min: float = 1.0,
-    r_cap: float = 600.0,
-    r_max: float = 1100.0,
-    step: float = DEFAULT_STEP,
-) -> WarpProfile:
-    """Shape S = 1 + amplitude r^-exponent, so K_rad + 1 = O(r^-exponent).
+def power_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
+    """Shape S = 1 + r^-3/2 on [1, r_max], so K_rad + 1 = O(r^-3/2).
 
-    exponent > 1 puts the end inside the o(1/r) hypothesis class.  Arrays are
-    tabulated up to min(r_cap, r_max); the closed-form callables stay valid
-    to r_max.
+    The exponent 3/2 > 1 puts the end inside the o(1/r) hypothesis class.
+    The grid stops at GRID_CAP; the closed-form callables stay valid to
+    r_max.
     """
-    if exponent <= 0:
-        raise ConfigError("decay exponent must be positive")
-    a, e = float(amplitude), float(exponent)
 
     def s(r):
-        return 1.0 + a * np.asarray(r, dtype=float) ** -e
+        return 1.0 + np.asarray(r, dtype=float) ** -1.5
 
     def s_prime(r):
-        return -a * e * np.asarray(r, dtype=float) ** (-e - 1.0)
+        return -1.5 * np.asarray(r, dtype=float) ** -2.5
 
-    if e == 1.0:
-        def log_f(r):
-            r = np.asarray(r, dtype=float)
-            return r + a * np.log(r)
-    else:
-        def log_f(r):
-            r = np.asarray(r, dtype=float)
-            return r + a * r ** (1.0 - e) / (1.0 - e)
+    def log_f(r):
+        r = np.asarray(r, dtype=float)
+        return r - 2.0 * r**-0.5
 
     return profile_from_shape(
         n,
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        grid=uniform_grid(r_min, min(r_cap, r_max), step),
+        grid=uniform_grid(1.0, min(GRID_CAP, r_max)),
         kind="power_decay",
-        params={"exponent": e, "amplitude": a, "r_min": r_min, "r_cap": r_cap, "r_max": r_max, "step": step},
+        params={"r_max": r_max},
         r_max=r_max,
     )
 
 
-def slow_log_decay_profile(
-    n: int,
-    *,
-    amplitude: float = 0.5,
-    r_min: float = 2.0,
-    r_cap: float = 600.0,
-    r_max: float = 1100.0,
-    step: float = DEFAULT_STEP,
-) -> WarpProfile:
-    """Shape S = 1 + amplitude/(r log r): boundary of the o(1/r) class.
+def slow_log_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
+    """Shape S = 1 + 1/(2 r log r) on [2, r_max]: boundary of the o(1/r) class.
 
-    Tabulated up to min(r_cap, r_max) like power_decay_profile.
+    The grid stops at GRID_CAP like power_decay_profile's.
     """
-    a = float(amplitude)
 
     def s(r):
         r = np.asarray(r, dtype=float)
-        return 1.0 + a / (r * np.log(r))
+        return 1.0 + 0.5 / (r * np.log(r))
 
     def s_prime(r):
         r = np.asarray(r, dtype=float)
         lg = np.log(r)
-        return -a * (lg + 1.0) / (r * lg) ** 2
+        return -0.5 * (lg + 1.0) / (r * lg) ** 2
 
     def log_f(r):
         r = np.asarray(r, dtype=float)
-        return r + a * np.log(np.log(r))
+        return r + 0.5 * np.log(np.log(r))
 
     return profile_from_shape(
         n,
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        grid=uniform_grid(r_min, min(r_cap, r_max), step),
+        grid=uniform_grid(2.0, min(GRID_CAP, r_max)),
         kind="log_decay",
-        params={"amplitude": a, "r_min": r_min, "r_cap": r_cap, "r_max": r_max, "step": step},
+        params={"r_max": r_max},
         r_max=r_max,
     )
 

@@ -1,10 +1,10 @@
 """Rotationally symmetric metrics g = dr^2 + f(r)^2 g_sphere and their curvature.
 
 A profile is its closed-form shape (logarithmic derivative S = f'/f, S' and
-log f) tabulated on a sample grid, plus the radii where S loses smoothness.
-All geometric quantities of interest reduce to S:
+log f), a sample grid and the radii where S loses smoothness; nothing is
+tabulated.  All geometric quantities of interest reduce to S:
 
-    radial curvature   K_rad = -f''/f = -(S' + S^2)
+    radial curvature   K_rad = -f''/f = -(S' + S^2)      (radial_curvature)
     distance Laplacian Delta r = (n-1) S
     radial Ricci       Ric(dr,dr) = (n-1) K_rad
 
@@ -45,6 +45,7 @@ __all__ = [
     "hyperbolic_profile",
     "cusp_profile",
     "profile_from_shape",
+    "radial_curvature",
     "curvature_of_profile",
     "bochner_residual",
     "piece_edges",
@@ -57,6 +58,8 @@ __all__ = [
 # sampling must resolve the sin(2r) oscillation scale
 MAX_GRID_STEP = math.pi / 20.0
 DEFAULT_STEP = math.pi / 40.0
+# last grid radius of the ends that reach beyond it (WarpProfile)
+GRID_CAP = 600.0
 
 
 def sphere_area(n: int) -> float:
@@ -88,23 +91,24 @@ class ShapeFns:
 
 @dataclass(frozen=True, eq=False)
 class WarpProfile:
-    """Warp factor of g = dr^2 + f(r)^2 g_sphere: a closed-form shape plus its samples.
+    """Warp factor of g = dr^2 + f(r)^2 g_sphere: a closed-form shape and a sample grid.
 
-    shape gives S, S' and log f on [grid[0], r_max], also beyond the last
-    grid node (the arrays f, f', f'' are capped before exp overflows).  grid
-    must be strictly increasing and f strictly positive.  kinks are the
-    ascending radii, without duplicates, where S loses smoothness: glue radii
-    and the bridge's spline knots.  Quadrature panels, stencils and ODE legs
-    stop at them; grid nodes never sit exactly on one.
+    shape gives S, S' and log f on [grid[0], r_max], so f = exp(log f) is
+    positive by construction.  The grid holds the radii where a profile is
+    sampled: curvature fields, the channel tail fit, the eigenfunction and
+    resolution checks.  Ends that reach farther stop it at GRID_CAP = 600:
+    the tail fit reads the grid's last quarter, so where the grid stops sets
+    the fit window and the fitted k_eff.  The shape stays valid beyond it.
+    grid must be strictly increasing.  kinks are the ascending radii, without
+    duplicates, where S loses smoothness: glue radii and the bridge's spline
+    knots.  Quadrature panels, stencils and ODE legs stop at them; grid nodes
+    never sit exactly on one.
     """
 
     n: int
     kind: str
     params: Mapping[str, float]
     grid: np.ndarray
-    f: np.ndarray
-    f_prime: np.ndarray
-    f_second: np.ndarray
     r_max: float
     shape: ShapeFns = field(compare=False, repr=False)
     kinks: tuple[float, ...] = ()
@@ -119,31 +123,20 @@ class WarpProfile:
             raise InvalidProfileError("grid must be strictly increasing")
         if g[0] < 0:
             raise InvalidProfileError("grid must start at a nonnegative radius")
-        for name in ("f", "f_prime", "f_second"):
-            arr = getattr(self, name)
-            if arr.shape != g.shape:
-                raise InvalidProfileError(f"{name} shape does not match grid")
-        if not np.all(self.f > 0):
-            raise InvalidProfileError("warp factor must be strictly positive on the grid")
         if any(b <= a for a, b in zip(self.kinks, self.kinks[1:])):
             raise InvalidProfileError("kinks must be ascending without duplicates")
-
-    @property
-    def s_values(self) -> np.ndarray:
-        return self.f_prime / self.f
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureField:
-    """Curvature data of a profile on its grid, plus the trace-identity residual."""
+    """S and K_rad of a profile's shape on its grid, plus the trace-identity residual.
 
-    n: int
+    Delta r = (n-1) S and Ric(dr,dr) = (n-1) K_rad follow from these two.
+    """
+
     grid: np.ndarray
     s: np.ndarray
     k_rad: np.ndarray
-    laplacian_r: np.ndarray
-    ricci_rr: np.ndarray
-    kinks: tuple[float, ...]
     trace_residual: float
 
 
@@ -202,20 +195,19 @@ def _check_resolution(grid: np.ndarray) -> None:
         )
 
 
+def radial_curvature(shape: ShapeFns, r: np.ndarray) -> np.ndarray:
+    """K_rad = -f''/f = -(S' + S^2) of a shape at radii r."""
+    return -(shape.s_prime(r) + shape.s(r) ** 2)
+
+
 def curvature_of_profile(profile: WarpProfile) -> CurvatureField:
-    """Radial curvature, Laplacian of r and radial Ricci, with trace residual."""
+    """S and radial curvature of a profile's shape on its grid, with the trace residual."""
     _check_resolution(profile.grid)
-    n = profile.n
-    s = profile.f_prime / profile.f
-    k_rad = -profile.f_second / profile.f
+    r = profile.grid
     return CurvatureField(
-        n=n,
-        grid=profile.grid,
-        s=s,
-        k_rad=k_rad,
-        laplacian_r=(n - 1) * s,
-        ricci_rr=(n - 1) * k_rad,
-        kinks=profile.kinks,
+        grid=r,
+        s=profile.shape.s(r),
+        k_rad=radial_curvature(profile.shape, r),
         trace_residual=bochner_residual(profile),
     )
 
@@ -302,42 +294,42 @@ class GaussLegendrePanels:
         return npleg.legvander(xg, order) @ npleg.legint(to_coef, lbnd=-1.0)
 
 
-def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
+def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpProfile:
     """Flat cap: f(r) = r, curvature 0."""
     return profile_from_shape(
         n,
         s=lambda r: 1.0 / np.asarray(r, dtype=float),
         s_prime=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
         log_f=lambda r: np.log(np.asarray(r, dtype=float)),
-        grid=uniform_grid(r_min, r_max, step),
+        grid=uniform_grid(r_min, r_max),
         kind="euclidean",
-        params={"r_min": r_min, "r_max": r_max, "step": step},
+        params={"r_min": r_min, "r_max": r_max},
     )
 
 
-def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
+def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpProfile:
     """Constant curvature -1: f(r) = sinh r."""
     return profile_from_shape(
         n,
         s=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
         s_prime=lambda r: -1.0 / np.sinh(np.asarray(r, dtype=float)) ** 2,
         log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
-        grid=uniform_grid(r_min, r_max, step),
+        grid=uniform_grid(r_min, r_max),
         kind="hyperbolic",
-        params={"r_min": r_min, "r_max": r_max, "step": step},
+        params={"r_min": r_min, "r_max": r_max},
     )
 
 
-def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0, step: float = DEFAULT_STEP) -> WarpProfile:
+def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpProfile:
     """Exponential end: f(r) = e^r, so S is identically 1 and K_rad is -1."""
     return profile_from_shape(
         n,
         s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_f=lambda r: np.asarray(r, dtype=float),
-        grid=uniform_grid(r_min, r_max, step),
+        grid=uniform_grid(r_min, r_max),
         kind="cusp",
-        params={"r_min": r_min, "r_max": r_max, "step": step},
+        params={"r_min": r_min, "r_max": r_max},
     )
 
 
@@ -353,17 +345,16 @@ def profile_from_shape(
     kinks: Sequence[float] = (),
     r_max: float | None = None,
 ) -> WarpProfile:
-    """Build a profile from a shape curve S = f'/f, tabulated on grid.
+    """Build a profile from a shape curve S = f'/f, sampled on grid.
 
-    This is the one tabulator of the package: every built-in profile is made
-    here.  f = exp(log f), f' = S f and f'' = (S' + S^2) f on the grid; r_max
-    defaults to the last grid node.  When log_f is omitted it is accumulated
-    by Gauss-Legendre quadrature of S along a refined grid (normalized so
-    f(grid[0]) = 1) and interpolated with a cubic spline; supply an exact
-    log_f whenever one is available.  kinks are the ascending radii where S
-    loses smoothness.  kind and params name the builder that remakes the
-    profile; a profile persists to JSON only when the CLI knows that kind
-    (cli.profile_to_json).
+    Every built-in profile is made here.  Nothing is evaluated on the grid;
+    r_max defaults to the last grid node.  When log_f is omitted it is
+    accumulated by Gauss-Legendre quadrature of S along a refined grid
+    (normalized so f(grid[0]) = 1) and interpolated with a cubic spline;
+    supply an exact log_f whenever one is available.  kinks are the
+    ascending radii where S loses smoothness.  kind and params name the
+    builder that remakes the profile; a profile persists to JSON only when
+    the CLI knows that kind (cli.profile_to_json).
     """
     grid = np.asarray(grid, dtype=float)
     if log_f is None:
@@ -372,16 +363,11 @@ def profile_from_shape(
         gl = GaussLegendrePanels(dense)
         log_f = CubicSpline(dense, gl.antiderivative(np.asarray(s(gl.x.ravel()), dtype=float))[1])
 
-    f = np.exp(log_f(grid))
-    s_grid = s(grid)
     return WarpProfile(
         n=n,
         kind=kind,
         params=dict(params or {}),
         grid=grid,
-        f=f,
-        f_prime=s_grid * f,
-        f_second=(s_prime(grid) + s_grid * s_grid) * f,
         r_max=float(r_max if r_max is not None else grid[-1]),
         shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f),
         kinks=tuple(float(k) for k in kinks),
@@ -504,7 +490,7 @@ def hessian_comparison_check(
     if not np.any(mask):
         raise ConfigError("profile and bound grids do not overlap")
     r = profile.grid[mask]
-    s = profile.s_values[mask]
+    s = profile.shape.s(r)
     f1 = CubicSpline(bound.grid, bound.f1)(r)
     f2 = CubicSpline(bound.grid, bound.f2)(r)
     lower_gap = f1 - s

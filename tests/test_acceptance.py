@@ -114,7 +114,9 @@ def test_criterion_05_gluing_consistency(glued_k1, glued_k1_verified):
     assert report["ball_max_dev"] <= 1e-8
     # the warp factor is invariant under rescaling the eigenfunction
     scaled = scale_construction(glued_k1, 3.0)
-    assert scaled.profile.f.tobytes() == glued_k1.profile.f.tobytes()
+    grid = glued_k1.profile.grid
+    for name in ("s", "s_prime", "log_f"):
+        assert getattr(scaled.profile.shape, name)(grid).tobytes() == getattr(glued_k1.profile.shape, name)(grid).tobytes()
     r = np.linspace(1.0, 30.0, 500)
     assert np.allclose(scaled.psi_fn(r), 3.0 * glued_k1.psi_fn(r), rtol=1e-12)
 

@@ -66,7 +66,8 @@ def test_channel_differences_are_centrifugal():
     for j in (1, 3):
         qj = channel_potential(prof, j)
         lam_j = j * (j + 1)
-        assert np.allclose(qj.q_fn(prof.grid) - q0.q_fn(prof.grid), lam_j / prof.f**2, rtol=1e-10, atol=1e-15)
+        f = np.exp(prof.shape.log_f(prof.grid))
+        assert np.allclose(qj.q_fn(prof.grid) - q0.q_fn(prof.grid), lam_j / f**2, rtol=1e-10, atol=1e-15)
 
 
 def test_reference_channel_k_eff_fit():
@@ -97,14 +98,15 @@ def test_liouville_round_trip_and_isometry():
     rng = np.random.default_rng(5)
     h = rng.normal(size=prof.grid.shape)
     hp = rng.normal(size=prof.grid.shape)
-    # forward map w = f^p h, w' = f^p (h' + p S h), p = (n-1)/2, from the samples
-    fp = prof.f ** (0.5 * (prof.n - 1))
-    w, wp = fp * h, fp * (hp + 0.5 * (prof.n - 1) * prof.s_values * h)
+    # forward map w = f^p h, w' = f^p (h' + p S h), p = (n-1)/2, on the grid
+    f, s = np.exp(prof.shape.log_f(prof.grid)), prof.shape.s(prof.grid)
+    fp = f ** (0.5 * (prof.n - 1))
+    w, wp = fp * h, fp * (hp + 0.5 * (prof.n - 1) * s * h)
     h2, hp2 = inverse_liouville(prof, prof.grid, w, wp)
     assert np.max(np.abs(h2 - h)) < 1e-12
     assert np.max(np.abs(hp2 - hp)) < 1e-12
     # pointwise isometry of the measure change: w^2 = h^2 f^{n-1}
-    assert np.allclose(w**2, h**2 * prof.f ** (prof.n - 1), rtol=1e-12)
+    assert np.allclose(w**2, h**2 * f ** (prof.n - 1), rtol=1e-12)
 
 
 def test_resonance_thresholds_and_energy():

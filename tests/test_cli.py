@@ -2,14 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from warpspec.cli import emit_plot_data, main, profile_from_json
+import warpspec
+from warpspec.cli import _PROFILE_KINDS, emit_plot_data, main, profile_from_json, profile_to_json
+from warpspec.embedded_construction import reference_profile
 from warpspec.errors import ConfigError
-from warpspec.growth_and_identities import GrowthSeries
-from warpspec.warp_geometry import curvature_of_profile, euclidean_profile
+from warpspec.growth_and_identities import GrowthSeries, power_decay_profile, slow_log_decay_profile
+from warpspec.warp_geometry import curvature_of_profile, cusp_profile, euclidean_profile, hyperbolic_profile
 
 
 def run_cli(capsys, argv):
@@ -200,7 +206,7 @@ def test_decay_profiles_honour_r_max(capsys, tmp_path, profile):
     assert doc["config"]["r_max"] == 50.0
     last_r = float((out / "curvature.csv").read_text().splitlines()[-1].split(",")[0])
     assert 49.0 < last_r <= 50.0
-    # without --r-max the closed form reaches 1100 and the arrays stop at r_cap = 600
+    # without --r-max the closed form reaches 1100 and the grid stops at GRID_CAP = 600
     _, doc, _ = run_cli(capsys, ["curvature-report", "--profile", profile])
     assert doc["config"]["r_max"] == 1100.0
 
@@ -388,3 +394,75 @@ def test_build_example_scans_the_requested_window(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["build-example", "--lambda-lo", "2.3", "--lambda-hi", "2.2"])
     assert code == 2
     assert "empty lambda window" in err
+
+
+# --------------------------------------------------------------------------
+# profile.json
+
+
+# a profile of every kind but glued, which comes from the session fixture
+_PROFILE_MAKERS = {
+    "euclidean": lambda: euclidean_profile(3),
+    "hyperbolic": lambda: hyperbolic_profile(2, r_max=30.0),
+    "cusp": lambda: cusp_profile(4),
+    "wvn": lambda: reference_profile(3, 1.5, r_max=200.0),
+    "power_decay": lambda: power_decay_profile(3),
+    "log_decay": lambda: slow_log_decay_profile(3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PROFILE_KINDS))
+def test_profile_json_round_trip(kind, request):
+    prof = request.getfixturevalue("glued_k25").profile if kind == "glued" else _PROFILE_MAKERS[kind]()
+    assert prof.kind == kind
+    doc = profile_to_json(prof)
+    # a shape is code: the document holds the builder's parameters only
+    assert set(doc) == {"n", "kind", "params"}
+    back = profile_from_json(json.loads(json.dumps(doc)))
+    assert back.n == prof.n and back.kind == kind
+    assert back.grid.tobytes() == prof.grid.tobytes()
+    assert back.kinks == prof.kinks and back.r_max == prof.r_max
+    for name in ("s", "s_prime", "log_f"):
+        assert getattr(back.shape, name)(prof.grid).tobytes() == getattr(prof.shape, name)(prof.grid).tobytes()
+
+
+_EUCLIDEAN_DOC = {"n": 3, "kind": "euclidean", "params": {"r_min": 0.05, "r_max": 40.0}}
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"n": 3, "params": {}}, "kind"),
+        ({**_EUCLIDEAN_DOC, "r_max": 40.0}, "r_max"),
+        ({**_EUCLIDEAN_DOC, "params": {"r_max": 40.0, "step": 0.05}}, "step"),
+        ({**_EUCLIDEAN_DOC, "params": {"radius": 40.0}}, "radius"),
+        ({**_EUCLIDEAN_DOC, "n": "x"}, "n must be"),
+        ({**_EUCLIDEAN_DOC, "n": True}, "n must be"),
+        ({**_EUCLIDEAN_DOC, "n": 1}, "n must be"),
+        ({**_EUCLIDEAN_DOC, "kind": ["euclidean"]}, "no builder"),
+        ({**_EUCLIDEAN_DOC, "params": [0.05, 40.0]}, "mapping"),
+        ({**_EUCLIDEAN_DOC, "params": {"r_max": "a"}}, "r_max"),
+        ({**_EUCLIDEAN_DOC, "params": {"r_max": True}}, "r_max"),
+        ({**_EUCLIDEAN_DOC, "params": {"r_max": math.inf}}, "r_max"),
+        ([_EUCLIDEAN_DOC], "list"),
+    ],
+    ids=["no-kind", "top-level-r_max", "step", "unknown-param", "n-str", "n-bool", "n-1", "kind-list",
+         "params-list", "param-str", "param-bool", "param-inf", "list"],
+)
+def test_profile_from_json_refuses_malformed_documents(doc, match):
+    # profile.json comes from outside the program: every malformed document,
+    # an older layout included, is a ConfigError that names what is wrong
+    with pytest.raises(ConfigError, match=match):
+        profile_from_json(doc)
+
+
+def test_python_m_warpspec_runs_the_cli(tmp_path):
+    src = str(Path(warpspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpspec", "curvature-report", "--profile", "cusp"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["command"] == "curvature-report"

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpspec.channel_reduction import channel_potential
-from warpspec.cli import profile_from_json, profile_to_json
 from warpspec.errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -427,18 +426,3 @@ def test_identity_span_validation():
     with pytest.raises(ConfigError):
         check_parts_identities(prof, plain, span=(1.0, prof.r_max + 5.0))
 
-
-# --------------------------------------------------------------------------
-# registry round-trips for the benchmark ends
-
-
-@pytest.mark.parametrize("builder", [power_decay_profile, slow_log_decay_profile])
-def test_benchmark_profiles_round_trip(builder):
-    prof = builder(3)
-    doc = profile_to_json(prof)
-    assert "grid" not in doc
-    back = profile_from_json(doc)
-    assert back.kind == prof.kind
-    assert back.grid.tobytes() == prof.grid.tobytes()
-    r = np.geomspace(5.0, 900.0, 200)
-    assert np.allclose(back.shape.s(r), prof.shape.s(r), rtol=1e-14)

@@ -81,6 +81,31 @@ def test_one_block_maxima_fit():
     assert users == {("channel_reduction.py", "block_max_slope")}
 
 
+def test_one_radial_curvature():
+    # K_rad = -(S' + S^2) is formed from a shape by warp_geometry.radial_curvature
+    # alone; every other reader of K_rad calls it
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+    def forms_k_rad(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            return False
+        return any(
+            calls(a, "s_prime") and isinstance(b, ast.BinOp) and isinstance(b.op, ast.Pow) and calls(b.left, "s")
+            for a, b in ((node.left, node.right), (node.right, node.left))
+        )
+
+    users = {
+        (path.name, func.name)
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if forms_k_rad(node)
+    }
+    assert users == {("warp_geometry.py", "radial_curvature")}
+
+
 def test_one_gauss_legendre_rule():
     # Gauss-Legendre nodes and weights and the Legendre basis behind the nodal
     # antiderivative are used by warp_geometry.GaussLegendrePanels alone; every
