@@ -7,6 +7,22 @@ slowly decaying oscillatory tails, a glued ball+bridge+tail construction
 carrying an explicit embedded eigenfunction, the surface growth functional
 with its decay-hypothesis dichotomy, and quadrature-verified radial integral
 identities.
+
+Importing warpspec loads numpy alone.  Each scipy submodule is imported by
+the function that uses it, the first time it runs:
+
+- scipy.special: sphere_area (gamma); GaussLegendrePanels (roots_legendre,
+  which also loads scipy.linalg), the rule of the identity suite, the
+  verify_construction norms and every log f accumulated from S;
+  reference_profile (sici); disk_eigenfunction (gamma, jv);
+- scipy.interpolate: profile_from_shape when no log_f is given,
+  hessian_comparison_check, and the glued construction's bridge splines;
+- scipy.optimize: build_construction (brentq for the Bessel zero, lsq_linear
+  for the connector).
+
+The half-line solver on closed-form channels (synthetic_channel,
+decaying_solution, reversibility_check, scan_channels) and the curvature of
+the model profiles need no scipy.  scipy.integrate is used nowhere.
 """
 
 from .channel_reduction import (

@@ -19,7 +19,7 @@ limit + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "TailFit",
     "sphere_multiplicity",
     "channel_potential",
+    "unfitted_channel_potential",
     "fit_tail_oscillation",
     "block_max_slope",
     "inverse_liouville",
@@ -61,7 +62,8 @@ class ChannelPotential:
     (beyond the sample grid when that stops at GRID_CAP); k_eff is the
     fitted amplitude (always nonnegative, sign absorbed into phase) of
     x * (q - limit) on the tail window of fit_tail_oscillation, absent (None)
-    when the tail is not an x^-1 sinusoid.
+    when the tail is not an x^-1 sinusoid or was not fitted
+    (unfitted_channel_potential).
     origin_exponent is the indicial root s of the x -> 0 singularity
     q ~ s(s-1)/x^2 for profiles covering the origin, None otherwise.
     kinks are the profile's kinks inside (x_min, r_max), where q is only C^1;
@@ -150,16 +152,30 @@ def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailF
 
 
 def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
+    """unfitted_channel_potential(profile, j) with the tail fit: k_eff, phase and remainder_slope.
+
+    The fit tabulates q_fn on the whole sample grid (fit_tail_oscillation).
+    """
+    q = unfitted_channel_potential(profile, j)
+    # tail oscillation fit, used with enough samples and a clear amplitude
+    fit = fit_tail_oscillation(profile.grid, q.q_fn(profile.grid), q.limit)
+    if fit is not None and fit.samples >= 200 and fit.k_eff > max(1e-10, 4.0 * fit.rms):
+        return replace(q, k_eff=fit.k_eff, phase=fit.phase, remainder_slope=fit.remainder_slope)
+    return q
+
+
+def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
     q_fn evaluates the profile's shape, so it is valid on [grid[0], r_max],
-    also beyond the last grid node; its values on the grid feed the tail fit.
+    also beyond the last grid node.  Nothing is tabulated: k_eff, phase and
+    remainder_slope stay None (channel_potential fits them), so this suits
+    callers that only integrate the channel equation.
     """
     if j < 0:
         raise ConfigError(f"channel index j must be nonnegative, got {j}")
     n = profile.n
     p = 0.5 * (n - 1)
-    limit = 0.25 * (n - 1) ** 2
     lam_j = float(j * (j + n - 2))
     grid = profile.grid
     sh = profile.shape
@@ -172,12 +188,6 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
             out = out + _lam * np.exp(-2.0 * _sh.log_f(x))
         return out
 
-    # tail oscillation fit, used with enough samples and a clear amplitude
-    k_eff = phase = remainder_slope = None
-    fit = fit_tail_oscillation(grid, q_fn(grid), limit)
-    if fit is not None and fit.samples >= 200 and fit.k_eff > max(1e-10, 4.0 * fit.rms):
-        k_eff, phase, remainder_slope = fit.k_eff, fit.phase, fit.remainder_slope
-
     origin_exponent = None
     if grid[0] < 0.5 and abs(math.exp(float(sh.log_f(grid[0]))) / grid[0] - 1.0) < 0.01:
         # profile covers the origin with f ~ r: indicial root of s(s-1) = p(p-1) + lam_j
@@ -187,13 +197,10 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
         n=n,
         j=j,
         lam_sphere=lam_j,
-        limit=limit,
+        limit=0.25 * (n - 1) ** 2,
         q_fn=q_fn,
         x_min=float(grid[0]),
         origin_exponent=origin_exponent,
-        k_eff=k_eff,
-        phase=phase,
-        remainder_slope=remainder_slope,
         kinks=tuple(r for r in profile.kinks if grid[0] < r < profile.r_max),
     )
 

@@ -196,8 +196,8 @@ def _outdir(cfg: RunConfig) -> Path | None:
 
 def _named_profile(cfg: RunConfig) -> WarpProfile:
     name = cfg.profile
-    if name in ("hyperbolic", "cusp") and cfg.r_max > 600.0:
-        raise ConfigError(f"profile {name} overflows beyond r = 600; lower --r-max")
+    if name == "hyperbolic" and cfg.r_max > 710.0:
+        raise ConfigError("profile hyperbolic overflows beyond r = 710, where sinh r in log(sinh r) overflows; lower --r-max")
     params = {"k": cfg.k} if name in ("wvn", "glued") else {}
     return _PROFILE_KINDS[_KIND_OF.get(name, name)](cfg.n, r_max=cfg.r_max, **params)
 

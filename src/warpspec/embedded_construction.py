@@ -26,11 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
-from scipy.interpolate import BSpline, CubicSpline
-from scipy.optimize import brentq, lsq_linear
-from scipy.special import gamma as _gammafn
-from scipy.special import jv, sici
 
 from .channel_reduction import (
     channel_potential,
@@ -99,6 +94,9 @@ class DiskEigenfunction:
 
 def _first_bessel_zero(nu: float) -> float:
     """First positive zero of J_nu by sign scan plus Brent refinement."""
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
     x = nu + 0.1
     step = 0.05
     prev = jv(nu, x)
@@ -115,11 +113,13 @@ def _first_bessel_zero(nu: float) -> float:
 def disk_eigenfunction(n: int) -> DiskEigenfunction:
     if n < 2:
         raise ConfigError("need n >= 2")
+    from scipy.special import gamma, jv
+
     b_n = 0.25 * (n - 1) ** 2 + 1.0
     a = math.sqrt(b_n)
     nu = 0.5 * (n - 2)
     r1 = _first_bessel_zero(nu) / a
-    c_norm = _gammafn(nu + 1.0) * (0.5 * a) ** (-nu)
+    c_norm = gamma(nu + 1.0) * (0.5 * a) ** (-nu)
 
     def h_fn(r):
         r = np.asarray(r, dtype=float)
@@ -166,6 +166,8 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile
             f"|k| = {abs(k)} is at or below the resonance threshold {thr:.6g} for n = {n}",
             threshold=thr,
         )
+    from scipy.special import sici
+
     si2 = sici(2.0)[0]
 
     def s(r):
@@ -222,6 +224,8 @@ def _bridge(knots: np.ndarray, coeffs: np.ndarray, b_n: float, n: int):
     S = -(b_n psi + psi'')/((n-1) psi') makes psi an exact eigenfunction at
     b_n; shape evaluates each spline once per call.
     """
+    from scipy.interpolate import BSpline
+
     spl = BSpline(knots, coeffs, 4)
     anti = spl.antiderivative()
     dspl1, dspl2 = spl.derivative(1), spl.derivative(2)
@@ -262,6 +266,9 @@ def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, si
     i.e. psi is structurally strictly decreasing.  BVLS solves it exactly; an
     iterative solver stops early along the nearly flat smoothing directions.
     """
+    from scipy.interpolate import BSpline
+    from scipy.optimize import lsq_linear
+
     nc = 17
     tk = np.concatenate([np.zeros(5), np.linspace(0.0, length, 14)[1:-1], np.full(5, length)])
     basis = BSpline(tk, np.eye(nc), 4)
@@ -293,7 +300,8 @@ def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, si
     g, gp = _bridge(tk, coeffs, b_n, n)[1](tt)
     p = 0.5 * (n - 1)
     q0 = p * p * g * g + p * gp
-    cum = cumulative_trapezoid(g, tt, initial=0.0)
+    # running trapezoid rule from t = 0
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(tt) * (g[1:] + g[:-1]) / 2.0)))
     return _ConnectorTrial(
         knots=tk,
         coeffs=coeffs,
@@ -396,6 +404,8 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
 
     c2 scales the reference end's warp factor to meet the bridge at r2.
     """
+    from scipy.interpolate import CubicSpline
+
     n = disk.n
     p = 0.5 * (n - 1)
     r1, r2 = connector.r1, connector.r2
@@ -651,9 +661,10 @@ def verify_construction(
         norms.append(float(np.sum(gl.integrals(g.psi_fn(pts) ** 2 * np.exp((n - 1) * sh.log_f(pts))))))
     norm_ball, norm_mid = norms
     t_mask = g.tail.x >= r2
-    wt = g.tail.w[t_mask]
+    w2 = g.tail.w[t_mask] ** 2
     amp2 = (g.connector.amplitude * g.connector.c_tail) ** 2 * g.c2 ** (n - 1)
-    norm_tail = amp2 * float(trapezoid(wt**2, g.tail.x[t_mask]))
+    # trapezoid rule
+    norm_tail = amp2 * float((np.diff(g.tail.x[t_mask]) * (w2[1:] + w2[:-1]) / 2.0).sum())
     report["l2_norm"] = math.sqrt(norm_ball + norm_mid + norm_tail)
     rho = g.tail.amplitude[t_mask]
     fit = fit_power_decay(g.tail.x[t_mask], rho**2, window=(100.0, 1000.0))

@@ -30,7 +30,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel_reduction import ChannelPotential, block_max_slope, channel_potential, inverse_liouville, require_oscillatory
+from .channel_reduction import (
+    ChannelPotential,
+    block_max_slope,
+    channel_potential,
+    inverse_liouville,
+    require_oscillatory,
+    unfitted_channel_potential,
+)
 from .errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -403,9 +410,8 @@ def check_growth_dichotomy(
     i_values = np.asarray(i_values, dtype=float)
     if np.min(t ** float(gamma) * i_values) < c1 * (1 - 1e-12):
         raise ConfigError("premise t^gamma I >= c1 fails on the given samples")
-    from scipy.integrate import trapezoid
-
-    volume = float(trapezoid(i_values, t))
+    # trapezoid rule
+    volume = float((np.diff(t) * (i_values[1:] + i_values[:-1]) / 2.0).sum())
     if gamma == 1.0:
         bound = c1 * math.log(t[-1] / t[0])
     else:
@@ -817,7 +823,7 @@ def check_parts_identities(
     u0, u0_prime = map(float, data.u0)
     y0 = np.array([[u0], [u0_prime - (c - p * float(sh.s(s0))) * u0]])
     _, y, off = propagate(
-        channel_potential(profile, 0), np.array([c * c + data.lam]), y0, s0, t1, np.append(x, t1), rtol=1e-12
+        unfitted_channel_potential(profile, 0), np.array([c * c + data.lam]), y0, s0, t1, np.append(x, t1), rtol=1e-12
     )
     g = np.exp(off - 0.5 * np.append(cum, cum_edges[-1]))
     w, w1 = y[0, 0], y[1, 0]

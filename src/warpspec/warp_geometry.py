@@ -22,9 +22,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import numpy.polynomial.legendre as npleg
-from scipy.interpolate import CubicSpline
-from scipy.special import gamma as _gamma
-from scipy.special import roots_legendre
 
 from .errors import (
     ComparisonFailureError,
@@ -64,7 +61,9 @@ GRID_CAP = 600.0
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / _gamma(n / 2.0)
+    from scipy.special import gamma
+
+    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
 
 
 def uniform_grid(r_min: float, r_max: float, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -263,6 +262,8 @@ class GaussLegendrePanels:
     """
 
     def __init__(self, edges: np.ndarray, order: int = 16):
+        from scipy.special import roots_legendre
+
         edges = np.asarray(edges, dtype=float)
         self.order = order
         self.xg, self.wg = roots_legendre(order)
@@ -289,6 +290,8 @@ class GaussLegendrePanels:
     @functools.cache
     def _antiderivative_matrix(order: int) -> np.ndarray:
         """Node values to the integral from -1 of their interpolant: c_k = (2k+1)/2 sum_i w_i P_k(x_i) v_i, legint."""
+        from scipy.special import roots_legendre
+
         xg, wg = roots_legendre(order)
         to_coef = (np.arange(order) + 0.5)[:, None] * (npleg.legvander(xg, order - 1) * wg[:, None]).T
         return npleg.legvander(xg, order) @ npleg.legint(to_coef, lbnd=-1.0)
@@ -312,7 +315,8 @@ def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> W
     return profile_from_shape(
         n,
         s=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
-        s_prime=lambda r: -1.0 / np.sinh(np.asarray(r, dtype=float)) ** 2,
+        # 1/sinh before squaring: sinh(r) ** 2 overflows past r = 355
+        s_prime=lambda r: -((1.0 / np.sinh(np.asarray(r, dtype=float))) ** 2),
         log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
         grid=uniform_grid(r_min, r_max),
         kind="hyperbolic",
@@ -358,6 +362,8 @@ def profile_from_shape(
     """
     grid = np.asarray(grid, dtype=float)
     if log_f is None:
+        from scipy.interpolate import CubicSpline
+
         span = grid[-1] - grid[0]
         dense = np.linspace(grid[0], grid[-1], max(2 * len(grid), int(span / 0.02) + 2))
         gl = GaussLegendrePanels(dense)
@@ -489,6 +495,8 @@ def hessian_comparison_check(
     mask = (profile.grid >= lo) & (profile.grid <= hi)
     if not np.any(mask):
         raise ConfigError("profile and bound grids do not overlap")
+    from scipy.interpolate import CubicSpline
+
     r = profile.grid[mask]
     s = profile.shape.s(r)
     f1 = CubicSpline(bound.grid, bound.f1)(r)

@@ -86,12 +86,25 @@ def test_eigenfunction_decays_at_the_predicted_rate(capsys):
 
 
 def test_overflowing_profile_range_exits_2(capsys):
-    code, _, _ = run_cli(capsys, ["curvature-report", "--profile", "cusp", "--r-max", "1000"])
-    assert code == 2
     # an explicit range equal to the glued default is honoured, so refused here
     code, _, err = run_cli(capsys, ["curvature-report", "--profile", "hyperbolic", "--r-max", "2000"])
     assert code == 2
-    assert "r = 600" in err
+    assert "r = 710" in err
+
+
+def test_hyperbolic_curvature_report_to_r_600_does_not_overflow(capsys):
+    # S' = -1/sinh^2 r is formed as (1/sinh r)^2, which underflows quietly
+    # where sinh(r)^2 would overflow (r > 355); RuntimeWarnings are errors here
+    code, doc, _ = run_cli(capsys, ["curvature-report", "--profile", "hyperbolic", "--r-max", "600"])
+    assert code == 0
+    assert doc["report"]["checks"] == {"trace_residual_below_tol": True}
+
+
+def test_cusp_profile_runs_to_r_1000(capsys):
+    # log f = r is never exponentiated on the grid, so the cusp has no range limit
+    code, doc, _ = run_cli(capsys, ["curvature-report", "--profile", "cusp", "--r-max", "1000"])
+    assert code == 0
+    assert doc["report"]["grid_points"] > 12000
 
 
 @pytest.mark.parametrize(

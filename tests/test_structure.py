@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -65,6 +68,82 @@ def test_solve_ivp_nowhere_in_the_package():
         or (isinstance(node, ast.Attribute) and node.attr == "solve_ivp")
     }
     assert users == set()
+
+
+def _module_scope(tree: ast.Module):
+    """Nodes that run when the module is imported: everything outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Absolute module names an import statement names, a from-import's names included."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # import warpspec loads numpy alone; each scipy submodule is imported by
+    # the function that uses it, when it first runs
+    eager = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in _module_scope(ast.parse(path.read_text(encoding="utf-8")))
+        if any(m == "scipy" or m.startswith("scipy.") for m in _imported_modules(node))
+    ]
+    assert not eager, eager
+
+
+def test_scipy_integrate_nowhere_in_the_package():
+    # the two trapezoid sums are written out with numpy
+    users = {
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in _imported_modules(node))
+        or (isinstance(node, ast.Attribute) and node.attr == "integrate"
+            and isinstance(node.value, ast.Name) and node.value.id == "scipy")
+    }
+    assert users == set()
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules loaded in a fresh interpreter that runs code."""
+    src = str(Path(warpspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import warpspec") == []
+
+
+def test_synthetic_shooting_and_euclidean_curvature_load_no_scipy(tmp_path):
+    # the half-line solver on closed-form channels and the curvature report
+    # of a model profile need numpy alone
+    code = f"""
+import numpy as np
+import warpspec.halfline_solver as hs
+from warpspec import cli
+
+q = hs.synthetic_channel(k_eff=2.5, phase=0.3)
+hs.decaying_solution(q, 1.0, r_anchor=60.0)
+hs.reversibility_check(q, 1.0, span=(1.0, 60.0), init=(1.0, 0.0), rtol=1e-12)
+hs.scan_channels([hs.synthetic_channel(k_eff=1.9, phase=0.3)], 0.5 + 0.05 * np.arange(5), origin_bc=None, r_max=60.0)
+assert cli.main(["curvature-report", "--profile", "euclidean", "--out", {str(tmp_path)!r}]) == 0
+"""
+    assert _scipy_modules_after(code) == []
 
 
 def test_one_block_maxima_fit():
