@@ -12,7 +12,10 @@ codes: 0 all requested checks passed, 1 a computation or check failed, 2 the
 configuration was invalid.  Without --r-max (or an r_max key) the commands
 that take --profile build the model profiles euclidean, hyperbolic and cusp
 to r = 40 and the power and log ends to r = 1100; the glued construction and
-the wvn end reach r = 2000.  Non-finite settings are refused.  All artifacts
+the wvn end reach r = 2000.  verify-growth, whose trials run to --t-end,
+takes a model profile shorter than that as far as it holds (hyperbolic to
+r = 710, where sinh r overflows, the others to 2000), and without --t-end
+its span stops at the profile's last grid node if that comes first.  Non-finite settings are refused.  All artifacts
 are written atomically and print each float as Python's repr, the shortest
 string that reads back to the same double, so repeated runs are
 byte-identical; wall-clock time goes to stderr (and into the report only
@@ -92,6 +95,9 @@ _KIND_OF = {"power": "power_decay", "log": "log_decay"}
 # default range of the closed-form model profiles in the commands that take
 # --profile (everything else defaults to RunConfig.r_max)
 _PROFILE_R_MAX = {"euclidean": 40.0, "hyperbolic": 40.0, "cusp": 40.0, "power": 1100.0, "log": 1100.0}
+# where a model profile stops being finite: sinh r in log(sinh r) overflows
+# beyond r = 710; the others hold for every r
+_PROFILE_R_LIMIT = {"hyperbolic": 710.0}
 _PROFILE_COMMANDS = ("curvature-report", "verify-growth", "check-identities")
 
 
@@ -196,7 +202,7 @@ def _outdir(cfg: RunConfig) -> Path | None:
 
 def _named_profile(cfg: RunConfig) -> WarpProfile:
     name = cfg.profile
-    if name == "hyperbolic" and cfg.r_max > 710.0:
+    if cfg.r_max > _PROFILE_R_LIMIT.get(name, math.inf):
         raise ConfigError("profile hyperbolic overflows beyond r = 710, where sinh r in log(sinh r) overflows; lower --r-max")
     params = {"k": cfg.k} if name in ("wvn", "glued") else {}
     return _PROFILE_KINDS[_KIND_OF.get(name, name)](cfg.n, r_max=cfg.r_max, **params)
@@ -510,7 +516,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             doc[f.name] = val
     cfg = config_from_json(doc)
     if "r_max" not in doc and cfg.command in _PROFILE_COMMANDS and cfg.profile in _PROFILE_R_MAX:
-        cfg = replace(cfg, r_max=_PROFILE_R_MAX[cfg.profile])
+        r_max = _PROFILE_R_MAX[cfg.profile]
+        if cfg.command == "verify-growth" and r_max < cfg.t_end:
+            # the trials run to t_end: take the profile as far as it holds
+            r_max = _PROFILE_R_LIMIT.get(cfg.profile, RunConfig.r_max)
+        cfg = replace(cfg, r_max=r_max)
+    if "t_end" not in doc and cfg.command == "verify-growth" and cfg.profile in _PROFILE_R_MAX:
+        # and they stop where the profile's range does, when that comes first
+        cfg = replace(cfg, t_end=min(cfg.t_end, _named_profile(cfg).r_max))
     return cfg
 
 

@@ -32,6 +32,7 @@ from .channel_reduction import (
     inverse_liouville,
     resonance_coupling_threshold,
     resonance_energy,
+    unfitted_channel_potential,
 )
 from .errors import (
     ConfigError,
@@ -359,8 +360,13 @@ def junction_candidates(
 
 
 def _piecewise(r, r1: float, r2: float, f_ball, f_mid_t, f_tail):
-    """Evaluate a three-piece radial function (f_mid_t takes t = r - r1) as an array shaped like r."""
+    """Evaluate a three-piece radial function (f_mid_t takes t = r - r1) as an array shaped like r.
+
+    Points all on the tail, as on most of a long probe, go to f_tail at once.
+    """
     arr = np.asarray(r, dtype=float)
+    if arr.size and arr.min() >= r2:
+        return f_tail(arr)
     out = np.empty_like(arr)
     m1 = arr < r1
     m3 = arr >= r2
@@ -614,7 +620,7 @@ def verify_construction(
         raise WarpspecError("junction radius is not a tail sample point")
     xt = np.arange(r2 + fine_step, prof.grid[-1], fine_step)
     y0 = np.array([[g.tail.w[ci]], [g.tail.w_prime[ci]]])
-    xs, y, off = propagate(channel_potential(g.reference, 0), [b_n], y0, r2, xt[-1], xt, rtol=1e-12)
+    xs, y, off = propagate(unfitted_channel_potential(g.reference, 0), [b_n], y0, r2, xt[-1], xt, rtol=1e-12)
     if np.any(off != 0.0):
         raise WarpspecError("unexpected rescaling on the tail piece")
     with np.errstate(under="ignore"):

@@ -6,17 +6,24 @@ essential-spectrum edge by backward integration, and an embedded-eigenvalue
 detector based on the envelope exponent of solutions.
 
 The core integrator, propagate, takes sixth-order Magnus steps on a fixed
-mesh and steps every energy together.  The mesh comes from a step selection
-(select_mesh): cell edges and one step per cell, chosen from q, rtol, a span
-and an energy window; each call places the nodes of its own span inside it.
-A channel scan selects once per channel, and its grid probe, zoom rounds and
-Wronskian pair share that selection.  One step builder serves the stepping
-and the step selection: the exponent of a step is affine in the energy, with
-coefficients computed once from q, and its exponential is a Taylor series in
-z, where Omega^2 = z I.
-The steps run in blocks, q sampled once per block; within a block the
-products of short groups of steps are formed at once as prefix products
-(Hillis & Steele), so the Python loop runs once per group, not per step.
+mesh and steps every energy together, carrying one state or m states per
+energy: y0 of shape (2, K) or (2, m, K).  The mesh comes from a step
+selection (select_mesh): cell edges and one step per cell, chosen from q,
+rtol, a span and an energy window; each call places the nodes of its own
+span inside it.  A channel scan selects once per channel, and its grid
+probe, zoom rounds and Wronskian pair share that selection.  Far out the
+channels of a profile coincide (q_j equals q_0 bit for bit once lam_j / f^2
+is below half an ulp of q), so the scan selects only a head up to a radius R
+for each channel but the first, checks the equality at the Gauss nodes of
+the shared span's steps, and integrates that span once for every channel,
+their states carried together as m states per energy (scan_channels).
+
+One step builder serves the stepping and the step selection: the exponent
+of a step is affine in the energy, with coefficients computed once from q,
+and its exponential is a Taylor series in z, where Omega^2 = z I.  The steps
+run in blocks, q sampled once per block; within a block the products of
+short groups of steps are formed at once as prefix products (Hillis &
+Steele), so the Python loop runs once per group, not per step.
 Solutions crossing large angular-momentum barriers overflow float64 (growth
 factors beyond e^700), so the state is renormalized whenever it reaches
 1e150 and an exact per-sample logarithmic offset ledger is kept; fits are
@@ -521,19 +528,23 @@ def propagate(
 
     The steps are taken in blocks of about _BLOCK values (matrix entries and
     q samples), q sampled once per block.  A block is cut into groups of up
-    to 2^floor(log2(512 / K)) steps for K columns, and also wherever the
+    to 2^floor(log2(512 / K)) steps for K energies, and also wherever the
     product of the bounds e^|Omega| on the step norms would pass 1e75; the
     products of every group's steps are formed at once (_prefix_products),
     and one Python iteration per group carries the state across it.  States
     are formed only at the sampled nodes.
 
-    The carried state is measured once the step-norm bound since the last
-    measurement could carry it to 1e150, and divided by its maximum when that
-    reaches 1e150 (a single common factor keeps the linear system exact), the
-    log of the factor added to the offset ledger; a sampled state that
-    reaches 1e150 is rescaled the same way.  Samples are taken at the t_eval
-    points strictly after x0 up to and including x1.  Returns (x ascending,
-    (w, w') of shape (2, M, K) rescaled, offsets of shape (M,)).
+    y0 of shape (2, K) holds one state per energy; of shape (2, m, K), m
+    states at each energy, which share its steps and prefix products, so the
+    group length comes from K alone.  The carried states are measured once
+    the step-norm bound since the last measurement could carry them to
+    1e150, and divided by their maximum when that reaches 1e150 (a single
+    common factor keeps the linear system exact), the log of the factor added
+    to the call's one offset ledger; a sampled state that reaches 1e150 is
+    rescaled the same way.  Samples are taken at the t_eval points strictly
+    after x0 up to and including x1.  Returns (x ascending, (w, w') rescaled,
+    of shape (2, K, M) for a (2, K) y0 and (2, m, K, M) for a (2, m, K) one,
+    offsets of shape (M,)).
     """
     q_fn, kinks = _q_parts(q)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -555,8 +566,11 @@ def propagate(
     sampled = np.isin(nodes, x_out)[order + 1 if forward else order]
     group, block = _group_steps(lams.size), _block_steps(lams.size, _NODES.size)
 
-    y = np.array(y0, dtype=float).reshape(2, lams.size)
-    out = np.empty((2, lams.size, x_out.size))
+    y = np.array(y0, dtype=float)
+    states = y.ndim == 3
+    # (2, m, K): m states at each of the K energies
+    y = y.reshape(2, -1, lams.size)
+    out = np.empty((2, *y.shape[1:], x_out.size))
     offs = np.empty(x_out.size)
     k, offset = 0, 0.0
     grown, check_at = 0.0, -math.inf
@@ -577,7 +591,7 @@ def propagate(
         for e, g_e in zip((np.append(starts[1:], idx.size) - 1).tolist(), bound):
             ys.append(y)
             logs.append(offset)
-            y = mats[:, 0, e] * y[0] + mats[:, 1, e] * y[1]
+            y = mats[:, 0, e, None] * y[0] + mats[:, 1, e, None] * y[1]
             if g_e > check_at:
                 mx = float(np.max(np.abs(y)))
                 if mx >= 1e150:
@@ -588,15 +602,15 @@ def propagate(
         j = np.flatnonzero(sampled[first : first + block])
         g = np.searchsorted(starts, j, side="right") - 1
         y_g = np.array(ys)[g]
-        at = mats[:, 0, j] * y_g[:, 0] + mats[:, 1, j] * y_g[:, 1]
-        mx = np.max(np.abs(at), axis=(0, 2))
+        at = mats[:, 0, j, None] * y_g[:, 0] + mats[:, 1, j, None] * y_g[:, 1]
+        mx = np.max(np.abs(at), axis=(0, 2, 3))
         scale = np.where(mx >= 1e150, mx, 1.0)
-        out[:, :, k : k + j.size] = (at / scale[:, None]).transpose(0, 2, 1)
+        out[..., k : k + j.size] = (at / scale[:, None, None]).transpose(0, 2, 3, 1)
         offs[k : k + j.size] = np.array(logs)[g] + np.log(scale)
         k += j.size
     if not forward:
-        out, offs = out[:, :, ::-1], offs[::-1]
-    return x_out, out, offs
+        out, offs = out[..., ::-1], offs[::-1]
+    return x_out, out if states else out[:, 0], offs
 
 
 def reversibility_check(
@@ -814,6 +828,97 @@ def _detector_window(q: ChannelPotential, lambda_grid: np.ndarray) -> np.ndarray
     return np.array([max(lo - h, 0.5 * (q.limit + lo)), hi + h])
 
 
+def _probe_samples(r_max: float) -> np.ndarray:
+    """A probe's samples: 100 geometric from r_max / 20 to r_max."""
+    return np.geomspace(r_max / 20.0, r_max, 100)
+
+
+def _backward_stop(channels: Sequence[ChannelPotential], t_eval: np.ndarray) -> float:
+    """Where a backward probe of the channels stops: at its first sample t_eval[0],
+    or at their common near end max(1, x_min) when that lies beyond it."""
+    return max(float(t_eval[0]), *(_probe_start(q, None) for q in channels))
+
+
+def _probe_channels(
+    channels: Sequence[ChannelPotential],
+    lams: np.ndarray,
+    *,
+    origin_bc: str | None,
+    r_max: float,
+    rtol: float,
+    meshes: Sequence[Mesh | None],
+    split: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope exponents and their stderrs, of shape (m, K), of m channels at
+    K energies: the log-log slope of rho = hypot(w, w'/kappa) over
+    [r_max / 10, r_max].
+
+    Channel i integrates on meshes[i].  Beyond split the channels share the
+    potential and the mesh of channels[0], and one propagate call carries all
+    their states, m per energy, each normalised at split with its own offset;
+    below split each channel runs on its own.  A forward probe runs from each
+    channel's regular start to split and then the shared span; a backward one
+    seeds the decaying direction at r_max, runs the shared span first and
+    stops at its last sample (_backward_stop).  With split at r_max nothing is
+    shared; with split at every channel's near end, all is.  The samples from
+    r_max / 20 fix mesh nodes, so they stay although the fit skips them.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    t_eval = _probe_samples(r_max)
+    forward = origin_bc == "regular"
+    if forward:
+        states = [_forward_start(q, lams)[1] for q in channels]
+        own = [(_regular_start(q), split) for q in channels]
+        shared = (split, r_max)
+    else:
+        _probe_start(channels[0], origin_bc)  # refuses an unknown origin_bc
+        states = [
+            np.array([_decaying_seed(q.k_eff, q.phase, kap, r_max) for kap in np.sqrt(lams - q.limit)]).T
+            for q in channels
+        ]
+        stop = _backward_stop(channels, t_eval)
+        cut = max(split, stop)
+        own = [(cut, stop)] * len(channels)
+        shared = (r_max, cut)
+    bases = [0.0] * len(channels)
+    pieces: list[list] = [[] for _ in channels]
+
+    def keep(i: int, x: np.ndarray, y: np.ndarray, off: np.ndarray) -> None:
+        """Keep channel i's samples of a leg; its state at the leg's end,
+        divided by its maximum, starts the next leg."""
+        pieces[i].append((x, y, off + bases[i]))
+        end = -1 if forward else 0
+        mx = float(np.max(np.abs(y[:, :, end])))
+        states[i] = y[:, :, end] / mx
+        bases[i] += off[end] + math.log(mx)
+
+    def own_legs() -> None:
+        for i, (q, mesh, (x0, x1)) in enumerate(zip(channels, meshes, own)):
+            if x0 != x1:
+                keep(i, *propagate(q, lams, states[i], x0, x1, np.union1d(t_eval, [x1]), rtol=rtol, mesh=mesh))
+
+    def shared_leg() -> None:
+        x0, x1 = shared
+        if x0 != x1:
+            y0 = np.stack(states, axis=1)
+            x, y, off = propagate(channels[0], lams, y0, x0, x1, np.union1d(t_eval, [x1]), rtol=rtol, mesh=meshes[0])
+            for i in range(len(channels)):
+                keep(i, x, y[:, i], off)
+
+    for leg in (own_legs, shared_leg) if forward else (shared_leg, own_legs):
+        leg()
+
+    env = np.empty((len(channels), lams.size))
+    env_se = np.empty_like(env)
+    for i, q in enumerate(channels):
+        x, y, off = (np.concatenate(parts, axis=-1) for parts in zip(*sorted(pieces[i], key=lambda p: p[0][0])))
+        # log envelopes, one column per lam
+        la = (np.log(np.hypot(y[0], y[1] / np.sqrt(lams - q.limit)[:, None])) + off).T
+        fit = np.isin(x, t_eval) & (x >= r_max / 10.0)
+        env[i], env_se[i], _ = _loglog_fit(np.log(x)[fit], la[fit])
+    return env, env_se
+
+
 def _probe_exponents(
     q: ChannelPotential,
     lams: np.ndarray,
@@ -823,29 +928,11 @@ def _probe_exponents(
     rtol: float,
     mesh: Mesh | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope exponent and its stderr for each lam: the log-log slope of
-    rho = hypot(w, w'/kappa) over [r_max / 10, r_max].
-
-    Every lam is integrated in one propagate call, on mesh when given, and
-    all of them are fitted at once; the samples from r_max / 20 fix mesh
-    nodes, so they stay although the fit skips them.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    t_eval = np.geomspace(r_max / 20.0, r_max, 100)
-    kaps = np.sqrt(lams - q.limit)
-    x_lo = _probe_start(q, origin_bc)
-    if origin_bc == "regular":
-        _, cols = _forward_start(q, lams)
-        x, y, off = propagate(q, lams, cols, x_lo, r_max, t_eval, rtol=rtol, mesh=mesh)
-    else:
-        cols = np.array([_decaying_seed(q.k_eff, q.phase, kap, r_max) for kap in kaps]).T
-        x, y, off = propagate(q, lams, cols, r_max, x_lo, t_eval, rtol=rtol, mesh=mesh)
-
-    # log envelopes, one column per lam
-    la = (np.log(np.hypot(y[0], y[1] / kaps[:, None])) + off).T
-    keep = x >= r_max / 10.0
-    env, env_se, _ = _loglog_fit(np.log(x)[keep], la[keep])
-    return env, env_se
+    """Envelope exponent and its stderr for each lam of one channel
+    (_probe_channels, nothing shared): every lam is integrated in one
+    propagate call, on mesh when given, and all of them are fitted at once."""
+    env, env_se = _probe_channels([q], lams, origin_bc=origin_bc, r_max=r_max, rtol=rtol, meshes=[mesh], split=r_max)
+    return env[0], env_se[0]
 
 
 def _zoom_minimum(
@@ -889,6 +976,7 @@ def detect_embedded_eigenvalue(
     refine: bool = True,
     rtol: float = 1e-10,
     mesh: Mesh | None = None,
+    exponents: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[EigenDetection]:
     """Classify each lam on the grid as embedded eigenvalue or not.
 
@@ -910,7 +998,9 @@ def detect_embedded_eigenvalue(
     below), else one selected here for the probe's interval and the window
     [max(lam_min - h, (limit + lam_min) / 2), lam_max + h], which holds every
     refinement bracket.  So a lam's exponents do not depend on the batch
-    that probes it.
+    that probes it.  exponents is scan_channels' hand-over: the envelope
+    exponents and stderrs of the grid, which the scan probed with the
+    channels' common tail shared; given, the detector runs no grid probe.
 
     The detector refuses potentials without a verified x^-1 sinusoid tail
     (k_eff absent, or the fit remainder not provably O(x^-1-eps)).
@@ -919,7 +1009,9 @@ def detect_embedded_eigenvalue(
     _detector_preflight(q, lambda_grid)
     if mesh is None:
         mesh = select_mesh(q, _probe_start(q, origin_bc), r_max, _detector_window(q, lambda_grid), rtol=rtol)
-    env, env_se = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)
+    if exponents is None:
+        exponents = _probe_exponents(q, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh)
+    env, env_se = exponents
     fired = env < _ENVELOPE_THRESHOLD
 
     detections: list[EigenDetection] = []
@@ -962,12 +1054,13 @@ def fired_detections(detections: Sequence[EigenDetection]) -> list[EigenDetectio
 def _channel_wronskian_drift(
     q: ChannelPotential, lam: float, r_max: float, rtol: float, mesh: Mesh | None = None
 ) -> float:
-    """Relative Wronskian drift of an independent pair across the whole range."""
+    """Relative Wronskian drift of an independent pair across the whole range,
+    integrated as two states of the one energy lam."""
     x0, col = _forward_start(q, np.array([lam]))
     y0, wr0 = _companion_columns(float(col[0, 0]), float(col[1, 0]))
     t_eval = np.geomspace(max(1.0, 2.0 * x0), r_max, 120)
-    x, y, off = propagate(q, np.array([lam, lam]), y0, x0, r_max, t_eval, rtol=rtol, mesh=mesh)
-    return _wronskian_drift(y, off, wr0)
+    x, y, off = propagate(q, np.array([lam]), y0[:, :, None], x0, r_max, t_eval, rtol=rtol, mesh=mesh)
+    return _wronskian_drift(y[:, :, 0], off, wr0)
 
 
 def energy_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -988,6 +1081,43 @@ def energy_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(math.floor(steps) + 1)
 
 
+def _shared_radius(
+    channels: Sequence[ChannelPotential], mesh: Mesh, starts: Sequence[float], samples: np.ndarray
+) -> float:
+    """The radius R from which the channels share the potential of channels[0]
+    on the nodes of its mesh: the first edge of mesh at or above every start
+    and the end of the last step where some channel's q differs from q_0.
+
+    q is compared bit for bit at the Gauss nodes of the steps of a probe on
+    mesh with these samples, found by the helpers propagate uses (_nodes,
+    _sample_q), so they are the nodes the shared span's steps sample.
+    """
+    edges = mesh.edges
+    reach = max(starts)
+    if len(channels) > 1:
+        nodes = _nodes(mesh, edges[0], edges[-1], samples[(samples > edges[0]) & (samples <= edges[-1])])
+        x, h, ends = nodes[:-1], np.diff(nodes), nodes[1:]
+        on = x >= reach
+        q0 = _sample_q(channels[0].q_fn, x[on], h[on], _NODES)
+        differs = np.zeros(q0.shape[0], dtype=bool)
+        for ch in channels[1:]:
+            differs |= np.any(_sample_q(ch.q_fn, x[on], h[on], _NODES) != q0, axis=1)
+        if np.any(differs):
+            reach = max(reach, float(ends[on][np.flatnonzero(differs)[-1]]))
+    return float(edges[np.searchsorted(edges, reach)])
+
+
+def _joined_mesh(q: ChannelPotential, head: Mesh | None, tail: Mesh, at: float) -> Mesh:
+    """q's mesh: the cells of head (selected for q up to at; None when q
+    starts there) and then the cells of tail from at on."""
+    q_fn, kinks = _q_parts(q)
+    cells = tail.edges[:-1] >= at
+    edges, steps = tail.edges[tail.edges >= at], tail.steps[cells]
+    if head is not None:
+        edges, steps = np.concatenate([head.edges[:-1], edges]), np.concatenate([head.steps, steps])
+    return Mesh(q_fn, tuple(kinks), tail.lam_lo, tail.lam_hi, tail.rtol, edges, steps)
+
+
 def scan_channels(
     channels: Sequence[ChannelPotential],
     lambda_grid: np.ndarray,
@@ -999,25 +1129,52 @@ def scan_channels(
     """Run the detector, with refinement, over several channels, in channel order.
 
     Each channel also records the relative Wronskian drift of an independent
-    solution pair at the middle grid energy.  A channel's steps are selected
-    once (select_mesh), for the energy window of detect_embedded_eigenvalue
-    and the interval from the pair's start, never above the probe's, to
-    r_max; the grid probe, every zoom round and the pair integrate on it.
+    solution pair at the middle grid energy.  Far out the channels coincide:
+    lam_j / f^2 falls below half an ulp of q, so q_j equals q_0 bit for bit,
+    and the scan integrates that common tail once.  Channel 0
+    (channels[0]) selects its steps from its regular start to r_max
+    (select_mesh), for the union of the channels' detector windows.  R is the
+    first edge of that mesh at or above every channel's start and the end of
+    the last step where some channel's q differs from q_0, compared bit for
+    bit at the Gauss nodes that the shared span's steps sample
+    (_shared_radius).  Every other channel selects a head from its start to
+    R, and its mesh is that head joined to channel 0's cells beyond R.  The
+    grid probe integrates each channel's head on its own and carries every
+    channel's state across [R, r_max] in one propagate call, m states per
+    energy (_probe_channels); a backward probe runs that tail first.  With
+    one channel, or channels that differ up to r_max, the head or the tail
+    is empty and the probe is one call per channel.  The detector then
+    refines on the channel's joined mesh, given the probe's exponents, and
+    the pair integrates on it too.
     """
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     lam_mid = float(lambda_grid[len(lambda_grid) // 2])
-    reports = []
+    if not channels:
+        return []
     for ch in channels:
         _detector_preflight(ch, lambda_grid)
-        mesh = select_mesh(ch, _regular_start(ch), r_max, _detector_window(ch, lambda_grid), rtol=rtol)
-        reports.append(
-            ChannelScanReport(
-                j=ch.j,
-                multiplicity=sphere_multiplicity(ch.n, ch.j),
-                detections=detect_embedded_eigenvalue(
-                    ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh
-                ),
-                wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol, mesh),
-            )
+    window = np.concatenate([_detector_window(ch, lambda_grid) for ch in channels])
+    starts = [_regular_start(ch) for ch in channels]
+    tail = select_mesh(channels[0], starts[0], r_max, window, rtol=rtol)
+    samples = _probe_samples(r_max)
+    if origin_bc is None:
+        samples = np.union1d(samples, [_backward_stop(channels, samples)])
+    split = _shared_radius(channels, tail, starts, samples)
+    meshes = [tail] + [
+        _joined_mesh(ch, select_mesh(ch, x0, split, window, rtol=rtol) if x0 < split else None, tail, split)
+        for ch, x0 in zip(channels[1:], starts[1:])
+    ]
+    env, env_se = _probe_channels(
+        channels, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, meshes=meshes, split=split
+    )
+    return [
+        ChannelScanReport(
+            j=ch.j,
+            multiplicity=sphere_multiplicity(ch.n, ch.j),
+            detections=detect_embedded_eigenvalue(
+                ch, lambda_grid, origin_bc=origin_bc, r_max=r_max, rtol=rtol, mesh=mesh, exponents=(e, se)
+            ),
+            wronskian_drift=_channel_wronskian_drift(ch, lam_mid, r_max, rtol, mesh),
         )
-    return reports
+        for ch, mesh, e, se in zip(channels, meshes, env, env_se)
+    ]

@@ -100,6 +100,18 @@ def test_hyperbolic_curvature_report_to_r_600_does_not_overflow(capsys):
     assert doc["report"]["checks"] == {"trace_residual_below_tol": True}
 
 
+@pytest.mark.parametrize("profile, r_max", [("hyperbolic", 710.0), ("cusp", 2000.0)])
+def test_verify_growth_on_a_model_end_runs_at_its_defaults(capsys, profile, r_max):
+    # the trials' span [50, 1000] would leave the plotting range r <= 40, so
+    # the profile reaches as far as it holds and the span stops inside it
+    code, doc, err = run_cli(capsys, ["verify-growth", "--profile", profile])
+    assert code == 0, err
+    cfg = doc["config"]
+    assert cfg["r_max"] == r_max
+    assert min(r_max, 1000.0) - 0.1 < cfg["t_end"] <= min(r_max, 1000.0)
+    assert doc["report"]["checks"] == {"all_trials_grew": True}
+
+
 def test_cusp_profile_runs_to_r_1000(capsys):
     # log f = r is never exponentiated on the grid, so the cusp has no range limit
     code, doc, _ = run_cli(capsys, ["curvature-report", "--profile", "cusp", "--r-max", "1000"])

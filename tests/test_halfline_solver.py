@@ -17,6 +17,7 @@ from warpspec import (
     NonOscillatoryError,
     SingularOriginError,
     WarpspecError,
+    build_construction,
     decaying_solution,
     detect_embedded_eigenvalue,
     energy_grid,
@@ -385,6 +386,111 @@ def test_scan_selects_one_mesh_per_channel(monkeypatch):
     assert selections == [0, 1]
 
 
+def test_backward_probe_stops_at_its_first_sample():
+    # the probe samples from r_max / 20 on, so nothing below it is integrated
+    seen = []
+    base = synthetic_channel(k_eff=4.0)
+
+    def q_fn(x):
+        seen.append(float(np.min(x)))
+        return base.q_fn(x)
+
+    q = dataclasses.replace(base, q_fn=q_fn)
+    grid = np.array([0.95, 1.0, 1.05])
+    mesh = halfline_solver.select_mesh(q, 1.0, 500.0, halfline_solver._detector_window(q, grid))
+    seen.clear()
+    dets = detect_embedded_eigenvalue(q, grid, origin_bc=None, r_max=500.0, refine=False, mesh=mesh)
+    assert [d.verdict for d in dets] == [False, True, False]
+    assert seen and min(seen) >= 500.0 / 20.0
+
+
+@pytest.fixture(scope="module")
+def glued_scan():
+    """The glued-certify scan (k = 1 built to r_max 1000, j <= 2, 201
+    energies), its channels, and the mesh and exponents each detector call
+    was handed."""
+    g = build_construction(3, 1.0, r_max=1000.0)
+    channels = [channel_potential(g.profile, j) for j in range(3)]
+    grid = energy_grid(1.9, 2.1, 1e-3)
+    handed = []
+    detect = halfline_solver.detect_embedded_eigenvalue
+
+    def spy(q, lams, **kw):
+        handed.append((kw["mesh"], kw["exponents"]))
+        return detect(q, lams, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfline_solver, "detect_embedded_eigenvalue", spy)
+        reports = scan_channels(channels, grid, origin_bc="regular", r_max=1000.0)
+    return channels, grid, reports, handed
+
+
+def test_glued_channels_share_their_tail_from_32_768(glued_scan):
+    # q_1 and q_2 last differ from q_0 near x = 28.6; the next edge of channel
+    # 0's mesh, graded from its start 0.001 by doubling, is 0.001 * 2^15
+    channels, grid, _, handed = glued_scan
+    tail = handed[0][0]
+    starts = [halfline_solver._regular_start(ch) for ch in channels]
+    samples = halfline_solver._probe_samples(1000.0)
+    assert halfline_solver._shared_radius(channels, tail, starts, samples) == 32.768
+    for mesh, _ in handed[1:]:
+        beyond = mesh.edges >= 32.768
+        assert np.array_equal(mesh.edges[beyond], tail.edges[tail.edges >= 32.768])
+        assert np.array_equal(mesh.steps[beyond[:-1]], tail.steps[tail.edges[:-1] >= 32.768])
+
+
+def test_shared_tail_scan_keeps_the_per_channel_verdicts(glued_scan):
+    # each channel probed alone on its own full mesh, as before the tail was
+    # shared: the same verdicts, exponents within 1e-7 (measured 8.3e-9)
+    channels, grid, reports, _ = glued_scan
+    for ch, rep in zip(channels, reports):
+        window = halfline_solver._detector_window(ch, grid)
+        mesh = halfline_solver.select_mesh(ch, halfline_solver._regular_start(ch), 1000.0, window)
+        env, _ = halfline_solver._probe_exponents(ch, grid, origin_bc="regular", r_max=1000.0, rtol=1e-10, mesh=mesh)
+        got = np.array([d.envelope_exponent for d in rep.detections])
+        assert np.array_equal(got < -0.55, env < -0.55)
+        assert np.max(np.abs(got - env)) <= 1e-7
+    fired = [(d.j, d.lam) for rep in reports for d in rep.detections if d.verdict]
+    assert fired == [(0, 2.0)]
+
+
+def test_scan_exponents_match_a_probe_on_the_joined_mesh(glued_scan):
+    # the shared call regroups the steps but takes the same ones, so the
+    # exponents it hands over agree with a one-channel probe to rounding
+    channels, grid, _, handed = glued_scan
+    for ch, (mesh, (env, env_se)) in zip(channels, handed):
+        alone, alone_se = halfline_solver._probe_exponents(
+            ch, grid, origin_bc="regular", r_max=1000.0, rtol=1e-10, mesh=mesh
+        )
+        assert np.max(np.abs(env - alone)) <= 1e-12
+        assert np.max(np.abs(env_se - alone_se)) <= 1e-12
+
+
+@pytest.mark.parametrize("origin_bc", ["regular", None])
+def test_channels_differing_near_r_max_share_nothing(origin_bc):
+    # the second channel carries a bump that is exactly 0 below x = 700, so
+    # q differs only near r_max: nothing is shared and each channel's
+    # exponents are those of its own probe
+    r_max = 800.0
+    channels = [
+        synthetic_channel(k_eff=4.0, phase=0.5),
+        synthetic_channel(k_eff=4.0, phase=0.5, j=1, remainder_fn=lambda x: 1e-3 * np.exp(-(((x - 790.0) / 3.0) ** 2))),
+    ]
+    grid = np.linspace(0.9, 1.1, 9)
+    assert np.array_equal(channels[0].q_fn(np.linspace(1.0, 700.0, 999)), channels[1].q_fn(np.linspace(1.0, 700.0, 999)))
+    window = np.concatenate([halfline_solver._detector_window(ch, grid) for ch in channels])
+    meshes = [halfline_solver.select_mesh(ch, 1.0, r_max, window) for ch in channels]
+    samples = halfline_solver._probe_samples(r_max)
+    assert halfline_solver._shared_radius(channels, meshes[0], [1.0, 1.0], samples) == r_max
+    reports = scan_channels(channels, grid, origin_bc=origin_bc, r_max=r_max)
+    for ch, mesh, rep in zip(channels, meshes, reports):
+        alone = detect_embedded_eigenvalue(ch, grid, origin_bc=origin_bc, r_max=r_max, mesh=mesh)
+        assert [d.verdict for d in rep.detections] == [d.verdict for d in alone]
+        assert [d.envelope_exponent for d in rep.detections] == [d.envelope_exponent for d in alone]
+    if origin_bc is None:
+        assert [d.verdict for d in reports[0].detections] == [False] * 4 + [True] + [False] * 4
+
+
 def test_propagate_refuses_a_mismatched_mesh():
     q = synthetic_channel(k_eff=4.0)
     mesh = halfline_solver.select_mesh(q, 1.0, 100.0, [0.9, 1.1])
@@ -629,6 +735,43 @@ def test_grouped_recurrence_matches_stepwise_product(columns, level, amp, freq, 
     assert level < 9.0 or np.max(off) > 300.0
     transfer = np.max(np.abs(yr[:, columns:]).reshape(4, columns, -1), axis=0)
     assert np.max(np.abs(y * np.exp(off - offr) - yr[:, :columns]) / transfer) <= 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    states=st.integers(1, 3),
+    energies=st.sampled_from([1, 2, 17, 201]),
+    level=st.one_of(st.floats(-3.0, -1.5), st.floats(2.5, 12.0)),
+    amp=st.floats(0.0, 1.0),
+    freq=st.floats(0.5, 3.0),
+    scale=st.sampled_from([1.0, 1e149]),
+    backward=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(states=3, energies=17, level=12.0, amp=1.0, freq=1.0, scale=1e149, backward=False, seed=0)
+def test_m_states_per_energy_match_their_column_layout(states, energies, level, amp, freq, scale, backward, seed):
+    # m states at each of K energies against the same states as K m columns
+    # of a (2, K m) call, whose groups are shorter: both agree within the
+    # 1e-11 |T| of test_grouped_recurrence_matches_stepwise_product, T the
+    # transfer matrix of the state's energy.  q - lam keeps one sign here;
+    # where it changes sign the grouped products themselves err by up to
+    # 1e-9 |T| (ROADMAP item 8), which that test draws.  A growing state
+    # that starts at 1e149 forces the common rescale
+    q_fn = lambda x: level + amp * np.sin(freq * np.asarray(x, dtype=float))
+    lams = np.linspace(0.0, 1.0, energies)
+    y0 = scale * np.random.default_rng(seed).normal(size=(2, states, energies))
+    x0, x1 = (160.0, 1.0) if backward else (1.0, 160.0)
+    t_eval = np.linspace(1.0, 160.0, 60)
+    x, y, off = halfline_solver.propagate(q_fn, lams, y0, x0, x1, t_eval)
+    xc, yc, offc = halfline_solver.propagate(q_fn, np.tile(lams, states), y0.reshape(2, -1), x0, x1, t_eval)
+    eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, energies))
+    _, tr, offt = halfline_solver.propagate(q_fn, lams, eye, x0, x1, t_eval)
+    assert y.shape == (2, states, energies, x.size) and np.array_equal(x, xc)
+    assert scale == 1.0 or level < 0.0 or np.max(off) > 0.0
+    transfer = np.max(np.abs(tr), axis=(0, 1)) * np.exp(offt - offc)
+    size = np.max(np.abs(y0), axis=0)[:, :, None]
+    gap = np.abs(y * np.exp(off - offc) - yc.reshape(y.shape))
+    assert np.max(gap / (transfer * size)) <= 1e-11
 
 
 def _bessel_error(kappa: float, x0: float, rtol: float) -> float:
