@@ -78,6 +78,11 @@ _CAP_LOG = math.log(1e150)
 # a group's bound on the growth of the state: below 1e75, so a state below
 # 1e150 at the group's start stays far from overflow inside it
 _GROUP_LOG = 0.5 * _CAP_LOG
+# a group's bound on the growth of its dominant solution, the sum of the
+# steps' sqrt(max(z, 0)): a group's product P rounds a state at |P| |y|, so
+# where P first grows and then shrinks the state it carries (q - lam changing
+# sign) the group must stay short for P y to be as accurate as the steps
+_GROWTH_LOG = 2.0
 # values per block (steps times their columns and q samples), the most steps
 # in a group of prefix products, and a cap on the trial steps of one
 # selection round
@@ -461,20 +466,27 @@ def _nodes(mesh: Mesh, lo: float, hi: float, samples: np.ndarray) -> np.ndarray:
     return np.append(points[:-1][gap] + frac * gaps[gap], hi)
 
 
-def _group_starts(lognorm: np.ndarray, group: int) -> np.ndarray:
+def _group_starts(bounds: Sequence[tuple[np.ndarray, float]], group: int) -> np.ndarray:
     """First step of every group: each group-th step, and each step that would
-    carry its group's running step-norm bound (the sum of lognorm) past _GROUP_LOG."""
-    starts = np.arange(0, lognorm.size, group)
-    cum = np.concatenate([[0.0], np.cumsum(lognorm)])
-    cuts = []
-    for s in starts[np.add.reduceat(lognorm, starts) > _GROUP_LOG].tolist():
-        end = min(s + group, lognorm.size)
-        while True:
-            s = max(s + 1, int(np.searchsorted(cum, cum[s] + _GROUP_LOG, side="right")) - 1)
-            if s >= end:
-                break
-            cuts.append(s)
-    return np.union1d(starts, np.array(cuts, dtype=np.int64))
+    carry its group's running sum of a weight past that weight's limit, for
+    each (weight per step, limit) in bounds in turn."""
+    size = bounds[0][0].size
+    starts = np.arange(0, size, group)
+    for weight, limit in bounds:
+        over = np.add.reduceat(weight, starts) > limit
+        if not over.any():
+            continue
+        cum = np.concatenate([[0.0], np.cumsum(weight)])
+        ends = np.append(starts[1:], size)
+        cuts = []
+        for s, end in zip(starts[over].tolist(), ends[over].tolist()):
+            while True:
+                s = max(s + 1, int(np.searchsorted(cum, cum[s] + limit, side="right")) - 1)
+                if s >= end:
+                    break
+                cuts.append(s)
+        starts = np.union1d(starts, np.array(cuts, dtype=np.int64))
+    return starts
 
 
 def _prefix_products(mats: np.ndarray, starts: np.ndarray) -> None:
@@ -529,7 +541,8 @@ def propagate(
     The steps are taken in blocks of about _BLOCK values (matrix entries and
     q samples), q sampled once per block.  A block is cut into groups of up
     to 2^floor(log2(512 / K)) steps for K energies, and also wherever the
-    product of the bounds e^|Omega| on the step norms would pass 1e75; the
+    product of the bounds e^|Omega| on the step norms would pass 1e75 or the
+    product of the steps' larger eigenvalues e^sqrt(z) would pass e^2; the
     products of every group's steps are formed at once (_prefix_products),
     and one Python iteration per group carries the state across it.  States
     are formed only at the sampled nodes.
@@ -580,10 +593,13 @@ def propagate(
         coef = [sign * e for e in _step_coefficients(_sample_q(q_fn, nodes[idx], h[idx], _NODES), h[idx])]
         mats = _steps(coef, lams)
         # log of the bound e^|Omega| on a step's norm, |Omega| the largest
-        # row sum, which is convex in lam and so largest at an extreme lam
-        p, u, l, _ = _exponent(coef, extremes)
+        # row sum, and the log sqrt(max(z, 0)) of the modulus of the step's
+        # larger eigenvalue: the row sum and z are convex in lam, so both are
+        # largest at an extreme lam
+        p, u, l, z = _exponent(coef, extremes)
         lognorm = np.max(np.abs(p) + np.maximum(np.abs(u), np.abs(l)), axis=1)
-        starts = _group_starts(lognorm, group)
+        growth = np.sqrt(np.maximum(np.max(z, axis=1), 0.0))
+        starts = _group_starts([(lognorm, _GROUP_LOG), (growth, _GROWTH_LOG)], group)
         _prefix_products(mats, starts)
         bound = (grown + np.cumsum(np.add.reduceat(lognorm, starts))).tolist()
         grown = bound[-1]

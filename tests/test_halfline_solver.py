@@ -491,6 +491,17 @@ def test_channels_differing_near_r_max_share_nothing(origin_bc):
         assert [d.verdict for d in reports[0].detections] == [False] * 4 + [True] + [False] * 4
 
 
+def test_groups_stop_where_the_step_growth_passes_e2():
+    # growth e^0.5 per step: groups of four steps, each growing e^2, inside
+    # the 512-step groups of one column; the norm bound cuts first, at 1e75
+    growth = np.full(10, 0.5)
+    cuts = halfline_solver._group_starts([(np.zeros(10), halfline_solver._GROUP_LOG), (growth, 2.0)], 512)
+    assert cuts.tolist() == [0, 4, 8]
+    lognorm = np.full(10, 50.0)
+    cuts = halfline_solver._group_starts([(lognorm, halfline_solver._GROUP_LOG), (growth, 2.0)], 512)
+    assert cuts.tolist() == [0, 3, 6, 9]
+
+
 def test_propagate_refuses_a_mismatched_mesh():
     q = synthetic_channel(k_eff=4.0)
     mesh = halfline_solver.select_mesh(q, 1.0, 100.0, [0.9, 1.1])
@@ -714,15 +725,21 @@ def _stepwise(q_fn, lams, y0, x0, x1, t_eval):
 @example(columns=1, level=9.0, amp=1.0, freq=1.0, backward=True)
 @example(columns=17, level=12.0, amp=0.0, freq=1.0, backward=False)
 @example(columns=201, level=1.0, amp=0.0, freq=1.0, backward=True)
+@example(columns=1, level=0.0, amp=0.9453125, freq=0.5000000000000001, backward=False)
+@example(columns=1, level=0.0, amp=0.939453125, freq=0.5, backward=False)
 def test_grouped_recurrence_matches_stepwise_product(columns, level, amp, freq, backward):
     # q - lam >= 7 grows the state past e^400 over the span, so both runs
     # rescale at 1e150 and the groups are also cut by the step-norm bound.
     # The step-by-step product also carries the transfer matrix T of every
     # lam, and rounding scales with |T|, its largest entry, not with the
-    # solution: at lam = 0.91 in the last example (1, 0.3) is the solution
-    # that decays while T grows.  Each state must agree within 1e-11 |T|
-    # (up to 5.6e-13 |T| measured, where q - lam changes sign); a wrong
-    # product order, group start or ledger entry is off by order |T|
+    # solution: at lam = 0.91 in the fourth example (1, 0.3) is the solution
+    # that decays while T grows.  Each state must agree within 1e-11 |T|; a
+    # wrong product order, group start or ledger entry is off by order |T|.
+    # In the last two q - lam changes sign and T grows to about 230 and falls
+    # back to 4: groups of 512 steps erred by 1.1e-11 and 8.6e-10 |T| there,
+    # groups cut at a growth of e^2 by 1.2e-12 and 5.0e-12 |T|, while the
+    # step-by-step product itself is 4e-13 and 1.1e-11 |T| from the same
+    # product in long double
     q_fn = lambda x: level + amp * np.sin(freq * np.asarray(x, dtype=float))
     lams = np.linspace(0.0, 1.0, columns)
     y0 = np.tile([[1.0], [0.3]], (1, columns))
@@ -754,9 +771,10 @@ def test_m_states_per_energy_match_their_column_layout(states, energies, level, 
     # of a (2, K m) call, whose groups are shorter: both agree within the
     # 1e-11 |T| of test_grouped_recurrence_matches_stepwise_product, T the
     # transfer matrix of the state's energy.  q - lam keeps one sign here;
-    # where it changes sign the grouped products themselves err by up to
-    # 1e-9 |T| (ROADMAP item 8), which that test draws.  A growing state
-    # that starts at 1e149 forces the common rescale
+    # where it changes sign the rounding of either layout can reach 1e-11 |T|
+    # near its worst draws, as a step-by-step product's does, which that
+    # test draws.  A growing state that starts at 1e149 forces the common
+    # rescale
     q_fn = lambda x: level + amp * np.sin(freq * np.asarray(x, dtype=float))
     lams = np.linspace(0.0, 1.0, energies)
     y0 = scale * np.random.default_rng(seed).normal(size=(2, states, energies))
