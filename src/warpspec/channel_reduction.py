@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NonOscillatoryError
-from .warp_geometry import WarpProfile
+from .warp_geometry import WarpProfile, uniform_grid
 
 __all__ = [
     "ChannelPotential",
@@ -58,12 +58,11 @@ def sphere_multiplicity(n: int, j: int) -> int:
 class ChannelPotential:
     """Half-line Schrodinger potential of one channel.
 
-    q_fn gives closed-form values from x_min on, up to the profile's r_max
-    (beyond the sample grid when that stops at GRID_CAP); k_eff is the
-    fitted amplitude (always nonnegative, sign absorbed into phase) of
-    x * (q - limit) on the tail window of fit_tail_oscillation, absent (None)
-    when the tail is not an x^-1 sinusoid or was not fitted
-    (unfitted_channel_potential).
+    q_fn gives closed-form values on the profile's range [x_min, r_max];
+    k_eff is the fitted amplitude (always nonnegative, sign absorbed into
+    phase) of x * (q - limit) on the tail window of fit_tail_oscillation,
+    which ends at r_max, absent (None) when the tail is not an x^-1 sinusoid
+    or was not fitted (unfitted_channel_potential).
     origin_exponent is the indicial root s of the x -> 0 singularity
     q ~ s(s-1)/x^2 for profiles covering the origin, None otherwise.
     kinks are the profile's kinks inside (x_min, r_max), where q is only C^1;
@@ -129,16 +128,21 @@ def block_max_slope(x: np.ndarray, y: np.ndarray, *, peak_floor: float | None = 
     return float(np.polyfit(lx, lm, 1)[0]), lm
 
 
-def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailFit | None:
-    """Fit the x^-1 sinusoid of a sampled potential on the last quarter of its grid.
+def fit_tail_oscillation(
+    q_fn: Callable[[np.ndarray], np.ndarray], limit: float, r_min: float, r_max: float
+) -> TailFit | None:
+    """Fit the x^-1 sinusoid of a potential on the last quarter of its range.
 
-    The window is grid >= max(50, 0.75 grid[-1]); None when it holds no
-    sample.  Callers decide whether the fit is good enough to use.
+    q_fn is sampled at the nodes x >= max(50, 0.75 x_last) of the lattice
+    uniform_grid(r_min, r_max), x_last its last node, and nowhere else;
+    None when no node lies there.  Callers decide whether the fit is good
+    enough to use.
     """
-    mask = grid >= max(50.0, 0.75 * grid[-1])
-    if not np.any(mask):
+    grid = uniform_grid(r_min, r_max)
+    xs = grid[grid >= max(50.0, 0.75 * grid[-1])]
+    if not xs.size:
         return None
-    xs, ys = grid[mask], grid[mask] * (q[mask] - limit)
+    ys = xs * (q_fn(xs) - limit)
     design = np.column_stack([np.sin(2.0 * xs), np.cos(2.0 * xs)])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     amp, phase = float(math.hypot(*coef)), float(math.atan2(coef[1], coef[0]))
@@ -154,11 +158,11 @@ def fit_tail_oscillation(grid: np.ndarray, q: np.ndarray, limit: float) -> TailF
 def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """unfitted_channel_potential(profile, j) with the tail fit: k_eff, phase and remainder_slope.
 
-    The fit tabulates q_fn on the whole sample grid (fit_tail_oscillation).
+    The fit samples q_fn on the last quarter of [r_min, r_max] (fit_tail_oscillation).
     """
     q = unfitted_channel_potential(profile, j)
     # tail oscillation fit, used with enough samples and a clear amplitude
-    fit = fit_tail_oscillation(profile.grid, q.q_fn(profile.grid), q.limit)
+    fit = fit_tail_oscillation(q.q_fn, q.limit, profile.r_min, profile.r_max)
     if fit is not None and fit.samples >= 200 and fit.k_eff > max(1e-10, 4.0 * fit.rms):
         return replace(q, k_eff=fit.k_eff, phase=fit.phase, remainder_slope=fit.remainder_slope)
     return q
@@ -167,17 +171,17 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
 def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
-    q_fn evaluates the profile's shape, so it is valid on [grid[0], r_max],
-    also beyond the last grid node.  Nothing is tabulated: k_eff, phase and
-    remainder_slope stay None (channel_potential fits them), so this suits
-    callers that only integrate the channel equation.
+    q_fn evaluates the profile's shape, so it is valid on [r_min, r_max].
+    Nothing is sampled: k_eff, phase and remainder_slope stay None
+    (channel_potential fits them), so this suits callers that only
+    integrate the channel equation.
     """
     if j < 0:
         raise ConfigError(f"channel index j must be nonnegative, got {j}")
     n = profile.n
     p = 0.5 * (n - 1)
     lam_j = float(j * (j + n - 2))
-    grid = profile.grid
+    r_min = profile.r_min
     sh = profile.shape
 
     def q_fn(x, _sh=sh, _p=p, _lam=lam_j):
@@ -189,7 +193,7 @@ def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential
         return out
 
     origin_exponent = None
-    if grid[0] < 0.5 and abs(math.exp(float(sh.log_f(grid[0]))) / grid[0] - 1.0) < 0.01:
+    if r_min < 0.5 and abs(math.exp(float(sh.log_f(r_min))) / r_min - 1.0) < 0.01:
         # profile covers the origin with f ~ r: indicial root of s(s-1) = p(p-1) + lam_j
         origin_exponent = 0.5 + math.sqrt(0.25 + p * (p - 1.0) + lam_j)
 
@@ -199,9 +203,9 @@ def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential
         lam_sphere=lam_j,
         limit=0.25 * (n - 1) ** 2,
         q_fn=q_fn,
-        x_min=float(grid[0]),
+        x_min=r_min,
         origin_exponent=origin_exponent,
-        kinks=tuple(r for r in profile.kinks if grid[0] < r < profile.r_max),
+        kinks=tuple(r for r in profile.kinks if r_min < r < profile.r_max),
     )
 
 

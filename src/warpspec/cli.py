@@ -15,19 +15,21 @@ to r = 40 and the power and log ends to r = 1100; the glued construction and
 the wvn end reach r = 2000.  verify-growth, whose trials run to --t-end,
 takes a model profile shorter than that as far as it holds (hyperbolic to
 r = 710, where sinh r overflows, the others to 2000), and without --t-end
-its span stops at the profile's last grid node if that comes first.  Non-finite settings are refused.  All artifacts
-are written atomically and print each float as Python's repr, the shortest
-string that reads back to the same double, so repeated runs are
-byte-identical; wall-clock time goes to stderr (and into the report only
-under --timings, which deliberately breaks byte-identity).  A profile.json
-artifact holds exactly the keys n, kind and params, the keyword arguments of
-that kind's builder, and profile_from_json reads it back into the same
-profile.  A curvature.csv artifact (curvature-report) has the columns r, S,
-K_rad and r_times_K_plus_1 on the profile's grid, S and K_rad evaluated from
-the closed-form shape.  A scan.csv artifact (build-example, scan) has one
-row per channel j and energy lam, with the columns j, lam, verdict (1 fired,
-0 not), envelope_exponent and refined_lam, which is nan off the refined
-point.
+its span stops at the profile's r_max if that comes first.  Non-finite
+settings are refused.  All artifacts are written atomically and print each
+float as Python's repr, the shortest string that reads back to the same
+double, so repeated runs are byte-identical; wall-clock time goes to stderr
+(and into the report only under --timings, which deliberately breaks
+byte-identity).  A profile.json artifact holds exactly the keys n, kind and
+params, the keyword arguments of that kind's builder, and profile_from_json
+reads it back into the same profile.  A curvature.csv artifact
+(curvature-report) has the columns r, S, K_rad and r_times_K_plus_1 at the
+nodes r_min + i pi/40 of the profile's range, S and K_rad evaluated from the
+closed-form shape.  A psi.csv
+artifact (build-example) samples the eigenfunction at the same nodes up to
+min(r_max, 600).  A scan.csv artifact (build-example, scan) has one row per
+channel j and energy lam, with the columns j, lam, verdict (1 fired, 0 not),
+envelope_exponent and refined_lam, which is nan off the refined point.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from ._format import dumps_json, write_csv_atomic, write_json_atomic, write_text_atomic
 from .channel_reduction import block_max_slope, channel_potential, resonance_energy
-from .embedded_construction import build_construction, reference_profile, verify_construction
+from .embedded_construction import PSI_R_MAX, build_construction, reference_profile, verify_construction
 from .errors import ConfigError, WarpspecError
 from .growth_and_identities import (
     GrowthSeries,
@@ -65,6 +67,7 @@ from .warp_geometry import (
     cusp_profile,
     euclidean_profile,
     hyperbolic_profile,
+    uniform_grid,
 )
 
 __all__ = [
@@ -278,7 +281,7 @@ def _cmd_build_example(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     if out is not None:
         write_json_atomic(out / "profile.json", profile_to_json(g.profile))
         artifacts.append(str(out / "profile.json"))
-        grid = g.profile.grid
+        grid = uniform_grid(g.profile.r_min, min(g.profile.r_max, PSI_R_MAX))
         write_csv_atomic(out / "psi.csv", ["r", "psi"], [grid, g.psi_fn(grid)])
         artifacts.append(str(out / "psi.csv"))
         _write_scan_csv(out / "scan.csv", scans)
@@ -523,7 +526,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, r_max=r_max)
     if "t_end" not in doc and cfg.command == "verify-growth" and cfg.profile in _PROFILE_R_MAX:
         # and they stop where the profile's range does, when that comes first
-        cfg = replace(cfg, t_end=min(cfg.t_end, _named_profile(cfg).r_max))
+        cfg = replace(cfg, t_end=min(cfg.t_end, cfg.r_max))
     return cfg
 
 

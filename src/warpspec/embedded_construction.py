@@ -51,7 +51,6 @@ from .halfline_solver import (
 )
 from .warp_geometry import (
     DEFAULT_STEP,
-    GRID_CAP,
     GaussLegendrePanels,
     WarpProfile,
     fd_derivative,
@@ -72,6 +71,13 @@ __all__ = [
     "scale_construction",
     "verify_construction",
 ]
+
+# psi is checked and written out (psi.csv) on [r_min, min(r_max, PSI_R_MAX)].
+# Farther out psi = f^-p w underflows: on the glued k = 1 end it is exactly
+# 0.0 past r ~ 745, so a residual there compares zeros.  The pi/400 tail
+# residual to r_max 1000 would also double its cost, and sampling the tail
+# solution's own pi/40 nodes instead is too coarse for its 1e-6 bound.
+PSI_R_MAX = 600.0
 
 
 # ---------------------------------------------------------------- ball piece
@@ -158,8 +164,7 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile
 
     Requires the coupling to clear the resonance threshold
     |k| (n-1) sqrt((n-1)^2 + 4) > 4 so that the channel sinusoid amplitude
-    k_eff exceeds 2.  The grid stops at GRID_CAP; the shape callables remain
-    valid on [1, r_max].
+    k_eff exceeds 2.
     """
     thr = resonance_coupling_threshold(n)
     if abs(k) <= thr:
@@ -188,10 +193,10 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        grid=uniform_grid(1.0, min(r_max, GRID_CAP)),
+        r_min=1.0,
+        r_max=r_max,
         kind="wvn",
         params={"k": k, "r_max": r_max},
-        r_max=r_max,
     )
 
 
@@ -439,11 +444,11 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
         s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
         s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, lambda t: bridge_shape(t)[1], sh1.s_prime),
         log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
-        grid=uniform_grid(DEFAULT_STEP, min(ref.r_max, GRID_CAP)),
+        r_min=DEFAULT_STEP,
+        r_max=ref.r_max,
         kind="glued",
         params={"k": float(ref.params["k"]), "r_max": ref.r_max},
         kinks=(r1, *knots, r2),
-        r_max=ref.r_max,
     )
 
     ball_scale = 1.0 / abs(float(disk.h_prime_fn(r1)))
@@ -618,7 +623,7 @@ def verify_construction(
     ci = int(np.searchsorted(g.tail.x, r2))
     if abs(g.tail.x[ci] - r2) > 1e-9:
         raise WarpspecError("junction radius is not a tail sample point")
-    xt = np.arange(r2 + fine_step, prof.grid[-1], fine_step)
+    xt = np.arange(r2 + fine_step, min(prof.r_max, PSI_R_MAX), fine_step)
     y0 = np.array([[g.tail.w[ci]], [g.tail.w_prime[ci]]])
     xs, y, off = propagate(unfitted_channel_potential(g.reference, 0), [b_n], y0, r2, xt[-1], xt, rtol=1e-12)
     if np.any(off != 0.0):
@@ -645,8 +650,9 @@ def verify_construction(
         "q0_jump_r1": abs(float(q0_fn(r1 - 1e-9)) - float(q0_fn(r1 + 1e-9))),
         "q0_jump_r2": abs(float(q0_fn(r2 - 1e-9)) - float(q0_fn(r2 + 1e-9))),
     }
-    mask_ball = prof.grid < r1
-    report["ball_max_dev"] = float(np.max(np.abs(np.exp(sh.log_f(prof.grid))[mask_ball] - prof.grid[mask_ball])))
+    rb = uniform_grid(prof.r_min, r1)
+    rb = rb[rb < r1]
+    report["ball_max_dev"] = float(np.max(np.abs(np.exp(sh.log_f(rb)) - rb)))
 
     # (c) tail curvature decay
     rr = np.arange(r2, prof.r_max, math.pi / 40.0)

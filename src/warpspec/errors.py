@@ -17,11 +17,11 @@ class ConfigError(WarpspecError):
 
 
 class InvalidProfileError(ConfigError):
-    """Warp profile violates a structural requirement (f <= 0, grid not increasing...)."""
+    """Warp profile violates a structural requirement (n < 2, r_max <= r_min, kinks out of order...)."""
 
 
 class ResolutionError(ConfigError):
-    """Sampling grid too coarse to resolve the oscillation scale."""
+    """Samples too few or too unevenly spaced for a finite-difference stencil."""
 
 
 class CouplingTooWeakError(ConfigError):

@@ -33,7 +33,6 @@ import numpy as np
 from .channel_reduction import (
     ChannelPotential,
     block_max_slope,
-    channel_potential,
     inverse_liouville,
     require_oscillatory,
     unfitted_channel_potential,
@@ -48,7 +47,6 @@ from .errors import (
 from .halfline_solver import propagate
 from .warp_geometry import (
     DEFAULT_STEP,
-    GRID_CAP,
     GaussLegendrePanels,
     WarpProfile,
     fd_derivative,
@@ -149,7 +147,7 @@ def solve_radial(
     phi0, phi_prime0 = np.atleast_1d(phi0), np.atleast_1d(phi_prime0)
     fp0 = math.exp(p * float(sh.log_f(t0)))
     y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
-    q0 = channel_potential(profile, 0)
+    q0 = unfitted_channel_potential(profile, 0)
     _, y, off = propagate(q0, np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=1e-11)
     y = np.concatenate([y0[:, :, None], y * np.exp(off)], axis=2)
     return [radial_solution_from_w(profile, q0, alpha=alpha, t=t, w=w, w_prime=wp) for w, wp in zip(y[0], y[1])]
@@ -282,7 +280,7 @@ def _decay_hypothesis_report(profile: WarpProfile, *, r_hi: float) -> dict:
     Accepts either sup <= 1e-8 on the window (exact cusp-like ends) or block
     maxima with log-log slope <= -0.05 and a final/first ratio <= 0.5.
     """
-    r_lo = max(5.0, float(profile.grid[0]))
+    r_lo = max(5.0, profile.r_min)
     if r_hi < 10.0 * r_lo:
         raise InsufficientDataError("decay window spans less than one decade")
     r = np.geomspace(r_lo, min(r_hi, profile.r_max), 4000)
@@ -388,7 +386,7 @@ def eigenfunction_growth_series(construction, *, gamma: float = 1.0, t_min: floa
     w = tail.w[mask] * np.exp(offs) * scale
     wp = tail.w_prime[mask] * np.exp(offs) * scale
     prof = construction.profile
-    sol = radial_solution_from_w(prof, channel_potential(prof, 0), alpha=construction.b_n, t=tail.x[mask], w=w, w_prime=wp)
+    sol = radial_solution_from_w(prof, unfitted_channel_potential(prof, 0), alpha=construction.b_n, t=tail.x[mask], w=w, w_prime=wp)
     return growth_series(prof, sol, gamma=gamma)
 
 
@@ -512,8 +510,6 @@ def power_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
     """Shape S = 1 + r^-3/2 on [1, r_max], so K_rad + 1 = O(r^-3/2).
 
     The exponent 3/2 > 1 puts the end inside the o(1/r) hypothesis class.
-    The grid stops at GRID_CAP; the closed-form callables stay valid to
-    r_max.
     """
 
     def s(r):
@@ -531,18 +527,15 @@ def power_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        grid=uniform_grid(1.0, min(GRID_CAP, r_max)),
+        r_min=1.0,
+        r_max=r_max,
         kind="power_decay",
         params={"r_max": r_max},
-        r_max=r_max,
     )
 
 
 def slow_log_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
-    """Shape S = 1 + 1/(2 r log r) on [2, r_max]: boundary of the o(1/r) class.
-
-    The grid stops at GRID_CAP like power_decay_profile's.
-    """
+    """Shape S = 1 + 1/(2 r log r) on [2, r_max]: boundary of the o(1/r) class."""
 
     def s(r):
         r = np.asarray(r, dtype=float)
@@ -562,10 +555,10 @@ def slow_log_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
         s=s,
         s_prime=s_prime,
         log_f=log_f,
-        grid=uniform_grid(2.0, min(GRID_CAP, r_max)),
+        r_min=2.0,
+        r_max=r_max,
         kind="log_decay",
         params={"r_max": r_max},
-        r_max=r_max,
     )
 
 
@@ -761,7 +754,7 @@ def check_parts_identities(
     nm1 = n - 1
     c = 0.5 * nm1
     s0, t1 = float(span[0]), float(span[1])
-    if not (profile.grid[0] - 1e-9 <= s0 < t1 <= profile.r_max + 1e-9):
+    if not (profile.r_min - 1e-9 <= s0 < t1 <= profile.r_max + 1e-9):
         raise ConfigError(f"identity span {span} leaves the profile validity range")
     # panels of width at most 0.35, split exactly at the kinks
     pieces = piece_edges(s0, t1, profile.kinks)

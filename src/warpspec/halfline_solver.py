@@ -672,8 +672,8 @@ def synthetic_channel(
     """Channel potential q = limit + k_eff sin(2x + phase)/x + remainder on [1, oo), labelled n = 3.
 
     For detector and decay studies independent of any warp profile.  The tail
-    fit metadata is computed from samples on [1, 600] at spacing pi/40 exactly
-    as channel_potential does, so the detector preconditions are exercised
+    fit metadata comes from fit_tail_oscillation on [1, 600], the sampler
+    channel_potential uses, so the detector preconditions are exercised
     honestly.
     """
 
@@ -684,9 +684,8 @@ def synthetic_channel(
             out = out + remainder_fn(x)
         return out
 
-    grid = 1.0 + (math.pi / 40.0) * np.arange(int(599.0 / (math.pi / 40.0)) + 1)
     # any amplitude is accepted: the caller chose the tail
-    fit = fit_tail_oscillation(grid, q_fn(grid), limit)
+    fit = fit_tail_oscillation(q_fn, limit, 1.0, 600.0)
     return ChannelPotential(
         n=3,
         j=j,

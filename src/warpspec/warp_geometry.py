@@ -1,8 +1,9 @@
 """Rotationally symmetric metrics g = dr^2 + f(r)^2 g_sphere and their curvature.
 
 A profile is its closed-form shape (logarithmic derivative S = f'/f, S' and
-log f), a sample grid and the radii where S loses smoothness; nothing is
-tabulated.  All geometric quantities of interest reduce to S:
+log f), its range [r_min, r_max] and the radii where S loses smoothness;
+nothing is tabulated, and each consumer samples the shape where it reads it.
+All geometric quantities of interest reduce to S:
 
     radial curvature   K_rad = -f''/f = -(S' + S^2)      (radial_curvature)
     distance Laplacian Delta r = (n-1) S
@@ -52,11 +53,9 @@ __all__ = [
     "hessian_comparison_check",
 ]
 
-# sampling must resolve the sin(2r) oscillation scale
-MAX_GRID_STEP = math.pi / 20.0
+# spacing of the sampling lattice r_min + i * DEFAULT_STEP: twenty nodes per
+# period of the sin(2r) oscillation
 DEFAULT_STEP = math.pi / 40.0
-# last grid radius of the ends that reach beyond it (WarpProfile)
-GRID_CAP = 600.0
 
 
 def sphere_area(n: int) -> float:
@@ -90,24 +89,22 @@ class ShapeFns:
 
 @dataclass(frozen=True, eq=False)
 class WarpProfile:
-    """Warp factor of g = dr^2 + f(r)^2 g_sphere: a closed-form shape and a sample grid.
+    """Warp factor of g = dr^2 + f(r)^2 g_sphere: a closed-form shape on a range.
 
-    shape gives S, S' and log f on [grid[0], r_max], so f = exp(log f) is
-    positive by construction.  The grid holds the radii where a profile is
-    sampled: curvature fields, the channel tail fit, the eigenfunction and
-    resolution checks.  Ends that reach farther stop it at GRID_CAP = 600:
-    the tail fit reads the grid's last quarter, so where the grid stops sets
-    the fit window and the fitted k_eff.  The shape stays valid beyond it.
-    grid must be strictly increasing.  kinks are the ascending radii, without
-    duplicates, where S loses smoothness: glue radii and the bridge's spline
-    knots.  Quadrature panels, stencils and ODE legs stop at them; grid nodes
-    never sit exactly on one.
+    shape gives S, S' and log f on [r_min, r_max], 0 <= r_min < r_max < oo,
+    so f = exp(log f) is positive by construction.  The profile holds no
+    samples: each consumer (curvature fields, the channel tail fit, the
+    eigenfunction checks) samples the shape on its own span, at the lattice
+    nodes r_min + i * DEFAULT_STEP where it needs a lattice.  kinks are the
+    ascending radii, without duplicates, where S loses smoothness: glue radii
+    and the bridge's spline knots.  Quadrature panels, stencils and ODE legs
+    stop at them.
     """
 
     n: int
     kind: str
     params: Mapping[str, float]
-    grid: np.ndarray
+    r_min: float
     r_max: float
     shape: ShapeFns = field(compare=False, repr=False)
     kinks: tuple[float, ...] = ()
@@ -115,20 +112,15 @@ class WarpProfile:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidProfileError(f"need dimension n >= 2, got {self.n}")
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or len(g) < 8:
-            raise InvalidProfileError("grid must be 1-D with at least 8 nodes")
-        if not np.all(np.diff(g) > 0):
-            raise InvalidProfileError("grid must be strictly increasing")
-        if g[0] < 0:
-            raise InvalidProfileError("grid must start at a nonnegative radius")
+        if not 0.0 <= self.r_min < self.r_max < math.inf:
+            raise InvalidProfileError(f"need 0 <= r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
         if any(b <= a for a, b in zip(self.kinks, self.kinks[1:])):
             raise InvalidProfileError("kinks must be ascending without duplicates")
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureField:
-    """S and K_rad of a profile's shape on its grid, plus the trace-identity residual.
+    """S and K_rad of a profile's shape at the lattice nodes of its range, plus the trace-identity residual.
 
     Delta r = (n-1) S and Ric(dr,dr) = (n-1) K_rad follow from these two.
     """
@@ -186,23 +178,14 @@ def fd_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
     return out / h**order
 
 
-def _check_resolution(grid: np.ndarray) -> None:
-    if np.max(np.diff(grid)) > MAX_GRID_STEP * (1 + 1e-12):
-        raise ResolutionError(
-            f"grid step {np.max(np.diff(grid)):.4g} exceeds the resolution policy "
-            f"{MAX_GRID_STEP:.4g}"
-        )
-
-
 def radial_curvature(shape: ShapeFns, r: np.ndarray) -> np.ndarray:
     """K_rad = -f''/f = -(S' + S^2) of a shape at radii r."""
     return -(shape.s_prime(r) + shape.s(r) ** 2)
 
 
 def curvature_of_profile(profile: WarpProfile) -> CurvatureField:
-    """S and radial curvature of a profile's shape on its grid, with the trace residual."""
-    _check_resolution(profile.grid)
-    r = profile.grid
+    """S and radial curvature of a profile's shape at uniform_grid(r_min, r_max), with the trace residual."""
+    r = uniform_grid(profile.r_min, profile.r_max)
     return CurvatureField(
         grid=r,
         s=profile.shape.s(r),
@@ -220,14 +203,16 @@ def bochner_residual(profile: WarpProfile) -> float:
     r * Delta r and uses d(Delta r)/dr = (d(r Delta r)/dr - Delta r) / r: near a smooth pole
     Delta r ~ (n-1)/r is unresolvable on a uniform grid while r * Delta r is
     analytic, so the substitution keeps the stencil error uniformly small
-    without excluding any grid points.
+    without excluding any sample.
 
-    Each smooth piece of [grid[0], grid[-1]] between the profile's kinks is
-    resampled on its own uniform grid, fine enough for the 7-point stencil.
+    The span is [r_min, x_last], x_last the last node of uniform_grid(r_min,
+    r_max), which curvature_of_profile samples.  Each smooth piece of it
+    between the profile's kinks is sampled on its own uniform grid, fine
+    enough for the 7-point stencil.
     """
     shape = profile.shape
     nm1 = profile.n - 1
-    edges = piece_edges(profile.grid[0], profile.grid[-1], profile.kinks)
+    edges = piece_edges(profile.r_min, float(uniform_grid(profile.r_min, profile.r_max)[-1]), profile.kinks)
     worst = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         width = b - a
@@ -304,7 +289,8 @@ def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> Wa
         s=lambda r: 1.0 / np.asarray(r, dtype=float),
         s_prime=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
         log_f=lambda r: np.log(np.asarray(r, dtype=float)),
-        grid=uniform_grid(r_min, r_max),
+        r_min=r_min,
+        r_max=r_max,
         kind="euclidean",
         params={"r_min": r_min, "r_max": r_max},
     )
@@ -318,7 +304,8 @@ def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> W
         # 1/sinh before squaring: sinh(r) ** 2 overflows past r = 355
         s_prime=lambda r: -((1.0 / np.sinh(np.asarray(r, dtype=float))) ** 2),
         log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
-        grid=uniform_grid(r_min, r_max),
+        r_min=r_min,
+        r_max=r_max,
         kind="hyperbolic",
         params={"r_min": r_min, "r_max": r_max},
     )
@@ -331,7 +318,8 @@ def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpPro
         s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         log_f=lambda r: np.asarray(r, dtype=float),
-        grid=uniform_grid(r_min, r_max),
+        r_min=r_min,
+        r_max=r_max,
         kind="cusp",
         params={"r_min": r_min, "r_max": r_max},
     )
@@ -342,30 +330,27 @@ def profile_from_shape(
     *,
     s: Callable[[np.ndarray], np.ndarray],
     s_prime: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
+    r_min: float,
+    r_max: float,
     log_f: Callable[[np.ndarray], np.ndarray] | None = None,
     kind: str = "tabulated",
     params: Mapping[str, float] | None = None,
     kinks: Sequence[float] = (),
-    r_max: float | None = None,
 ) -> WarpProfile:
-    """Build a profile from a shape curve S = f'/f, sampled on grid.
+    """Build a profile from a shape curve S = f'/f on [r_min, r_max].
 
-    Every built-in profile is made here.  Nothing is evaluated on the grid;
-    r_max defaults to the last grid node.  When log_f is omitted it is
-    accumulated by Gauss-Legendre quadrature of S along a refined grid
-    (normalized so f(grid[0]) = 1) and interpolated with a cubic spline;
-    supply an exact log_f whenever one is available.  kinks are the
+    Every built-in profile is made here.  Nothing is evaluated unless log_f
+    is omitted: then it is accumulated by Gauss-Legendre quadrature of S
+    along nodes 0.02 apart (normalized so f(r_min) = 1) and interpolated
+    with a cubic spline; supply an exact log_f whenever one is available.  kinks are the
     ascending radii where S loses smoothness.  kind and params name the
     builder that remakes the profile; a profile persists to JSON only when
     the CLI knows that kind (cli.profile_to_json).
     """
-    grid = np.asarray(grid, dtype=float)
     if log_f is None:
         from scipy.interpolate import CubicSpline
 
-        span = grid[-1] - grid[0]
-        dense = np.linspace(grid[0], grid[-1], max(2 * len(grid), int(span / 0.02) + 2))
+        dense = np.linspace(r_min, r_max, int((r_max - r_min) / 0.02) + 2)
         gl = GaussLegendrePanels(dense)
         log_f = CubicSpline(dense, gl.antiderivative(np.asarray(s(gl.x.ravel()), dtype=float))[1])
 
@@ -373,8 +358,8 @@ def profile_from_shape(
         n=n,
         kind=kind,
         params=dict(params or {}),
-        grid=grid,
-        r_max=float(r_max if r_max is not None else grid[-1]),
+        r_min=float(r_min),
+        r_max=float(r_max),
         shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f),
         kinks=tuple(float(k) for k in kinks),
     )
@@ -484,25 +469,20 @@ def hessian_comparison_check(
     *,
     tol: float = 1e-9,
 ) -> ComparisonReport:
-    """Check the shape sandwich f1 <= S <= f2 on the overlap of the grids.
+    """Check the shape sandwich f1 <= S <= f2 at the bound's nodes inside [r_min, r_max].
 
-    The bound curves are interpolated onto the profile grid; pointwise slack
-    tol absorbs interpolation noise.  Returns the first violating radius (and
-    which side failed) when the sandwich breaks.
+    S is evaluated at the nodes where the bound curves were solved, so
+    nothing is interpolated; pointwise slack tol absorbs the solver's error.
+    Returns the first violating radius (and which side failed) when the
+    sandwich breaks.
     """
-    lo = max(profile.grid[0], bound.grid[0])
-    hi = min(profile.grid[-1], bound.grid[-1])
-    mask = (profile.grid >= lo) & (profile.grid <= hi)
+    mask = (bound.grid >= profile.r_min) & (bound.grid <= profile.r_max)
     if not np.any(mask):
-        raise ConfigError("profile and bound grids do not overlap")
-    from scipy.interpolate import CubicSpline
-
-    r = profile.grid[mask]
+        raise ConfigError("the bound's nodes miss the profile's range")
+    r = bound.grid[mask]
     s = profile.shape.s(r)
-    f1 = CubicSpline(bound.grid, bound.f1)(r)
-    f2 = CubicSpline(bound.grid, bound.f2)(r)
-    lower_gap = f1 - s
-    upper_gap = s - f2
+    lower_gap = bound.f1[mask] - s
+    upper_gap = s - bound.f2[mask]
     bad_low = lower_gap > tol
     bad_up = upper_gap > tol
     if np.any(bad_low) or np.any(bad_up):

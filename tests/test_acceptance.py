@@ -114,7 +114,7 @@ def test_criterion_05_gluing_consistency(glued_k1, glued_k1_verified):
     assert report["ball_max_dev"] <= 1e-8
     # the warp factor is invariant under rescaling the eigenfunction
     scaled = scale_construction(glued_k1, 3.0)
-    grid = glued_k1.profile.grid
+    grid = uniform_grid(glued_k1.profile.r_min, glued_k1.profile.r_max)
     for name in ("s", "s_prime", "log_f"):
         assert getattr(scaled.profile.shape, name)(grid).tobytes() == getattr(glued_k1.profile.shape, name)(grid).tobytes()
     r = np.linspace(1.0, 30.0, 500)
@@ -186,7 +186,8 @@ def test_criterion_07_comparison_machinery():
             3,
             s=s_fn,
             s_prime=lambda r: -s_fn(r) ** 2 - curvature(np.asarray(r, dtype=float)),
-            grid=grid10,
+            r_min=1.0,
+            r_max=float(grid10[-1]),
         )
         bound = solve_riccati_bound(a1=a1, b1_half=b1h, r0=1.0, upper_start=upper, grid=grid10)
         rep = hessian_comparison_check(prof, bound)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpspec import (
     ConfigError,
@@ -20,7 +22,10 @@ from warpspec import (
     resonance_coupling_threshold,
     resonance_energy,
     sphere_multiplicity,
+    synthetic_channel,
+    uniform_grid,
 )
+from warpspec.channel_reduction import fit_tail_oscillation
 
 # frozen from scripts/oracle_multiplicity.py (rank of the monomial Laplacian)
 BRUTE_FORCE_DIMS = {
@@ -30,8 +35,8 @@ BRUTE_FORCE_DIMS = {
     5: [1, 5, 14, 30, 55, 91, 140],
 }
 
-# frozen fitted tail amplitude of the n = 3, k = 1 reference channel
-K_EFF_FITTED = 2.8270638654219566
+# frozen fitted tail amplitude of the n = 3, k = 1 reference channel at r_max 2000
+K_EFF_FITTED = 2.82801995733793
 
 
 @pytest.mark.parametrize("n", sorted(BRUTE_FORCE_DIMS))
@@ -53,8 +58,8 @@ def test_cusp_channel_potential_is_constant():
     prof = cusp_profile(3)
     q0 = channel_potential(prof, 0)
     assert q0.limit == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(q0.q_fn(prof.grid) - 1.0)) < 1e-12
-    x = np.linspace(prof.grid[0], prof.r_max, 777)
+    assert np.max(np.abs(q0.q_fn(uniform_grid(prof.r_min, prof.r_max)) - 1.0)) < 1e-12
+    x = np.linspace(prof.r_min, prof.r_max, 777)
     assert np.max(np.abs(q0.q_fn(x) - 1.0)) < 1e-12
 
 
@@ -66,8 +71,9 @@ def test_channel_differences_are_centrifugal():
     for j in (1, 3):
         qj = channel_potential(prof, j)
         lam_j = j * (j + 1)
-        f = np.exp(prof.shape.log_f(prof.grid))
-        assert np.allclose(qj.q_fn(prof.grid) - q0.q_fn(prof.grid), lam_j / f**2, rtol=1e-10, atol=1e-15)
+        r = uniform_grid(prof.r_min, prof.r_max)
+        f = np.exp(prof.shape.log_f(r))
+        assert np.allclose(qj.q_fn(r) - q0.q_fn(r), lam_j / f**2, rtol=1e-10, atol=1e-15)
 
 
 def test_reference_channel_k_eff_fit():
@@ -75,9 +81,29 @@ def test_reference_channel_k_eff_fit():
     q0 = channel_potential(prof, 0)
     assert q0.k_eff == pytest.approx(K_EFF_FITTED, rel=1e-9)
     assert q0.k_eff == pytest.approx(predicted_k_eff(3, 1.0), rel=0.01)
+    # the fit window [1500, 2000] ends where the solver anchors: closer to the
+    # closed form than a window stopped at r = 600 (1.36e-3 off)
+    assert abs(q0.k_eff - predicted_k_eff(3, 1.0)) < 1e-3
     assert q0.limit == pytest.approx(1.0, abs=1e-12)
     assert q0.remainder_slope is not None and q0.remainder_slope <= -1.05
     assert q0.phase == pytest.approx(predicted_phase_constant(3), abs=0.01)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    k_eff=st.floats(min_value=0.1, max_value=6.0),
+    phase=st.floats(min_value=-3.1, max_value=3.1),
+    r_max=st.floats(min_value=200.0, max_value=4000.0),
+)
+def test_tail_fit_recovers_an_exact_sinusoid(k_eff, phase, r_max):
+    # x (q - limit) = k_eff sin(2x + phase) exactly: the sampled fit returns
+    # both constants to rounding and a remainder that vanishes
+    q = synthetic_channel(k_eff=k_eff, phase=phase, limit=0.5)
+    fit = fit_tail_oscillation(q.q_fn, q.limit, 1.0, r_max)
+    assert fit.k_eff == pytest.approx(k_eff, abs=1e-10)
+    assert fit.phase == pytest.approx(phase, abs=1e-10)
+    assert fit.remainder_slope == -math.inf
+    assert fit.window[1] <= r_max < fit.window[1] + math.pi / 40.0
 
 
 def test_reference_shape_formula():
@@ -96,13 +122,14 @@ def test_reference_shape_formula():
 def test_liouville_round_trip_and_isometry():
     prof = reference_profile(3, 0.9, r_max=60.0)
     rng = np.random.default_rng(5)
-    h = rng.normal(size=prof.grid.shape)
-    hp = rng.normal(size=prof.grid.shape)
-    # forward map w = f^p h, w' = f^p (h' + p S h), p = (n-1)/2, on the grid
-    f, s = np.exp(prof.shape.log_f(prof.grid)), prof.shape.s(prof.grid)
+    r = uniform_grid(prof.r_min, prof.r_max)
+    h = rng.normal(size=r.shape)
+    hp = rng.normal(size=r.shape)
+    # forward map w = f^p h, w' = f^p (h' + p S h), p = (n-1)/2, on the lattice
+    f, s = np.exp(prof.shape.log_f(r)), prof.shape.s(r)
     fp = f ** (0.5 * (prof.n - 1))
     w, wp = fp * h, fp * (hp + 0.5 * (prof.n - 1) * s * h)
-    h2, hp2 = inverse_liouville(prof, prof.grid, w, wp)
+    h2, hp2 = inverse_liouville(prof, r, w, wp)
     assert np.max(np.abs(h2 - h)) < 1e-12
     assert np.max(np.abs(hp2 - hp)) < 1e-12
     # pointwise isometry of the measure change: w^2 = h^2 f^{n-1}

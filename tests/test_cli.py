@@ -15,7 +15,7 @@ from warpspec.cli import _PROFILE_KINDS, emit_plot_data, main, profile_from_json
 from warpspec.embedded_construction import reference_profile
 from warpspec.errors import ConfigError
 from warpspec.growth_and_identities import GrowthSeries, power_decay_profile, slow_log_decay_profile
-from warpspec.warp_geometry import curvature_of_profile, cusp_profile, euclidean_profile, hyperbolic_profile
+from warpspec.warp_geometry import curvature_of_profile, cusp_profile, euclidean_profile, hyperbolic_profile, uniform_grid
 
 
 def run_cli(capsys, argv):
@@ -231,7 +231,7 @@ def test_decay_profiles_honour_r_max(capsys, tmp_path, profile):
     assert doc["config"]["r_max"] == 50.0
     last_r = float((out / "curvature.csv").read_text().splitlines()[-1].split(",")[0])
     assert 49.0 < last_r <= 50.0
-    # without --r-max the closed form reaches 1100 and the grid stops at GRID_CAP = 600
+    # without --r-max the closed form reaches 1100
     _, doc, _ = run_cli(capsys, ["curvature-report", "--profile", profile])
     assert doc["config"]["r_max"] == 1100.0
 
@@ -445,10 +445,10 @@ def test_profile_json_round_trip(kind, request):
     assert set(doc) == {"n", "kind", "params"}
     back = profile_from_json(json.loads(json.dumps(doc)))
     assert back.n == prof.n and back.kind == kind
-    assert back.grid.tobytes() == prof.grid.tobytes()
-    assert back.kinks == prof.kinks and back.r_max == prof.r_max
+    assert back.kinks == prof.kinks and (back.r_min, back.r_max) == (prof.r_min, prof.r_max)
+    r = uniform_grid(prof.r_min, prof.r_max)
     for name in ("s", "s_prime", "log_f"):
-        assert getattr(back.shape, name)(prof.grid).tobytes() == getattr(prof.shape, name)(prof.grid).tobytes()
+        assert getattr(back.shape, name)(r).tobytes() == getattr(prof.shape, name)(r).tobytes()
 
 
 _EUCLIDEAN_DOC = {"n": 3, "kind": "euclidean", "params": {"r_min": 0.05, "r_max": 40.0}}

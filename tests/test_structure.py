@@ -1,6 +1,7 @@
 """Structure of the package source: module boundaries and resolvable type hints."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -144,6 +145,18 @@ hs.scan_channels([hs.synthetic_channel(k_eff=1.9, phase=0.3)], 0.5 + 0.05 * np.a
 assert cli.main(["curvature-report", "--profile", "euclidean", "--out", {str(tmp_path)!r}]) == 0
 """
     assert _scipy_modules_after(code) == []
+
+
+def test_a_profile_is_its_shape_and_its_range():
+    # a profile holds no samples: each consumer samples the shape where it reads
+    assert [f.name for f in dataclasses.fields(warpspec.WarpProfile)] == ["n", "kind", "params", "r_min", "r_max", "shape", "kinks"]
+    stale = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in ("GRID_CAP", "MAX_GRID_STEP", "_check_resolution")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not stale, stale
 
 
 def test_one_block_maxima_fit():

@@ -27,7 +27,7 @@ from warpspec import (
     uniform_grid,
 )
 from warpspec.cli import profile_from_json, profile_to_json
-from warpspec.warp_geometry import DEFAULT_STEP, MAX_GRID_STEP, GaussLegendrePanels
+from warpspec.warp_geometry import DEFAULT_STEP, GaussLegendrePanels
 
 # frozen from scripts/oracle_riccati.py (independent fixed-step RK4)
 ORACLE_F1_AT_100 = 0.9949619252164672
@@ -54,13 +54,13 @@ def test_model_profile_curvatures():
     hyp = hyperbolic_profile(n)
     fld = curvature_of_profile(hyp)
     assert np.allclose(fld.k_rad, -1.0, atol=1e-10)
-    assert np.allclose(fld.s, 1.0 / np.tanh(hyp.grid), atol=1e-10)
+    assert np.allclose(fld.s, 1.0 / np.tanh(fld.grid), atol=1e-10)
 
     euc = euclidean_profile(n)
     fld_e = curvature_of_profile(euc)
     assert np.allclose(fld_e.k_rad, 0.0, atol=1e-10)
-    assert np.allclose(np.exp(euc.shape.log_f(euc.grid)), euc.grid, rtol=1e-14)
-    assert np.allclose(fld_e.s, 1.0 / euc.grid, rtol=1e-10)
+    assert np.allclose(np.exp(euc.shape.log_f(fld_e.grid)), fld_e.grid, rtol=1e-14)
+    assert np.allclose(fld_e.s, 1.0 / fld_e.grid, rtol=1e-10)
 
     cus = cusp_profile(n)
     fld_c = curvature_of_profile(cus)
@@ -90,6 +90,11 @@ def test_fd_derivative_accuracy():
     err = np.abs(d + np.sin(x))
     assert np.max(err) < 1e-7  # one-sided stencils at the segment edges
     assert np.max(err[3:-3]) < 1e-8
+    # too few samples, or uneven spacing, for the 7-point stencil
+    with pytest.raises(ResolutionError):
+        fd_derivative(x[:6], np.cos(x[:6]))
+    with pytest.raises(ResolutionError):
+        fd_derivative(x**1.5, np.cos(x))
 
 
 def _legfit_antiderivative(rule, vals):
@@ -129,33 +134,22 @@ def test_gauss_legendre_antiderivative(start, widths, order, seed):
     assert np.max(np.abs(at_edges - ref_edges)) <= 1e-13 * scale
 
 
-def test_resolution_policy():
-    g = np.linspace(1.0, 20.0, 40)  # step ~ 0.49 > pi/20
-    assert np.max(np.diff(g)) > MAX_GRID_STEP
-    prof = profile_from_shape(
-        3,
-        s=lambda r: 1.0 / np.asarray(r),
-        s_prime=lambda r: -1.0 / np.asarray(r) ** 2,
-        grid=g,
-        log_f=lambda r: np.log(np.asarray(r)),
-    )
-    with pytest.raises(ResolutionError):
-        curvature_of_profile(prof)
-
-
 def test_warp_profile_validation():
     with pytest.raises(InvalidProfileError):
         dataclasses.replace(euclidean_profile(3), kinks=(2.0, 1.0))
+    for r_min, r_max in ((-0.1, 40.0), (5.0, 5.0), (5.0, 1.0), (0.05, math.inf), (math.nan, 40.0)):
+        with pytest.raises(InvalidProfileError):
+            dataclasses.replace(euclidean_profile(3), r_min=r_min, r_max=r_max)
 
 
 def test_profile_json_refuses_unregistered_kinds():
     # a shape is code, not data: only kinds with a builder in the CLI's table persist
-    g = uniform_grid(1.0, 10.0)
     prof = profile_from_shape(
         3,
         s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
         s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        grid=g,
+        r_min=1.0,
+        r_max=10.0,
         log_f=lambda r: np.asarray(r, dtype=float) - 1.0,
     )
     assert prof.kind == "tabulated"
@@ -241,7 +235,7 @@ def test_hessian_comparison_hyperbolic_inside():
     # S = coth r lies strictly between the a1 = 0 lower curve and the
     # b1 > 0 upper curve started above S(r0)
     prof = hyperbolic_profile(3, r_min=0.5, r_max=40.0)
-    u0 = float(prof.shape.s(prof.grid[0]))
+    u0 = float(prof.shape.s(prof.r_min))
     bound = solve_riccati_bound(a1=0.0, b1_half=0.2, r0=0.5, upper_start=u0 + 0.2, grid=riccati_grid(0.5, 40.0))
     rep = hessian_comparison_check(prof, bound, tol=1e-7)
     assert rep.ok
@@ -250,7 +244,7 @@ def test_hessian_comparison_hyperbolic_inside():
 
 def test_hessian_comparison_flags_violation():
     prof = euclidean_profile(3, r_min=0.5, r_max=40.0)  # S = 1/r decays below tanh
-    u0 = float(prof.shape.s(prof.grid[0]))
+    u0 = float(prof.shape.s(prof.r_min))
     bound = solve_riccati_bound(a1=0.0, b1_half=0.0, r0=0.5, upper_start=u0, grid=riccati_grid(0.5, 40.0))
     rep = hessian_comparison_check(prof, bound)
     assert not rep.ok
