@@ -132,9 +132,9 @@ def solve_radial(
 
     Maps (phi0, phi_prime0) to w = f^p phi, w' = f^p (phi' + p S phi) and
     integrates every column of the channel-0 equation w'' = (q0 - alpha) w in
-    one propagate call (rtol 1e-11) on a DEFAULT_STEP grid, so the returned
-    phi are the genuine solutions with those values, one RadialSolution per
-    column.
+    one propagate call (rtol 1e-11) on a DEFAULT_STEP grid, the columns as
+    states of the one energy alpha, so the returned phi are the genuine
+    solutions with those values, one RadialSolution per column.
     """
     sh = profile.shape
     p = 0.5 * (profile.n - 1)
@@ -148,8 +148,8 @@ def solve_radial(
     fp0 = math.exp(p * float(sh.log_f(t0)))
     y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
     q0 = unfitted_channel_potential(profile, 0)
-    _, y, off = propagate(q0, np.full(phi0.size, float(alpha)), y0, t0, t[-1], t, rtol=1e-11)
-    y = np.concatenate([y0[:, :, None], y * np.exp(off)], axis=2)
+    _, y, off = propagate(q0, [float(alpha)], y0[:, :, None], t0, t[-1], t, rtol=1e-11)
+    y = np.concatenate([y0[:, :, None], y[:, :, 0] * np.exp(off)], axis=2)
     return [radial_solution_from_w(profile, q0, alpha=alpha, t=t, w=w, w_prime=wp) for w, wp in zip(y[0], y[1])]
 
 
@@ -320,7 +320,8 @@ def verify_growth_theorem(
     scope -- that failure mode is the sharpness phenomenon, not a bug.  A
     non-finite alpha or gamma raises ConfigError before any work.
     Boundary data is drawn uniformly from the unit circle in (phi, phi')(t0);
-    all trials integrate together, one column each, in a single propagate call.
+    all trials integrate together, as states of the one energy alpha, in a
+    single propagate call.
     """
     if not (math.isfinite(alpha) and math.isfinite(gamma)):
         raise ConfigError(f"alpha and gamma must be finite, got {alpha} and {gamma}")

@@ -351,12 +351,16 @@ def _halving_error(qv: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarra
     """Relative gap between each step and its two half steps, the worse of the extreme lams.
 
     qv holds q at the _TRIAL_NODES of each step, one row per step; inf marks
-    a step not resolved (|z| > 1 for the step or a half step).
+    a step not resolved (|z| > 1 for the step or a half step).  The full
+    steps and both halves are built stacked, in one call of each builder.
     """
     ends = np.array([lams.min(), lams.max()])
-    coefs = [_step_coefficients(qv[:, 3 * i : 3 * i + 3], f * h) for i, f in enumerate((1.0, 0.5, 0.5))]
-    resolved = np.all([np.abs(_exponent(c, ends)[3]) <= 1.0 for c in coefs], axis=(0, 2))
-    full, first, second = (_steps([np.where(resolved, e, 0.0) for e in c], ends) for c in coefs)
+    # rows: every full step, then every first half, then every second half
+    stacked = qv.reshape(-1, 3, 3).transpose(1, 0, 2).reshape(-1, 3)
+    coef = _step_coefficients(stacked, np.concatenate([h, 0.5 * h, 0.5 * h]))
+    resolved = np.all(np.abs(_exponent(coef, ends)[3]).reshape(3, h.size, 2) <= 1.0, axis=(0, 2))
+    kept = np.tile(resolved, 3)
+    full, first, second = np.split(_steps([np.where(kept, e, 0.0) for e in coef], ends), 3, axis=2)
     two = np.einsum("ijkm,jlkm->ilkm", second, first)
     rel = np.max(np.abs(full - two), axis=(0, 1)) / np.max(np.abs(two), axis=(0, 1))
     return np.where(resolved, np.max(rel, axis=1), np.inf)
@@ -523,8 +527,9 @@ def propagate(
     """Integrate w_i'' = (q - lam_i) w_i for all lam_i at once with rescaling.
 
     This is the one linear propagator of the package: the scan, the decay
-    recovery, the round trip, the glued certificate's tail check, the growth
-    trials, the identity suite and the Riccati comparison curves (as the
+    recovery (its two anchors as two states of one energy), the round trip,
+    the glued certificate's tail check, the growth trials (as states of one
+    energy), the identity suite and the Riccati comparison curves (as the
     Jacobi equation) all integrate through it.  q is a
     ChannelPotential or a callable.  Each step is the sixth-order Magnus
     step on three Gauss nodes (_steps): a constant q is integrated exactly,
@@ -727,9 +732,17 @@ def decaying_solution(
     x^(-k_eff/4); a power-law fit of the amplitude over
     [r_anchor/20, r_anchor/2] is stored in meta["decay_fit"].
 
-    The run is repeated from anchor 2 * r_anchor on the same grid and the two
-    solutions are compared after least-squares rescaling; disagreement beyond
-    1e-4 raises TwoRunMismatchError and the achieved agreement lands in
+    The run is repeated from anchor 2 * r_anchor: that run integrates
+    [r_anchor, 2 r_anchor] on its own step selection, and its state at
+    r_anchor, normalised, rides as a second state of the energy in the one
+    propagate call on [1, r_anchor], which selects its steps for that span
+    alone, so x, w and w' are those of a lone run from r_anchor.  A run from
+    2 r_anchor on its own selection of [1, 2 r_anchor] would take the same
+    steps on [1, 2^floor(log2 r_anchor)], the cells being cut at 2^i and
+    selected independently, so the two solutions, compared on the grid after
+    least-squares rescaling, differ by the seed's error plus that of the
+    [r_anchor, 2 r_anchor] leg.  Disagreement beyond 1e-4 raises
+    TwoRunMismatchError and the achieved agreement lands in
     meta["two_run_agreement"].
     """
     if not isinstance(q, ChannelPotential):
@@ -746,24 +759,16 @@ def decaying_solution(
             f"lam = {lam} is detuned from the resonance at {q.limit + 1.0}"
         )
 
-    def run(anchor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward run from anchor to 1, sampled at 1 + i * step."""
-        step = math.pi / 40.0
-        grid = 1.0 + step * np.arange(int((anchor - 1.0) / step + 1e-9) + 1)
-        seed = _decaying_seed(q.k_eff, q.phase, kappa, anchor)
-        x, y, off = propagate(q, np.array([lam]), np.array([[seed[0]], [seed[1]]]), anchor, 1.0, grid, rtol=rtol)
-        return x, y[:, 0, :], off
-
-    x, y, off = run(r_anchor)
-    w, wp = y[0], y[1]
-    xb, yb, _ = run(2.0 * r_anchor)
-    m = min(len(x), len(xb))
-    if not np.allclose(x[:m], xb[:m], rtol=0, atol=1e-9):
-        raise WarpspecError("two-run grids failed to align")
-    # no rescaling happens in the oscillatory regime; compare raw values
-    wb = yb[0, :m]
-    sc = float(np.dot(wb, w[:m]) / np.dot(wb, wb))
-    agreement = float(np.max(np.abs(sc * wb - w[:m])) / np.max(np.abs(w[:m])))
+    lams, step = np.array([lam]), math.pi / 40.0
+    grid = 1.0 + step * np.arange(int((r_anchor - 1.0) / step + 1e-9) + 1)
+    far = np.array(_decaying_seed(q.k_eff, q.phase, kappa, 2.0 * r_anchor)).reshape(2, 1)
+    _, yb, _ = propagate(q, lams, far, 2.0 * r_anchor, r_anchor, [r_anchor], rtol=rtol)
+    y0 = np.stack([_decaying_seed(q.k_eff, q.phase, kappa, r_anchor), yb[:, 0, 0] / np.max(np.abs(yb))], axis=1)
+    x, y, off = propagate(q, lams, y0[:, :, None], r_anchor, 1.0, grid, rtol=rtol)
+    # both states share the call's one offset ledger, so their raw values compare
+    (w, wb), wp = y[0, :, 0], y[1, 0, 0]
+    sc = float(np.dot(wb, w) / np.dot(wb, wb))
+    agreement = float(np.max(np.abs(sc * wb - w)) / np.max(np.abs(w)))
     if agreement > 1e-4:
         raise TwoRunMismatchError(
             f"backward runs from {r_anchor} and {2 * r_anchor} disagree by {agreement:.3g}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpspec.channel_reduction import channel_potential
+from warpspec.channel_reduction import channel_potential, unfitted_channel_potential
 from warpspec.errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -35,7 +35,7 @@ from warpspec.growth_and_identities import (
     standard_identity_data,
     verify_growth_theorem,
 )
-from warpspec.halfline_solver import fit_power_decay
+from warpspec.halfline_solver import fit_power_decay, propagate
 from warpspec.warp_geometry import cusp_profile, euclidean_profile, hyperbolic_profile
 
 IDENTITY_NAMES = (
@@ -155,6 +155,29 @@ def test_growth_trials_match_single_solutions(power_profile, seed, alpha):
         assert rep["start_value"] == pytest.approx(alone["start_value"], rel=1e-9)
         assert rep["block_minima"] == pytest.approx(alone["block_minima"], rel=1e-9)
         assert rep["grew"] == alone["grew"]
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    data=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=5).filter(
+        lambda d: all(math.hypot(*p) > 1e-3 for p in d)
+    ),
+    alpha=st.floats(min_value=1.1, max_value=4.0),
+    t0=st.floats(min_value=1.0, max_value=100.0),
+)
+def test_solve_radial_states_match_their_column_layout(power_profile, data, alpha, t0):
+    # the boundary data integrate as states of the one energy alpha; as
+    # columns of repeated energies (shorter groups of prefix products) each
+    # solution agrees within 1e-12 max |w|
+    phi0, phi1 = np.array(data).T
+    span = (t0, t0 + 200.0)
+    sols = solve_radial(power_profile, alpha=alpha, span=span, phi0=phi0, phi_prime0=phi1)
+    q0 = unfitted_channel_potential(power_profile, 0)
+    y0 = np.array([[s.w[0] for s in sols], [s.w_prime[0] for s in sols]])
+    t = sols[0].t
+    _, y, off = propagate(q0, np.full(phi0.size, alpha), y0, t0, t[-1], t, rtol=1e-11)
+    for sol, w in zip(sols, y[0] * np.exp(off)):
+        assert np.max(np.abs(sol.w[1:] - w)) <= 1e-12 * np.max(np.abs(sol.w))
 
 
 def test_solve_radial_span_validation():

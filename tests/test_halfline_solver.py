@@ -188,6 +188,49 @@ def test_decaying_solution_refuses_below_edge():
         decaying_solution(synthetic_channel(k_eff=4.0, limit=2.0), 1.0)
 
 
+def _backward_run(q, anchor, mesh=None):
+    """A lone backward propagate of the decaying seed at anchor down to 1 at
+    lam = 1, rtol 1e-11, sampled at 1 + i pi/40 as decaying_solution samples."""
+    step = math.pi / 40.0
+    grid = 1.0 + step * np.arange(int((anchor - 1.0) / step + 1e-9) + 1)
+    seed = np.array(halfline_solver._decaying_seed(q.k_eff, q.phase, 1.0, anchor)).reshape(2, 1)
+    return halfline_solver.propagate(q, [1.0], seed, anchor, 1.0, grid, rtol=1e-11, mesh=mesh)
+
+
+@pytest.mark.parametrize("k_eff", [2.5, 4.0])
+def test_decaying_solution_is_a_lone_run_from_its_anchor(k_eff, monkeypatch):
+    # the 2 r_anchor run integrates only [r_anchor, 2 r_anchor] and rides as
+    # a second state of the r_anchor run, so the result is bit for bit a lone
+    # run on the anchor's own mesh: no call runs from 2 r_anchor down to 1 or
+    # samples beyond r_anchor
+    q, r_anchor = synthetic_channel(k_eff=k_eff, phase=0.7), 500.0
+    calls = []
+    propagate = halfline_solver.propagate
+
+    def spy(q, lams, y0, x0, x1, t_eval, **kw):
+        out = propagate(q, lams, y0, x0, x1, t_eval, **kw)
+        calls.append((x0, x1, float(np.max(out[0]))))
+        return out
+
+    monkeypatch.setattr(halfline_solver, "propagate", spy)
+    res = decaying_solution(q, 1.0, r_anchor=r_anchor)
+    monkeypatch.undo()
+    assert calls and all(not (x0 == 2.0 * r_anchor and x1 == 1.0) for x0, x1, _ in calls)
+    assert all(top <= r_anchor for _, _, top in calls)
+
+    mesh = halfline_solver.select_mesh(q, 1.0, r_anchor, [1.0], rtol=1e-11)
+    x, y, _ = _backward_run(q, r_anchor, mesh)
+    assert np.array_equal(res.x, x) and np.array_equal(res.w, y[0, 0]) and np.array_equal(res.w_prime, y[1, 0])
+
+    # the agreement of two full runs, each on its own mesh of [1, anchor]
+    xb, yb, _ = _backward_run(q, 2.0 * r_anchor)
+    assert np.array_equal(xb[: x.size], x)
+    w, wb = y[0, 0], yb[0, 0, : x.size]
+    sc = np.dot(wb, w) / np.dot(wb, wb)
+    agreement = np.max(np.abs(sc * wb - w)) / np.max(np.abs(w))
+    assert res.meta["two_run_agreement"] == pytest.approx(agreement, rel=1e-6)
+
+
 @pytest.fixture(scope="module")
 def resonant_detection():
     """The k_eff = 4 detector run over five energies, and the energy count of
@@ -691,6 +734,45 @@ def test_step_beyond_the_series_raises():
     q_fn = lambda x: np.where(np.asarray(x) > 5.0, np.nan, 1.0)
     with pytest.raises(WarpspecError, match="not finite"):
         halfline_solver.propagate(q_fn, [0.5], [[1.0], [0.0]], 1.0, 10.0, [10.0])
+
+
+def _three_call_halving_error(qv, h, lams):
+    """_halving_error with the full steps and each half built in calls of their own."""
+    hs = halfline_solver
+    ends = np.array([lams.min(), lams.max()])
+    coefs = [hs._step_coefficients(qv[:, 3 * i : 3 * i + 3], f * h) for i, f in enumerate((1.0, 0.5, 0.5))]
+    resolved = np.all([np.abs(hs._exponent(c, ends)[3]) <= 1.0 for c in coefs], axis=(0, 2))
+    full, first, second = (hs._steps([np.where(resolved, e, 0.0) for e in c], ends) for c in coefs)
+    two = np.einsum("ijkm,jlkm->ilkm", second, first)
+    rel = np.max(np.abs(full - two), axis=(0, 1)) / np.max(np.abs(two), axis=(0, 1))
+    return np.where(resolved, np.max(rel, axis=1), np.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.floats(-40.0, 40.0), min_size=9, max_size=9), min_size=1, max_size=12),
+    h=st.lists(st.floats(1e-3, 1.5), min_size=12, max_size=12),
+    lams=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+)
+@example(rows=[[40.0] * 9, [0.5] * 9], h=[1.5] + [0.5] * 11, lams=[0.0])
+def test_stacked_trial_steps_match_three_builds(rows, h, lams):
+    # the full steps and both halves built stacked take the same arithmetic
+    # per element as three separate builds, so every error matches bit for
+    # bit, unresolved steps (inf, here h^2 |q - lam| > 1) included
+    qv, h, lams = np.array(rows), np.array(h[: len(rows)]), np.array(lams)
+    assert np.array_equal(halfline_solver._halving_error(qv, h, lams), _three_call_halving_error(qv, h, lams))
+
+
+def test_stacked_trial_steps_select_the_same_meshes(glued_k1, monkeypatch):
+    # glued channels 0-2 over the glued-certify scan's span, and a synthetic channel
+    qs = [channel_potential(glued_k1.profile, j) for j in range(3)] + [synthetic_channel(k_eff=4.0, phase=0.3)]
+    spans = [(halfline_solver._regular_start(q), 1000.0) for q in qs[:3]] + [(1.0, 500.0)]
+    window = [1.9, 2.1]
+    stacked = [halfline_solver.select_mesh(q, lo, hi, window) for q, (lo, hi) in zip(qs, spans)]
+    monkeypatch.setattr(halfline_solver, "_halving_error", _three_call_halving_error)
+    for q, (lo, hi), mesh in zip(qs, spans, stacked):
+        ref = halfline_solver.select_mesh(q, lo, hi, window)
+        assert np.array_equal(mesh.edges, ref.edges) and np.array_equal(mesh.steps, ref.steps)
 
 
 def _stepwise(q_fn, lams, y0, x0, x1, t_eval):
