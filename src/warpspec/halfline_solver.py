@@ -275,8 +275,13 @@ def _block_steps(columns: int, samples: int) -> int:
 
 
 def _sample_q(q_fn: Callable, x: np.ndarray, h: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    """q at x + f h for every step (x, h) and fraction f, one row per step, in one q_fn call."""
-    qv = np.asarray(q_fn((x[:, None] + h[:, None] * fractions).ravel()), dtype=float).reshape(x.size, -1)
+    """q at x + f h for every fraction f and step (x, h), in one q_fn call.
+
+    Node-major, of shape (fractions, steps): _step_coefficients then reads
+    each node's values as one contiguous row, and its arithmetic runs along
+    the steps.
+    """
+    qv = np.asarray(q_fn((x + fractions[:, None] * h).ravel()), dtype=float).reshape(fractions.size, x.size)
     if not np.all(np.isfinite(qv)):
         raise WarpspecError(f"q is not finite on [{np.min(x)}, {np.max(x + h)}]")
     return qv
@@ -286,7 +291,8 @@ def _step_coefficients(qv: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
     """Coefficients (p0, p1, u, l0, l1) of the sixth-order Magnus exponent of each step.
 
     For y' = A y, A = [[0, 1], [q - lam, 0]], over a step of length h, let
-    A_i be A at the Gauss nodes _NODES, where q takes the values qv[:, i].
+    A_i be A at the Gauss nodes _NODES, where q takes the values qv[i], one
+    row per node (_sample_q).
     With alpha1 = h A2, alpha2 = sqrt(15) h (A3 - A1) / 3,
     alpha3 = 10 h (A3 - 2 A2 + A1) / 3, C1 = [alpha1, alpha2] and
     C2 = -[alpha1, 2 alpha3 + C1] / 60 (Blanes, Casas & Ros) the exponent is
@@ -295,7 +301,7 @@ def _step_coefficients(qv: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
     with p = p0 + p1 lam, l = l0 + l1 lam and u free of lam.  The negated
     coefficients give -Omega, the step backward.
     """
-    q1, q2, q3 = qv.T
+    q1, q2, q3 = qv
     a2 = (math.sqrt(15.0) / 3.0) * h * (q3 - q1)
     a3 = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
     hh = h * h
@@ -308,25 +314,34 @@ def _step_coefficients(qv: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _exponent(coef: Sequence[np.ndarray], lams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """p, u, l of the exponent of each step (rows) at each lam (columns), and z = p^2 + u l."""
-    p0, p1, u, l0, l1 = (e[:, None] for e in coef)
+    """p, u, l of the exponent of each step at each lam, and z = p^2 + u l.
+
+    The layout is the broadcast of coef against lams.  The short batches, the
+    two extreme energies of the step selection and of propagate's group
+    bounds, pass coefficients of shape (steps,) and lams of shape (2, 1),
+    and get p, l and z as (2, steps) rows: numpy's inner loop then runs over
+    the steps, not over two energies (at 6 552 steps 44-58 us against
+    217-234 us as (steps, 2) on a 2-core sandbox).  propagate's K-wide
+    steps pass coefficients of shape (steps, 1) and lams of shape (K,), and
+    get (steps, K).  u is free of lam and keeps the shape of the
+    coefficients.
+    """
+    p0, p1, u, l0, l1 = coef
     p = p0 + p1 * lams
     l = l0 + l1 * lams
     return p, u, l, p * p + u * l
 
 
-def _steps(coef: Sequence[np.ndarray], lams: np.ndarray) -> np.ndarray:
-    """exp Omega for each step and lam, of shape (2, 2, steps, lams).
+def _series_exp(p: np.ndarray, u: np.ndarray, l: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp Omega for Omega = [[p, u], [l, -p]] with z = p^2 + u l, of shape (2, 2, *z.shape).
 
-    The step builder of propagate and of the step selection.  Omega^2 = z I,
-    so exp Omega = C(z) I + S(z) Omega with C = cosh sqrt(z) and
-    S = sinh sqrt(z) / sqrt(z), both summed as Taylor series in z: no branch,
-    square root or division.  The step selection resolves |z| <= 1 and then
-    lengthens a step at most twofold, so mesh steps stay within |z| <= _Z_MAX
-    (2.2 at most on the glued channels); a step beyond it raises
-    WarpspecError, never a NaN.
+    Omega^2 = z I, so exp Omega = C(z) I + S(z) Omega with C = cosh sqrt(z)
+    and S = sinh sqrt(z) / sqrt(z), both summed as Taylor series in z: no
+    branch, square root or division.  The step selection resolves |z| <= 1
+    and then lengthens a step at most twofold, so mesh steps stay within
+    |z| <= _Z_MAX (2.2 at most on the glued channels); a step beyond it
+    raises WarpspecError, never a NaN.
     """
-    p, u, l, z = _exponent(coef, lams)
     size = float(np.max(np.abs(z)))
     if not size <= _Z_MAX:
         raise WarpspecError(f"a Magnus step has |z| = {size:.3g}, beyond the series exponential's {_Z_MAX}")
@@ -347,23 +362,36 @@ def _steps(coef: Sequence[np.ndarray], lams: np.ndarray) -> np.ndarray:
     return out
 
 
+def _steps(coef: Sequence[np.ndarray], lams: np.ndarray) -> np.ndarray:
+    """exp Omega for each step and lam, of shape (2, 2, *layout) for the
+    layout of the exponent (_exponent): propagate's step builder."""
+    return _series_exp(*_exponent(coef, lams))
+
+
 def _halving_error(qv: np.ndarray, h: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Relative gap between each step and its two half steps, the worse of the extreme lams.
 
-    qv holds q at the _TRIAL_NODES of each step, one row per step; inf marks
-    a step not resolved (|z| > 1 for the step or a half step).  The full
-    steps and both halves are built stacked, in one call of each builder.
+    qv holds q at the _TRIAL_NODES of each step, node-major (_sample_q) of
+    shape (9, steps); inf marks a step not resolved (|z| > 1 for the step or
+    a half step).  The full steps and both halves are stacked along one steps
+    axis, their exponent formed once at the two extreme lams as (2, 3 steps)
+    rows, and the rows of the unresolved steps are zeroed, so their matrices
+    are the identity and stay within the series.  The trial matrices are
+    (2, 2, 2, 3 steps), energy-major: every operation loops over the steps,
+    and the two energies are reduced by an elementwise maximum of two rows.
     """
-    ends = np.array([lams.min(), lams.max()])
-    # rows: every full step, then every first half, then every second half
-    stacked = qv.reshape(-1, 3, 3).transpose(1, 0, 2).reshape(-1, 3)
-    coef = _step_coefficients(stacked, np.concatenate([h, 0.5 * h, 0.5 * h]))
-    resolved = np.all(np.abs(_exponent(coef, ends)[3]).reshape(3, h.size, 2) <= 1.0, axis=(0, 2))
+    n = h.size
+    ends = np.array([[lams.min()], [lams.max()]])
+    # columns: every full step, then every first half, then every second half
+    stacked = qv.reshape(3, 3, n).transpose(1, 0, 2).reshape(3, 3 * n)
+    p, u, l, z = _exponent(_step_coefficients(stacked, np.concatenate([h, 0.5 * h, 0.5 * h])), ends)
+    resolved = np.all(np.abs(z).reshape(2, 3, n) <= 1.0, axis=(0, 1))
     kept = np.tile(resolved, 3)
-    full, first, second = np.split(_steps([np.where(kept, e, 0.0) for e in coef], ends), 3, axis=2)
-    two = np.einsum("ijkm,jlkm->ilkm", second, first)
+    mats = _series_exp(*(np.where(kept, e, 0.0) for e in (p, u, l, z)))
+    full, first, second = np.split(mats, 3, axis=3)
+    two = np.einsum("ijem,jlem->ilem", second, first)
     rel = np.max(np.abs(full - two), axis=(0, 1)) / np.max(np.abs(two), axis=(0, 1))
-    return np.where(resolved, np.max(rel, axis=1), np.inf)
+    return np.where(resolved, np.maximum(rel[0], rel[1]), np.inf)
 
 
 def _cell_steps(q_fn: Callable, edges: np.ndarray, lams: np.ndarray, rtol: float) -> np.ndarray:
@@ -424,16 +452,30 @@ class Mesh:
     steps: np.ndarray
 
 
+def _energies(lams) -> np.ndarray:
+    """lams as a 1-D float array; ConfigError unless it holds at least one energy, all finite."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not lams.size or not np.all(np.isfinite(lams)):
+        raise ConfigError(f"energies must be finite, and at least one: got {lams}")
+    return lams
+
+
 def select_mesh(q, lo: float, hi: float, lams, *, rtol: float = 1e-10) -> Mesh:
     """The step selection of q on [lo, hi] for energies in the range of lams.
 
     The cells are the smooth pieces between kinks, cut further at lo * 2^i
     so that the mesh grades geometrically toward a start near the origin;
     each cell's step comes from _cell_steps, tested at the lowest and the
-    highest energy.
+    highest energy.  A span other than a finite lo < hi, an empty or
+    non-finite lams and an rtol other than a finite positive one raise
+    ConfigError before any work.
     """
     q_fn, kinks = _q_parts(q)
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = _energies(lams)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"a step selection needs a finite span lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ConfigError(f"rtol must be finite and positive, got {rtol}")
     cuts = lo * 2.0 ** np.arange(1, int(math.log2(hi / lo)) + 1) if lo > 0 else []
     edges = np.asarray(piece_edges(lo, hi, [*kinks, *cuts]))
     steps = np.diff(edges) / _cell_steps(q_fn, edges, lams, rtol)
@@ -539,9 +581,10 @@ def propagate(
     a ChannelPotential (glue radii and spline knots, where q is only C^1)
     and every sample point.  They come from mesh, a step selection
     (select_mesh) that must cover q, the interval, every lam and rtol, or
-    ConfigError is raised; without one the call selects its own for the
-    interval and the range of lams, so a lam's result depends on that range
-    at the discretisation level.  Calls that share a mesh share those steps.
+    ConfigError is raised, as it is for an empty or non-finite lams; without
+    one the call selects its own for the interval and the range of lams, so
+    a lam's result depends on that range at the discretisation level.  Calls
+    that share a mesh share those steps.
 
     The steps are taken in blocks of about _BLOCK values (matrix entries and
     q samples), q sampled once per block.  A block is cut into groups of up
@@ -551,6 +594,16 @@ def propagate(
     products of every group's steps are formed at once (_prefix_products),
     and one Python iteration per group carries the state across it.  States
     are formed only at the sampled nodes.
+
+    Layouts: q is sampled node-major, (3, steps) (_sample_q); the norm and
+    growth bounds are read from the exponent at the two extreme energies,
+    two (2, steps) rows (_exponent), so their arithmetic runs along the
+    steps.  The K-wide step matrices stay step-major, (2, 2, steps, K):
+    each group's carry and each prefix round then read rows of K energies.
+    Laid out energy-major, (2, 2, K, steps), the same values took 155-160 ms
+    per call against 114-126 ms on the glued scan's shared span (K = 201,
+    m = 3, [32.768, 1000]; 2-core sandbox), since the carry and the prefix
+    rounds then work on short strided rows.
 
     y0 of shape (2, K) holds one state per energy; of shape (2, m, K), m
     states at each energy, which share its steps and prefix products, so the
@@ -565,7 +618,7 @@ def propagate(
     offsets of shape (M,)).
     """
     q_fn, kinks = _q_parts(q)
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = _energies(lams)
     forward = x1 > x0
     sign = 1.0 if forward else -1.0
     t_eval = np.asarray(t_eval, dtype=float)
@@ -592,18 +645,18 @@ def propagate(
     offs = np.empty(x_out.size)
     k, offset = 0, 0.0
     grown, check_at = 0.0, -math.inf
-    extremes = np.array([lams.min(), lams.max()])
+    extremes = np.array([[lams.min()], [lams.max()]])
     for first in range(0, h.size, block):
         idx = order[first : first + block]
         coef = [sign * e for e in _step_coefficients(_sample_q(q_fn, nodes[idx], h[idx], _NODES), h[idx])]
-        mats = _steps(coef, lams)
+        mats = _steps([e[:, None] for e in coef], lams)
         # log of the bound e^|Omega| on a step's norm, |Omega| the largest
         # row sum, and the log sqrt(max(z, 0)) of the modulus of the step's
         # larger eigenvalue: the row sum and z are convex in lam, so both are
-        # largest at an extreme lam
+        # largest at an extreme lam, and are read from the exponent's two rows
         p, u, l, z = _exponent(coef, extremes)
-        lognorm = np.max(np.abs(p) + np.maximum(np.abs(u), np.abs(l)), axis=1)
-        growth = np.sqrt(np.maximum(np.max(z, axis=1), 0.0))
+        lognorm = np.max(np.abs(p) + np.maximum(np.abs(u), np.abs(l)), axis=0)
+        growth = np.sqrt(np.maximum(np.max(z, axis=0), 0.0))
         starts = _group_starts([(lognorm, _GROUP_LOG), (growth, _GROWTH_LOG)], group)
         _prefix_products(mats, starts)
         bound = (grown + np.cumsum(np.add.reduceat(lognorm, starts))).tolist()
@@ -1119,9 +1172,9 @@ def _shared_radius(
         x, h, ends = nodes[:-1], np.diff(nodes), nodes[1:]
         on = x >= reach
         q0 = _sample_q(channels[0].q_fn, x[on], h[on], _NODES)
-        differs = np.zeros(q0.shape[0], dtype=bool)
+        differs = np.zeros(q0.shape[1], dtype=bool)
         for ch in channels[1:]:
-            differs |= np.any(_sample_q(ch.q_fn, x[on], h[on], _NODES) != q0, axis=1)
+            differs |= np.any(_sample_q(ch.q_fn, x[on], h[on], _NODES) != q0, axis=0)
         if np.any(differs):
             reach = max(reach, float(ends[on][np.flatnonzero(differs)[-1]]))
     return float(edges[np.searchsorted(edges, reach)])

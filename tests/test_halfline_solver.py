@@ -561,6 +561,33 @@ def test_propagate_refuses_a_mismatched_mesh():
             halfline_solver.propagate(c["q"], c["lams"], y0, 1.0, c["x1"], t, rtol=c["rtol"], mesh=mesh)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: halfline_solver.select_mesh(q, 10.0, 5.0, [1.0]),
+        lambda q: halfline_solver.select_mesh(q, 5.0, 5.0, [1.0]),
+        lambda q: halfline_solver.select_mesh(q, 1.0, math.inf, [1.0]),
+        lambda q: halfline_solver.select_mesh(q, 1.0, math.nan, [1.0]),
+        lambda q: halfline_solver.select_mesh(q, 1.0, 5.0, []),
+        lambda q: halfline_solver.select_mesh(q, 1.0, 5.0, [1.0, math.inf]),
+        lambda q: halfline_solver.select_mesh(q, 1.0, 5.0, [1.0], rtol=-1e-10),
+        lambda q: halfline_solver.propagate(
+            q, [math.nan], [[1.0], [0.0]], 1.0, 5.0, [5.0], mesh=halfline_solver.select_mesh(q, 1.0, 5.0, [1.0])
+        ),
+    ],
+    ids=["reversed-span", "empty-span", "infinite-end", "nan-end", "no-energy", "infinite-energy", "negative-rtol",
+         "nan-energy-on-a-mesh"],
+)
+def test_bad_spans_and_energies_are_refused_before_any_work(call):
+    # each used to return a mesh with a step <= 0, raise a bare numpy or
+    # Python error, warn, or fail inside the step builder; a NaN energy
+    # passed the mesh's window check, its comparisons being false
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            call(synthetic_channel(k_eff=4.0))
+
+
 def test_shared_mesh_makes_a_probe_independent_of_its_batch():
     # without a shared mesh each call selects its steps for the range of its
     # energies; on one mesh lam = 1 alone and inside a 201-energy batch
@@ -716,11 +743,11 @@ def test_step_builder_matches_commutators_and_expm(h, lam, levels, backward):
     omega, terms = _commutator_exponent(qv, h, lam)
     assume(abs(omega[0, 0] ** 2 + omega[0, 1] * omega[1, 0]) <= 4.0)
     sign = -1.0 if backward else 1.0
-    coef = [sign * e for e in halfline_solver._step_coefficients(qv[None, :], np.array([h]))]
+    coef = [sign * e for e in halfline_solver._step_coefficients(qv[:, None], np.array([h]))]
     p, u, l, _ = (np.ravel(e)[0] for e in halfline_solver._exponent(coef, np.array([lam])))
     got = np.array([[p, u], [l, -p]])
     assert np.max(np.abs(got - sign * omega)) <= 1e-14 * terms
-    step = halfline_solver._steps(coef, np.array([lam]))[:, :, 0, 0]
+    step = halfline_solver._steps(coef, np.array([lam]))[:, :, 0]
     exact = scipy.linalg.expm(got)
     assert np.max(np.abs(step - exact)) <= 1e-14 * np.max(np.abs(exact))
 
@@ -736,13 +763,62 @@ def test_step_beyond_the_series_raises():
         halfline_solver.propagate(q_fn, [0.5], [[1.0], [0.0]], 1.0, 10.0, [10.0])
 
 
+def _step_major_sample_q(q_fn, x, h, fractions):
+    """q at x + f h for every step (x, h) and fraction f, one row per step:
+    the step-major layout of _sample_q."""
+    return np.asarray(q_fn((x[:, None] + h[:, None] * fractions).ravel()), dtype=float).reshape(x.size, -1)
+
+
+def _step_major_coefficients(qv, h):
+    """_step_coefficients for q at the Gauss nodes of each step, one row per step."""
+    q1, q2, q3 = qv.T
+    a2 = (math.sqrt(15.0) / 3.0) * h * (q3 - q1)
+    a3 = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+    hh = h * h
+    m = 1.0 + h * a3 / 180.0 + hh * a2 * a2 / 3600.0
+    p0 = h * a2 * (hh * q2 / 180.0 + h * a3 / 7200.0 - 1.0 / 12.0)
+    p1 = -hh * h * a2 / 180.0
+    u = h * (1.0 + hh * a2 * a2 / 3600.0 - h * a3 / 180.0)
+    l0 = h * q2 * m + a3 / 12.0 + h * (a3 * a3 / 3600.0 - a2 * a2 / 120.0)
+    return p0, p1, u, l0, -h * m
+
+
+def _step_major_exponent(coef, lams):
+    """p, u, l and z of the exponent, one row per step and one column per lam."""
+    p0, p1, u, l0, l1 = (e[:, None] for e in coef)
+    p = p0 + p1 * lams
+    l = l0 + l1 * lams
+    return p, u, l, p * p + u * l
+
+
+def _step_major_steps(coef, lams):
+    """The series exponential of _steps, of shape (2, 2, steps, lams)."""
+    p, u, l, z = _step_major_exponent(coef, lams)
+    cosh = np.full_like(z, halfline_solver._COSH_TAYLOR[-1])
+    sinhc = np.full_like(z, halfline_solver._SINHC_TAYLOR[-1])
+    for ck, sk in zip(reversed(halfline_solver._COSH_TAYLOR[:-1]), reversed(halfline_solver._SINHC_TAYLOR[:-1])):
+        cosh *= z
+        cosh += ck
+        sinhc *= z
+        sinhc += sk
+    out = np.empty((2, 2, *z.shape))
+    sp = np.multiply(sinhc, p, out=out[0, 1])
+    np.subtract(cosh, sp, out=out[1, 1])
+    np.add(cosh, sp, out=out[0, 0])
+    np.multiply(sinhc, u, out=out[0, 1])
+    np.multiply(sinhc, l, out=out[1, 0])
+    return out
+
+
 def _three_call_halving_error(qv, h, lams):
-    """_halving_error with the full steps and each half built in calls of their own."""
-    hs = halfline_solver
+    """_halving_error in the step-major layout, qv holding one row of nine
+    _TRIAL_NODES samples per step: the full steps and each half built in calls
+    of their own as (2, 2, steps, 2) matrices, each unresolved step from
+    zeroed coefficients, and the energies reduced along the last axis."""
     ends = np.array([lams.min(), lams.max()])
-    coefs = [hs._step_coefficients(qv[:, 3 * i : 3 * i + 3], f * h) for i, f in enumerate((1.0, 0.5, 0.5))]
-    resolved = np.all([np.abs(hs._exponent(c, ends)[3]) <= 1.0 for c in coefs], axis=(0, 2))
-    full, first, second = (hs._steps([np.where(resolved, e, 0.0) for e in c], ends) for c in coefs)
+    coefs = [_step_major_coefficients(qv[:, 3 * i : 3 * i + 3], f * h) for i, f in enumerate((1.0, 0.5, 0.5))]
+    resolved = np.all([np.abs(_step_major_exponent(c, ends)[3]) <= 1.0 for c in coefs], axis=(0, 2))
+    full, first, second = (_step_major_steps([np.where(resolved, e, 0.0) for e in c], ends) for c in coefs)
     two = np.einsum("ijkm,jlkm->ilkm", second, first)
     rel = np.max(np.abs(full - two), axis=(0, 1)) / np.max(np.abs(two), axis=(0, 1))
     return np.where(resolved, np.max(rel, axis=1), np.inf)
@@ -756,19 +832,22 @@ def _three_call_halving_error(qv, h, lams):
 )
 @example(rows=[[40.0] * 9, [0.5] * 9], h=[1.5] + [0.5] * 11, lams=[0.0])
 def test_stacked_trial_steps_match_three_builds(rows, h, lams):
-    # the full steps and both halves built stacked take the same arithmetic
-    # per element as three separate builds, so every error matches bit for
-    # bit, unresolved steps (inf, here h^2 |q - lam| > 1) included
+    # the full steps and both halves built stacked and energy-major take the
+    # same arithmetic per element as three separate step-major builds, so
+    # every error matches bit for bit, unresolved steps (inf, here
+    # h^2 |q - lam| > 1) included.  rows holds one step's samples each
     qv, h, lams = np.array(rows), np.array(h[: len(rows)]), np.array(lams)
-    assert np.array_equal(halfline_solver._halving_error(qv, h, lams), _three_call_halving_error(qv, h, lams))
+    assert np.array_equal(halfline_solver._halving_error(qv.T, h, lams), _three_call_halving_error(qv, h, lams))
 
 
 def test_stacked_trial_steps_select_the_same_meshes(glued_k1, monkeypatch):
-    # glued channels 0-2 over the glued-certify scan's span, and a synthetic channel
+    # glued channels 0-2 over the glued-certify scan's span, and a synthetic
+    # channel, against the selection sampled and built step-major
     qs = [channel_potential(glued_k1.profile, j) for j in range(3)] + [synthetic_channel(k_eff=4.0, phase=0.3)]
     spans = [(halfline_solver._regular_start(q), 1000.0) for q in qs[:3]] + [(1.0, 500.0)]
     window = [1.9, 2.1]
     stacked = [halfline_solver.select_mesh(q, lo, hi, window) for q, (lo, hi) in zip(qs, spans)]
+    monkeypatch.setattr(halfline_solver, "_sample_q", _step_major_sample_q)
     monkeypatch.setattr(halfline_solver, "_halving_error", _three_call_halving_error)
     for q, (lo, hi), mesh in zip(qs, spans, stacked):
         ref = halfline_solver.select_mesh(q, lo, hi, window)
@@ -784,7 +863,7 @@ def _stepwise(q_fn, lams, y0, x0, x1, t_eval):
     nodes = halfline_solver._nodes(halfline_solver.select_mesh(q_fn, lo, hi, lams), lo, hi, x_out)
     h = np.diff(nodes)
     qv = halfline_solver._sample_q(q_fn, nodes[:-1], h, halfline_solver._NODES)
-    mats = halfline_solver._steps([sign * e for e in halfline_solver._step_coefficients(qv, h)], lams)
+    mats = halfline_solver._steps([sign * e[:, None] for e in halfline_solver._step_coefficients(qv, h)], lams)
     y, off, samples = np.array(y0, dtype=float), 0.0, {}
     for i in range(h.size) if sign > 0 else range(h.size - 1, -1, -1):
         y = mats[:, 0, i] * y[0] + mats[:, 1, i] * y[1]
@@ -834,6 +913,56 @@ def test_grouped_recurrence_matches_stepwise_product(columns, level, amp, freq, 
     assert level < 9.0 or np.max(off) > 300.0
     transfer = np.max(np.abs(yr[:, columns:]).reshape(4, columns, -1), axis=0)
     assert np.max(np.abs(y * np.exp(off - offr) - yr[:, :columns]) / transfer) <= 1e-11
+
+
+def _exact_products(q_fn, lams, x0, x1, x_out):
+    """The steps of propagate's mesh in the order taken, in long double, and
+    the index after which each sample of x_out is reached."""
+    sign = 1.0 if x1 > x0 else -1.0
+    lo, hi = min(x0, x1), max(x0, x1)
+    nodes = halfline_solver._nodes(halfline_solver.select_mesh(q_fn, lo, hi, lams), lo, hi, x_out)
+    h = np.diff(nodes)
+    qv = halfline_solver._sample_q(q_fn, nodes[:-1], h, halfline_solver._NODES)
+    mats = halfline_solver._steps([sign * e[:, None] for e in halfline_solver._step_coefficients(qv, h)], lams)
+    order = np.arange(h.size) if sign > 0 else np.arange(h.size)[::-1]
+    reached = nodes[order + 1] if sign > 0 else nodes[order]
+    return np.moveaxis(mats[:, :, order, 0], 2, 0).astype(np.longdouble), np.searchsorted(sign * reached, sign * x_out) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(amp=st.floats(0.940, 0.948), backward=st.booleans())
+@example(amp=0.943, backward=False)
+@example(amp=0.947, backward=True)
+def test_grouped_recurrence_within_the_rounding_model_on_the_cancellation_window(amp, backward):
+    # q - lam = amp sin(x / 2) changes sign, and for these amp |T| grows to
+    # hundreds (9e4 at amp 0.948) and falls back, so a bound of 1e-11 |T|
+    # sits at the float64 floor: the step-by-step product itself errs by up
+    # to 1.3e-11 |T|.  The rounding model of a product of steps bounds the
+    # error instead: the rounding at node x_i is carried to x by T(x <- x_i),
+    # so |y(x) - T(x <- x_0) y0| <= C eps sum_i |T(x <- x_i)| |T(x_i <- x_0)| |y0|
+    # over the nodes from x_0 to x, eps = 2^-53, |.| the largest entry, the
+    # products exact (long double) products of the test's own float64 steps.
+    # Measured: propagate reaches 0.48 of eps times the sum over 304 draws,
+    # and the step-by-step float64 product 0.41 over 126; groups left uncut
+    # at a growth of e^2 reach 3.7 in the median of 86 draws and 16 at
+    # worst.  C = 2
+    q_fn = lambda x: amp * np.sin(0.5 * np.asarray(x, dtype=float))
+    lams, y0 = np.array([0.0]), np.array([[1.0], [0.3]])
+    x0, x1 = (160.0, 1.0) if backward else (1.0, 160.0)
+    x, y, off = halfline_solver.propagate(q_fn, lams, y0, x0, x1, np.linspace(1.0, 160.0, 60))
+    mats, reached = _exact_products(q_fn, lams, x0, x1, x)
+    prefix = np.empty((mats.shape[0] + 1, 2, 2), dtype=np.longdouble)
+    prefix[0] = np.eye(2)
+    for i, m in enumerate(mats):
+        prefix[i + 1] = m @ prefix[i]
+    # T(x_i <- x_0)^-1 from the adjugate; det T = 1 up to rounding
+    adj = np.stack([prefix[:, 1, 1], -prefix[:, 0, 1], -prefix[:, 1, 0], prefix[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    inverse = adj / (prefix[:, 0, 0] * prefix[:, 1, 1] - prefix[:, 0, 1] * prefix[:, 1, 0])[:, None, None]
+    size = np.max(np.abs(prefix), axis=(1, 2))
+    for k, got in zip(reached, (y[:, 0] * np.exp(off)).T):
+        carried = np.max(np.abs(np.einsum("ab,ibc->iac", prefix[k], inverse[: k + 1])), axis=(1, 2))
+        bound = 2.0 * 2.0**-53 * float(np.sum(carried * size[: k + 1])) * np.max(np.abs(y0))
+        assert np.max(np.abs(got - prefix[k] @ y0[:, 0])) <= bound
 
 
 @settings(max_examples=25, deadline=None)
