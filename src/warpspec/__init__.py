@@ -11,18 +11,18 @@ identities.
 Importing warpspec loads numpy alone.  Each scipy submodule is imported by
 the function that uses it, the first time it runs:
 
-- scipy.special: sphere_area (gamma); GaussLegendrePanels (roots_legendre,
-  which also loads scipy.linalg), the rule of the identity suite, the
-  verify_construction norms and every log f accumulated from S;
-  reference_profile (sici); disk_eigenfunction (gamma, jv);
-- scipy.interpolate: profile_from_shape when no log_f is given,
-  hessian_comparison_check, and the glued construction's bridge splines;
-- scipy.optimize: build_construction (brentq for the Bessel zero, lsq_linear
-  for the connector).
+- scipy.special: disk_eigenfunction (gamma, jv) alone;
+- scipy.optimize: disk_eigenfunction (brentq for the Bessel zero) and
+  build_construction (lsq_linear for the connector);
+- scipy.interpolate: profile_from_shape when no log_f is given, and the
+  glued construction (the bridge's B-splines, its log f and the tail's psi).
 
-The half-line solver on closed-form channels (synthetic_channel,
-decaying_solution, reversibility_check, scan_channels) and the curvature of
-the model profiles need no scipy.  scipy.integrate is used nowhere.
+The absence side needs numpy alone: the growth functional, the identity
+suite, the curvature fields and the reference end, whose log f reads a
+numpy sine integral.  So do the Gauss-Legendre rules (numpy's leggauss)
+and the half-line solver on closed-form channels (synthetic_channel,
+decaying_solution, reversibility_check, scan_channels).  scipy.integrate is
+used nowhere.
 """
 
 from .channel_reduction import (

@@ -62,8 +62,14 @@ def write_csv_atomic(path: str, header: Sequence[str], columns: Sequence[np.ndar
     """Write columns of equal length as CSV: str(int) for integer cells, repr(float) for the rest."""
     if len(columns) != len(header):
         raise ValueError("header/column count mismatch")
-    cols = [np.asarray(c).tolist() for c in columns]
+    cols = [np.asarray(c) for c in columns]
     if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("ragged columns")
-    cells = [[str(int(v)) if isinstance(v, int) else repr(float(v)) for v in c] for c in cols]
+    # a float column's cells are its floats' reprs, formatted in one pass
+    cells = [
+        list(map(float.__repr__, c.tolist()))
+        if c.dtype.kind == "f"
+        else [str(int(v)) if isinstance(v, int) else repr(float(v)) for v in c.tolist()]
+        for c in cols
+    ]
     write_text_atomic(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")

@@ -171,7 +171,8 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
 def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
-    q_fn evaluates the profile's shape, so it is valid on [r_min, r_max].
+    q_fn evaluates the profile's shape once per call (ShapeFns.values), so
+    it is valid on [r_min, r_max].
     Nothing is sampled: k_eff, phase and remainder_slope stay None
     (channel_potential fits them), so this suits callers that only
     integrate the channel equation.
@@ -186,11 +187,11 @@ def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential
 
     def q_fn(x, _sh=sh, _p=p, _lam=lam_j):
         x = np.asarray(x, dtype=float)
-        s = _sh.s(x)
-        out = _p * _p * s * s + _p * _sh.s_prime(x)
-        if _lam != 0.0:
-            out = out + _lam * np.exp(-2.0 * _sh.log_f(x))
-        return out
+        if _lam == 0.0:
+            s, s_prime = _sh.values(x)
+            return _p * _p * s * s + _p * s_prime
+        s, s_prime, log_f = _sh.values(x, with_log_f=True)
+        return _p * _p * s * s + _p * s_prime + _lam * np.exp(-2.0 * log_f)
 
     origin_exponent = None
     if r_min < 0.5 and abs(math.exp(float(sh.log_f(r_min))) / r_min - 1.0) < 0.01:
@@ -219,10 +220,10 @@ def inverse_liouville(
     silently far out on an exponential end.
     """
     p = 0.5 * (profile.n - 1)
-    r = np.asarray(r, dtype=float)
+    s, _, log_f = profile.shape.values(np.asarray(r, dtype=float), with_log_f=True)
     with np.errstate(under="ignore"):
-        fmp = np.exp(-p * profile.shape.log_f(r))
-    return fmp * w, fmp * (w_prime - p * profile.shape.s(r) * w)
+        fmp = np.exp(-p * log_f)
+    return fmp * w, fmp * (w_prime - p * s * w)
 
 
 def resonance_coupling_threshold(n: int) -> float:

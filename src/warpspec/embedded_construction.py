@@ -21,6 +21,7 @@ both read the bridge from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -159,12 +160,89 @@ def disk_eigenfunction(n: int) -> DiskEigenfunction:
 # ----------------------------------------------------------- reference end
 
 
+# Si(x) = pi/2 - f(x) cos x - g(x) sin x, with the auxiliary functions
+# f(x) = int_0^oo sin t / (t + x) dt and g(x) = int_0^oo cos t / (t + x) dt.
+# F = x f and G = x^2 g are smooth and tend to 1.  Each octave
+# [2^(e-1), 2^e) of x, 2 <= e <= 20, is cut into _SI_ROWS equal rows, and
+# on a row F and G are polynomials of degree _SI_DEGREE in the local
+# variable t in [0, 1), interpolating them at Chebyshev points.  Past 2^20
+# the last row stands in: F and G are within 6/x^2 of 1 there, and Si reads
+# them divided by x.
+_SI_ROWS = 64
+_SI_DEGREE = 5
+_SI_OCTAVES = 19
+_SI_BLOCK = 1 << 13
+
+
+def _auxiliary_fg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(x) and g(x) for x >= 2 from the continued fraction of e^z E1(z) = g - i f at z = i x.
+
+    The fraction 1/(z+1 - 1/(z+3 - 4/(z+5 - ...))) is evaluated backward from
+    depth 120, which converges to rounding at x = 2 and sooner beyond.
+    """
+    z = 1j * np.asarray(x, dtype=float)
+    t = z + 241.0
+    for i in range(120, 0, -1):
+        t = z + (2 * i - 1) - i * i / t
+    h = 1.0 / t
+    return -h.imag, h.real
+
+
+@functools.cache
+def _si_table() -> np.ndarray:
+    """Coefficients of t^d in F and G on each row, shape (_SI_DEGREE + 1, 2, rows)."""
+    deg = _SI_DEGREE
+    nodes = 0.5 + 0.5 * np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
+    rows = np.arange(_SI_OCTAVES * _SI_ROWS)
+    # row i spans (j + [0, 1)) 2^e / (2 _SI_ROWS) with e = 2 + i // _SI_ROWS, j = _SI_ROWS + i % _SI_ROWS
+    x = np.ldexp((_SI_ROWS + rows % _SI_ROWS)[:, None] + nodes, (2 + rows // _SI_ROWS)[:, None]) / (2 * _SI_ROWS)
+    f, g = _auxiliary_fg(x)
+    vander = np.vander(nodes, deg + 1, increasing=True)
+    table = np.stack([np.linalg.solve(vander, (x * f).T), np.linalg.solve(vander, (x * x * g).T)], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _sine_integral(x: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
+    """Si(x) = int_0^x sin t / t dt for x >= 2, given sin x and cos x.
+
+    Its error is about a unit of rounding of pi/2, so it is continuous
+    across the rows to rounding.  Below x = 2 the result is not Si.  The
+    points go through in blocks of _SI_BLOCK, which bounds the gathered
+    coefficients to about 1 MB.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat_x, flat_sin, flat_cos, flat_out = x.reshape(-1), np.ravel(sin_x), np.ravel(cos_x), out.reshape(-1)
+    table = _si_table()
+    for lo in range(0, flat_x.size, _SI_BLOCK):
+        block = slice(lo, lo + _SI_BLOCK)
+        t, e = np.frexp(flat_x[block])
+        t *= 2 * _SI_ROWS
+        row = t.astype(np.intp)
+        t -= row
+        row += e * _SI_ROWS - 3 * _SI_ROWS
+        coef = table.take(row, axis=2, mode="clip")
+        # Horner's rule on F and G together
+        acc = coef[_SI_DEGREE]
+        for d in range(_SI_DEGREE - 1, -1, -1):
+            acc *= t
+            acc += coef[d]
+        inv = 1.0 / flat_x[block]
+        flat_out[block] = np.pi / 2 - (acc[0] * flat_cos[block] + acc[1] * flat_sin[block] * inv) * inv
+    return out
+
+
 def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile:
-    """Shape S = 1 + k sin(2r)/r on [1, r_max]; log f via the sine integral.
+    """Shape S = 1 + k sin(2r)/r on [1, r_max]; log f = (r - 1) + k (Si(2r) - Si(2)).
 
     Requires the coupling to clear the resonance threshold
     |k| (n-1) sqrt((n-1)^2 + 4) > 4 so that the channel sinusoid amplitude
-    k_eff exceeds 2.
+    k_eff exceeds 2.  The shape is valid on the profile's range, r >= 1,
+    where its sine integral (_sine_integral, numpy alone) holds.  Each
+    evaluation computes sin 2r and cos 2r once, for S, S' and Si(2r), and
+    its joint evaluations (ShapeFns.pair, triple) give all the values it
+    computes.
     """
     thr = resonance_coupling_threshold(n)
     if abs(k) <= thr:
@@ -172,27 +250,25 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile
             f"|k| = {abs(k)} is at or below the resonance threshold {thr:.6g} for n = {n}",
             threshold=thr,
         )
-    from scipy.special import sici
+    two = np.float64(2.0)
+    si2 = _sine_integral(two, np.sin(two), np.cos(two))
 
-    si2 = sici(2.0)[0]
-
-    def s(r):
+    def values(r, with_log_f):
+        # sin 2r and cos 2r once, for S, S' and the sine integral
         r = np.asarray(r, dtype=float)
-        return 1.0 + k * np.sin(2.0 * r) / r
-
-    def s_prime(r):
-        r = np.asarray(r, dtype=float)
-        return k * (2.0 * np.cos(2.0 * r) / r - np.sin(2.0 * r) / r**2)
-
-    def log_f(r):
-        r = np.asarray(r, dtype=float)
-        return (r - 1.0) + k * (sici(2.0 * r)[0] - si2)
+        sin2, cos2 = np.sin(2.0 * r), np.cos(2.0 * r)
+        out = (1.0 + k * sin2 / r, k * (2.0 * cos2 / r - sin2 / r**2))
+        if with_log_f:
+            out += ((r - 1.0) + k * (_sine_integral(2.0 * r, sin2, cos2) - si2),)
+        return out
 
     return profile_from_shape(
         n,
-        s=s,
-        s_prime=s_prime,
-        log_f=log_f,
+        s=lambda r: values(r, False)[0],
+        s_prime=lambda r: values(r, False)[1],
+        log_f=lambda r: values(r, True)[2],
+        pair=lambda r: values(r, False),
+        triple=lambda r: values(r, True),
         r_min=1.0,
         r_max=r_max,
         kind="wvn",
@@ -256,11 +332,9 @@ class _ConnectorTrial:
     knots: np.ndarray
     coeffs: np.ndarray
     err: float
-    fmin_rel: float
-    max_q0: float
 
 
-def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, sigma: float, b_n: float, n: int) -> _ConnectorTrial:
+def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, sigma: float) -> _ConnectorTrial:
     """Solve for -psi' as a positive degree-4 spline matching both sides.
 
     The spline s = -psi' has clamped knots with 12 interior breakpoints
@@ -300,21 +374,18 @@ def _try_connector(hd_ball: list[float], hd_tail: list[float], length: float, si
         method="bvls",
     )
     coeffs = sol.x
-    err = float(np.max(np.abs(a_mat @ coeffs - b_vec)))
+    return _ConnectorTrial(knots=tk, coeffs=coeffs, err=float(np.max(np.abs(a_mat @ coeffs - b_vec))))
 
+
+def _screen_bridge(trial: _ConnectorTrial, length: float, b_n: float, n: int) -> tuple[float, float]:
+    """(fmin_rel, max_q0) of a trial's bridge: the least f/f(r1) and max |q_0|, sampled at 4001 points."""
     tt = np.linspace(0.0, length, 4001)
-    g, gp = _bridge(tk, coeffs, b_n, n)[1](tt)
+    g, gp = _bridge(trial.knots, trial.coeffs, b_n, n)[1](tt)
     p = 0.5 * (n - 1)
     q0 = p * p * g * g + p * gp
     # running trapezoid rule from t = 0
     cum = np.concatenate(([0.0], np.cumsum(np.diff(tt) * (g[1:] + g[:-1]) / 2.0)))
-    return _ConnectorTrial(
-        knots=tk,
-        coeffs=coeffs,
-        err=err,
-        fmin_rel=float(np.exp(np.min(cum))),
-        max_q0=float(np.max(np.abs(q0))),
-    )
+    return float(np.exp(np.min(cum))), float(np.max(np.abs(q0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,24 +436,29 @@ def junction_candidates(
 
 
 def _piecewise(r, r1: float, r2: float, f_ball, f_mid_t, f_tail):
-    """Evaluate a three-piece radial function (f_mid_t takes t = r - r1) as an array shaped like r.
+    """Evaluate a three-piece radial function (f_mid_t takes t = r - r1) shaped like r.
 
-    Points all on the tail, as on most of a long probe, go to f_tail at once.
+    The pieces return an array or a tuple of arrays, and so does this: the
+    points are split once for every value.  Points all on the tail, as on
+    most of a long probe, go to f_tail at once.
     """
     arr = np.asarray(r, dtype=float)
-    if arr.size and arr.min() >= r2:
+    if not arr.size or arr.min() >= r2:
         return f_tail(arr)
-    out = np.empty_like(arr)
     m1 = arr < r1
     m3 = arr >= r2
     m2 = ~(m1 | m3)
-    if np.any(m1):
-        out[m1] = f_ball(arr[m1])
-    if np.any(m2):
-        out[m2] = f_mid_t(arr[m2] - r1)
-    if np.any(m3):
-        out[m3] = f_tail(arr[m3])
-    return out
+    parts = [
+        (m, fn(arr[m] - r1 if fn is f_mid_t else arr[m]))
+        for m, fn in ((m1, f_ball), (m2, f_mid_t), (m3, f_tail))
+        if np.any(m)
+    ]
+    single = not isinstance(parts[0][1], tuple)
+    outs = [np.empty_like(arr) for _ in range(1 if single else len(parts[0][1]))]
+    for m, vals in parts:
+        for out, v in zip(outs, (vals,) if single else vals):
+            out[m] = v
+    return outs[0] if single else tuple(outs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,11 +515,26 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     # the glue radii and the interior spline knots, where S is only C^2: quadrature
     # panels, stencils and ODE steps must not straddle them
     knots = [float(r1 + t) for t in bk if 1e-12 < t < length - 1e-12]
+
+    def tail_triple(v):
+        s, s_prime, log_f = sh1.values(v, with_log_f=True)
+        return s, s_prime, log_c2 + log_f
+
+    def pair(r):
+        return _piecewise(r, r1, r2, lambda v: (1.0 / v, -1.0 / v**2), bridge_shape, sh1.values)
+
+    def triple(r):
+        return _piecewise(
+            r, r1, r2, lambda v: (1.0 / v, -1.0 / v**2, np.log(v)), lambda t: (*bridge_shape(t), logf_mid_spl(t)), tail_triple
+        )
+
     profile = profile_from_shape(
         n,
-        s=lambda r: _piecewise(r, r1, r2, lambda v: 1.0 / v, g_of_t, sh1.s),
-        s_prime=lambda r: _piecewise(r, r1, r2, lambda v: -1.0 / v**2, lambda t: bridge_shape(t)[1], sh1.s_prime),
-        log_f=lambda r: _piecewise(r, r1, r2, np.log, logf_mid_spl, lambda v: log_c2 + sh1.log_f(v)),
+        s=lambda r: pair(r)[0],
+        s_prime=lambda r: pair(r)[1],
+        log_f=lambda r: triple(r)[2],
+        pair=pair,
+        triple=triple,
         r_min=DEFAULT_STEP,
         r_max=ref.r_max,
         kind="glued",
@@ -509,7 +600,8 @@ def build_construction(
     hd_ball = _ode_derivs(0.0, -1.0, s_ball, b_n, n)
 
     tried = 0
-    best: tuple[float, dict] | None = None
+    # the trial with the least defect, its junction radius and sigma, for the failure's diagnostics
+    best: tuple[_ConnectorTrial, float, float] | None = None
     for ci in idx:
         r2 = float(x[ci])
         length = r2 - disk.r1
@@ -518,10 +610,13 @@ def build_construction(
             tried += 1
             c_tail = -sigma * length / float(h[ci])
             hd_tail = _ode_derivs(c_tail * float(h[ci]), c_tail * float(hp[ci]), s_tail, b_n, n)
-            trial = _try_connector(hd_ball, hd_tail, length, sigma, b_n, n)
-            if best is None or trial.err < best[0]:
-                best = (trial.err, {"r2": r2, "sigma": sigma, "fmin_rel": trial.fmin_rel, "max_q0": trial.max_q0})
-            if trial.err <= 1e-8 and trial.fmin_rel >= 5e-3 and trial.max_q0 <= 40.0:
+            trial = _try_connector(hd_ball, hd_tail, length, sigma)
+            if best is None or trial.err < best[0].err:
+                best = (trial, r2, sigma)
+            if trial.err > 1e-8:
+                continue
+            fmin_rel, max_q0 = _screen_bridge(trial, length, b_n, n)
+            if fmin_rel >= 5e-3 and max_q0 <= 40.0:
                 connector = Connector(
                     r1=disk.r1, r2=r2, sigma=sigma, knots=trial.knots, coeffs=trial.coeffs, c_tail=c_tail,
                     constraint_err=trial.err, attempts=tried,
@@ -543,10 +638,15 @@ def build_construction(
                     psi_fn=psi_fn,
                     diagnostics={"k_eff": q0.k_eff, **jumps},
                 )
+    diagnostics = {}
+    if best is not None:
+        trial, r2, sigma = best
+        fmin_rel, max_q0 = _screen_bridge(trial, r2 - disk.r1, b_n, n)
+        diagnostics = {"r2": r2, "sigma": sigma, "fmin_rel": fmin_rel, "max_q0": max_q0}
     raise ConnectorFailureError(
         f"no admissible bridge after {len(idx)} junction candidates ({tried} trials)",
         attempts=tried,
-        diagnostics=best[1] if best else {},
+        diagnostics=diagnostics,
     )
 
 

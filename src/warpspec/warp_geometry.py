@@ -60,9 +60,7 @@ DEFAULT_STEP = math.pi / 40.0
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in R^n."""
-    from scipy.special import gamma
-
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def uniform_grid(r_min: float, r_max: float, step: float = DEFAULT_STEP) -> np.ndarray:
@@ -79,12 +77,23 @@ class ShapeFns:
 
     All callables accept scalars or arrays.  S'' is not stored: the one
     place that reads it, where a bridge meets the reference end, evaluates
-    it in closed form (embedded_construction).
+    it in closed form (embedded_construction).  A shape whose values share
+    work (a piecewise dispatch, sin 2r) may also give pair, (S, S'), and
+    triple, (S, S', log f), each bit for bit the separate callables' values
+    from one evaluation; values() reads them.
     """
 
     s: Callable[[np.ndarray], np.ndarray]
     s_prime: Callable[[np.ndarray], np.ndarray]
     log_f: Callable[[np.ndarray], np.ndarray]
+    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    triple: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+
+    def values(self, r, with_log_f: bool = False) -> tuple:
+        """(S, S') at r, or (S, S', log f) with_log_f, from the joint callable when there is one."""
+        if with_log_f:
+            return self.triple(r) if self.triple is not None else (self.s(r), self.s_prime(r), self.log_f(r))
+        return self.pair(r) if self.pair is not None else (self.s(r), self.s_prime(r))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +238,7 @@ def bochner_residual(profile: WarpProfile) -> float:
             h = min(DEFAULT_STEP, alpha / 50.0, width / 200.0)
             m = max(11, int(math.ceil((beta - alpha) / h)) + 1)
             x = np.linspace(alpha, beta, m)
-            s_x = np.asarray(shape.s(x), dtype=float)
-            sp_x = np.asarray(shape.s_prime(x), dtype=float)
+            s_x, sp_x = (np.asarray(v, dtype=float) for v in shape.values(x))
             lap = nm1 * s_x
             dlap = (fd_derivative(x, x * lap) - lap) / x
             res = dlap + nm1 * s_x**2 - nm1 * (sp_x + s_x**2)
@@ -243,15 +251,14 @@ class GaussLegendrePanels:
 
     x holds the nodes, shape (panels, order); integrals() and antiderivative()
     map values at the nodes to per-panel and running integrals.  xg, wg are the
-    reference nodes and weights on [-1, 1] and half the panel half-widths.
+    reference nodes and weights on [-1, 1] (numpy's leggauss, formed once per
+    order and shared read-only) and half the panel half-widths.
     """
 
     def __init__(self, edges: np.ndarray, order: int = 16):
-        from scipy.special import roots_legendre
-
         edges = np.asarray(edges, dtype=float)
         self.order = order
-        self.xg, self.wg = roots_legendre(order)
+        self.xg, self.wg = self._rule(order)
         a, b = edges[:-1], edges[1:]
         self.half = 0.5 * (b - a)
         self.x = (0.5 * (a + b))[:, None] + self.half[:, None] * self.xg[None, :]
@@ -273,11 +280,18 @@ class GaussLegendrePanels:
 
     @staticmethod
     @functools.cache
+    def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the order-point rule on [-1, 1], read-only."""
+        xg, wg = npleg.leggauss(order)
+        xg.setflags(write=False)
+        wg.setflags(write=False)
+        return xg, wg
+
+    @staticmethod
+    @functools.cache
     def _antiderivative_matrix(order: int) -> np.ndarray:
         """Node values to the integral from -1 of their interpolant: c_k = (2k+1)/2 sum_i w_i P_k(x_i) v_i, legint."""
-        from scipy.special import roots_legendre
-
-        xg, wg = roots_legendre(order)
+        xg, wg = GaussLegendrePanels._rule(order)
         to_coef = (np.arange(order) + 0.5)[:, None] * (npleg.legvander(xg, order - 1) * wg[:, None]).T
         return npleg.legvander(xg, order) @ npleg.legint(to_coef, lbnd=-1.0)
 
@@ -336,6 +350,8 @@ def profile_from_shape(
     kind: str = "tabulated",
     params: Mapping[str, float] | None = None,
     kinks: Sequence[float] = (),
+    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    triple: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> WarpProfile:
     """Build a profile from a shape curve S = f'/f on [r_min, r_max].
 
@@ -343,7 +359,8 @@ def profile_from_shape(
     is omitted: then it is accumulated by Gauss-Legendre quadrature of S
     along nodes 0.02 apart (normalized so f(r_min) = 1) and interpolated
     with a cubic spline; supply an exact log_f whenever one is available.  kinks are the
-    ascending radii where S loses smoothness.  kind and params name the
+    ascending radii where S loses smoothness.  pair and triple are the
+    optional joint evaluations of ShapeFns.  kind and params name the
     builder that remakes the profile; a profile persists to JSON only when
     the CLI knows that kind (cli.profile_to_json).
     """
@@ -360,7 +377,7 @@ def profile_from_shape(
         params=dict(params or {}),
         r_min=float(r_min),
         r_max=float(r_max),
-        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f),
+        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f, pair=pair, triple=triple),
         kinks=tuple(float(k) for k in kinks),
     )
 

@@ -12,11 +12,13 @@ from warpspec import (
     build_construction,
     disk_eigenfunction,
     junction_candidates,
+    reference_profile,
     resonance_coupling_threshold,
     scale_construction,
     uniform_grid,
     verify_construction,
 )
+from warpspec.embedded_construction import _SI_OCTAVES, _SI_ROWS, _sine_integral
 
 # frozen from scripts/oracle_ball_shooting.py (series-seeded RK4, no Bessel)
 ORACLE_R1 = {
@@ -28,7 +30,9 @@ ORACLE_R1 = {
 
 # frozen outputs of the deterministic n = 3 builds; c2 is the bridge's exact
 # (BVLS) least-squares solution, which moves by about 1e-8 when the tail
-# solution at r2 moves by 1e-11, and so with the tail fit's window
+# solution at r2 moves by 1e-11, and so with the tail fit's window; at
+# k = 2.5 a change of one unit of rounding in the junction data moves it by
+# 1e-8 to 1e-7
 K1 = {
     "r1": 2.221441469079183,
     "r2": 4.926990816987241,
@@ -39,7 +43,7 @@ K1 = {
 }
 K25 = {
     "r2": 5.005530633326986,
-    "c2": 0.0005526501414439869,
+    "c2": 0.0005526501515028732,
 }
 
 
@@ -161,3 +165,37 @@ def test_k25_frozen_invariants(glued_k25):
     assert g.r2 == pytest.approx(K25["r2"], rel=1e-9)
     assert g.c2 == pytest.approx(K25["c2"], rel=1e-9)
 
+
+def test_sine_integral_matches_scipy_across_its_rows():
+    # scipy's sici stays the reference the package no longer calls
+    from scipy.special import sici
+
+    rng = np.random.default_rng(11)
+    # every seam between rows, the octave edges among them, and 1e-9 to either
+    # side: within 2e-15 of the continuous sici on both sides, so continuous to rounding
+    j = np.arange(_SI_ROWS, 2 * _SI_ROWS + 1)
+    seams = np.unique(np.ldexp(j[None, :] / (2.0 * _SI_ROWS), np.arange(2, 2 + _SI_OCTAVES)[:, None]).ravel())
+    x = np.concatenate([
+        np.exp(rng.uniform(math.log(2.0), math.log(1e6), 200_000)),
+        np.concatenate([seams + d for d in (-1e-9, 0.0, 1e-9)]),
+        [2.0, 1e6],
+    ])
+    x = x[(x >= 2.0) & (x <= 1e6)]
+    assert np.max(np.abs(_sine_integral(x, np.sin(x), np.cos(x)) - sici(x)[0])) < 2e-15
+    # shaped like its argument, scalars included
+    assert _sine_integral(np.float64(2.0), np.sin(2.0), np.cos(2.0)).shape == ()
+    assert _sine_integral(x[:6].reshape(2, 3), np.sin(x[:6]).reshape(2, 3), np.cos(x[:6]).reshape(2, 3)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("which", ["reference", "glued"])
+def test_joint_shape_values_are_the_separate_ones_bit_for_bit(which, glued_k1):
+    prof = reference_profile(3, 1.3, r_max=300.0) if which == "reference" else glued_k1.profile
+    sh = prof.shape
+    rng = np.random.default_rng(3)
+    # every piece of the glued profile in one array, its kinks included
+    r = np.concatenate([rng.uniform(prof.r_min, 40.0, 500), rng.uniform(prof.r_min, prof.r_max, 200), prof.kinks])
+    for x in (r, r[r > 40.0], np.float64(r[0])):
+        s, sp = sh.values(x)
+        s3, sp3, lf3 = sh.values(x, with_log_f=True)
+        for got in ((s, sp), (s3, sp3, lf3)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, (sh.s(x), sh.s_prime(x), sh.log_f(x))))

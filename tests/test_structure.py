@@ -147,6 +147,30 @@ assert cli.main(["curvature-report", "--profile", "euclidean", "--out", {str(tmp
     assert _scipy_modules_after(code) == []
 
 
+def test_the_absence_side_loads_no_scipy(tmp_path):
+    # the growth functional, its refusal, the identity suite and the
+    # curvature report of the reference end need numpy alone
+    code = f"""
+import warpspec as ws
+from warpspec import cli
+
+for prof in (ws.power_decay_profile(3), ws.slow_log_decay_profile(3)):
+    ws.verify_growth_theorem(prof, alpha=2.0, gamma=1.0, t0=20.0, t_end=300.0, seed=1)
+ref = ws.reference_profile(3, 1.0, r_max=600.0)
+try:
+    ws.verify_growth_theorem(ref, alpha=2.0, gamma=1.0, t0=20.0, t_end=300.0, seed=1)
+except ws.HypothesisViolatedError:
+    pass
+else:
+    raise AssertionError("the reference end was not refused")
+for prof in (ws.euclidean_profile(3), ws.hyperbolic_profile(3), ref):
+    for data in ws.standard_identity_data():
+        ws.check_parts_identities(prof, data, span=(1.0, 20.0), tol=1e-7)
+assert cli.main(["curvature-report", "--profile", "wvn", "--out", {str(tmp_path)!r}]) == 0
+"""
+    assert _scipy_modules_after(code) == []
+
+
 def test_a_profile_is_its_shape_and_its_range():
     # a profile holds no samples: each consumer samples the shape where it reads
     assert [f.name for f in dataclasses.fields(warpspec.WarpProfile)] == ["n", "kind", "params", "r_min", "r_max", "shape", "kinks"]

@@ -97,6 +97,19 @@ def test_fd_derivative_accuracy():
         fd_derivative(x**1.5, np.cos(x))
 
 
+@pytest.mark.parametrize("order", [16, 32])
+def test_gauss_legendre_rule_integrates_monomials_exactly(order):
+    # x^d on [-1, 1] for every degree the rule integrates exactly, 0 <= d <= 2 order - 1
+    rule = GaussLegendrePanels(np.array([-1.0, 1.0]), order)
+    degrees = np.arange(2 * order)
+    got = np.array([rule.integrals(rule.x**d)[0] for d in degrees])
+    exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1.0), 0.0)
+    assert np.max(np.abs(got - exact)) < 1e-14
+    # the rule is formed once per order and shared read-only
+    assert GaussLegendrePanels(np.array([0.0, 1.0]), order).xg is rule.xg
+    assert not rule.wg.flags.writeable
+
+
 def _legfit_antiderivative(rule, vals):
     """Per-panel legfit/legint/legval loop: the reference for GaussLegendrePanels.antiderivative."""
     at_nodes, at_edges = np.empty_like(vals), [0.0]
