@@ -7,6 +7,12 @@ Subcommands
     verify-growth      seeded growth trials (or the eigenfunction decay series)
     check-identities   quadrature residuals of the radial integral identities
 
+Each command takes only the settings its runner reads, plus --out and
+--timings; the table _COMMANDS below the runners lists them, and the parser,
+the config-file check and the report's config block all read it.  A flag is
+its RunConfig field's name with - for _, and a setting another command reads
+is refused as a flag and as a config key.
+
 A JSON config file (--config) supplies defaults; explicit flags win.  Exit
 codes: 0 all requested checks passed, 1 a computation or check failed, 2 the
 configuration was invalid.  Without --r-max (or an r_max key) the commands
@@ -40,9 +46,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, get_args, get_type_hints
+from typing import Callable, Mapping, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -80,7 +86,6 @@ __all__ = [
     "profile_from_json",
 ]
 
-_COMMANDS = ("build-example", "curvature-report", "scan", "verify-growth", "check-identities")
 # the builder of each profile kind, called as builder(n, **params) with the
 # params the kind stores
 _PROFILE_KINDS: dict[str, Callable[..., WarpProfile]] = {
@@ -101,7 +106,6 @@ _PROFILE_R_MAX = {"euclidean": 40.0, "hyperbolic": 40.0, "cusp": 40.0, "power": 
 # where a model profile stops being finite: sinh r in log(sinh r) overflows
 # beyond r = 710; the others hold for every r
 _PROFILE_R_LIMIT = {"hyperbolic": 710.0}
-_PROFILE_COMMANDS = ("curvature-report", "verify-growth", "check-identities")
 
 
 @dataclass(frozen=True)
@@ -138,39 +142,41 @@ class RunConfig:
         for name, hint in get_type_hints(RunConfig).items():
             types, value = get_args(hint) or (hint,), getattr(self, name)
             if type(value) is int and float in types:
-                try:
-                    object.__setattr__(self, name, float(value))
-                except OverflowError:
-                    raise ConfigError(f"settings must be finite: {name}") from None
+                value = float(value) if abs(value) <= sys.float_info.max else math.inf
+                object.__setattr__(self, name, value)
             elif type(value) not in types:
                 wanted = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ConfigError(f"{name} must be {wanted}, got {type(value).__name__} {value!r}")
-        nonfinite = [name for name, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)]
-        if nonfinite:
-            raise ConfigError(f"settings must be finite: {', '.join(nonfinite)}")
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}; choose from {_COMMANDS}")
+            raise ConfigError(f"unknown command {self.command!r}; choose from {tuple(_COMMANDS)}")
         if self.n < 2:
             raise ConfigError("need dimension n >= 2")
         if self.profile not in _PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}; choose from {_PROFILES}")
-        if self.r_max <= 0 or self.lambda_step <= 0 or self.trials < 1:
-            raise ConfigError("r_max, lambda_step must be positive and trials >= 1")
-        if self.j_max < 0 or self.seed < 0:
-            raise ConfigError("j_max and seed must be nonnegative")
+        for name in ("r_max", "lambda_step", "trials"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("j_max", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
 
 
 def config_to_json(cfg: RunConfig) -> dict:
-    return asdict(cfg)
+    """The command and the settings it takes, in field order."""
+    takes = _settings(cfg.command)
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name == "command" or f.name in takes}
 
 
 def config_from_json(doc: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    if "command" not in doc:
-        raise ConfigError("config needs a 'command' key")
+    """The RunConfig of a document holding a command and only settings that command takes."""
+    command = doc.get("command")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; choose from {tuple(_COMMANDS)}")
+    foreign = sorted(set(doc) - {"command", *_settings(command)})
+    if foreign:
+        raise ConfigError(f"{command} does not take the config keys {foreign}")
     return RunConfig(**doc)
 
 
@@ -263,6 +269,7 @@ def _lambda_window(cfg: RunConfig) -> tuple[float, float]:
 def _cmd_build_example(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     b_n = resonance_energy(cfg.n)
     window = _lambda_window(cfg)
+    energy_grid(*window, cfg.lambda_step)  # refuse a bad window before the build
     g = build_construction(cfg.n, cfg.k, r_max=cfg.r_max)
     report, scans = verify_construction(g, j_max=cfg.j_max, lambda_window=window, lambda_step=cfg.lambda_step)
     fired = report["scan"]["fired"]
@@ -413,8 +420,6 @@ def _cmd_verify_growth(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
 def _cmd_check_identities(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     profile = _named_profile(cfg)
     span = (cfg.span_lo, cfg.span_hi)
-    if not span[0] < span[1]:
-        raise ConfigError(f"bad identity span {span}")
     results = []
     all_ok = True
     for data in standard_identity_data():
@@ -451,13 +456,25 @@ def _cmd_check_identities(cfg: RunConfig) -> tuple[dict, bool, list[str]]:
     return report, ok, artifacts
 
 
-_RUNNERS = {
-    "build-example": _cmd_build_example,
-    "curvature-report": _cmd_curvature_report,
-    "scan": _cmd_scan,
-    "verify-growth": _cmd_verify_growth,
-    "check-identities": _cmd_check_identities,
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], tuple[dict, bool, list[str]]]
+    reads: str  # the settings the runner reads, space-separated
+
+
+# every command, the runner it calls and the settings that runner reads; each
+# also takes out and timings.  A command's flags, its config keys and its
+# report's config block are these settings and no others.
+_COMMANDS = {
+    "build-example": _Command(_cmd_build_example, "n k r_max j_max lambda_lo lambda_hi lambda_step residual_tol"),
+    "curvature-report": _Command(_cmd_curvature_report, "profile n k r_max trace_tol"),
+    "scan": _Command(_cmd_scan, "n k r_max j_max lambda_lo lambda_hi lambda_step"),
+    "verify-growth": _Command(_cmd_verify_growth, "profile n k r_max alpha gamma trials seed t0 t_end eigenfunction"),
+    "check-identities": _Command(_cmd_check_identities, "profile n k r_max span_lo span_hi identity_tol trace_tol"),
 }
+
+
+def _settings(command: str) -> tuple[str, ...]:
+    return (*_COMMANDS[command].reads.split(), "out", "timings")
 
 
 # --------------------------------------------------------------------------
@@ -465,36 +482,21 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="warpspec",
-        description="spectral checks for rotationally symmetric ends",
-    )
+    """One subparser per command, one flag per setting it takes: --r-max sets
+    r_max, typed by its RunConfig field; a bool is a switch."""
+    ap = argparse.ArgumentParser(prog="warpspec", description="spectral checks for rotationally symmetric ends")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--k", type=float, default=None)
-        sp.add_argument("--r-max", dest="r_max", type=float, default=None)
-        sp.add_argument("--j-max", dest="j_max", type=int, default=None)
-        sp.add_argument("--lambda-lo", dest="lambda_lo", type=float, default=None)
-        sp.add_argument("--lambda-hi", dest="lambda_hi", type=float, default=None)
-        sp.add_argument("--lambda-step", dest="lambda_step", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--t0", type=float, default=None)
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        sp.add_argument("--profile", type=str, default=None, choices=_PROFILES)
-        sp.add_argument("--span-lo", dest="span_lo", type=float, default=None)
-        sp.add_argument("--span-hi", dest="span_hi", type=float, default=None)
-        sp.add_argument("--eigenfunction", action="store_true", default=None)
-        sp.add_argument("--out", type=str, default=None, help="artifact directory")
-        sp.add_argument("--timings", action="store_true", default=None)
-        sp.add_argument("--identity-tol", dest="identity_tol", type=float, default=None)
-        sp.add_argument("--trace-tol", dest="trace_tol", type=float, default=None)
-        sp.add_argument("--residual-tol", dest="residual_tol", type=float, default=None)
+    hints = get_type_hints(RunConfig)
+    for command in _COMMANDS:
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        for name in _settings(command):
+            flag = "--" + name.replace("_", "-")
+            if hints[name] is bool:
+                sp.add_argument(flag, action="store_true", default=None)
+            else:
+                (kind,) = set(get_args(hints[name]) or (hints[name],)) - {type(None)}
+                sp.add_argument(flag, type=kind, choices=_PROFILES if name == "profile" else None)
     return ap
 
 
@@ -510,21 +512,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
+    takes = _settings(args.command)
     doc["command"] = args.command
-    for f in fields(RunConfig):
-        if f.name in ("command",):
-            continue
-        val = getattr(args, f.name, None)
-        if val is not None:
-            doc[f.name] = val
+    doc.update({name: value for name in takes if (value := getattr(args, name)) is not None})
     cfg = config_from_json(doc)
-    if "r_max" not in doc and cfg.command in _PROFILE_COMMANDS and cfg.profile in _PROFILE_R_MAX:
+    if "r_max" not in doc and "profile" in takes and cfg.profile in _PROFILE_R_MAX:
         r_max = _PROFILE_R_MAX[cfg.profile]
-        if cfg.command == "verify-growth" and r_max < cfg.t_end:
+        if "t_end" in takes and r_max < cfg.t_end:
             # the trials run to t_end: take the profile as far as it holds
             r_max = _PROFILE_R_LIMIT.get(cfg.profile, RunConfig.r_max)
         cfg = replace(cfg, r_max=r_max)
-    if "t_end" not in doc and cfg.command == "verify-growth" and cfg.profile in _PROFILE_R_MAX:
+    if "t_end" not in doc and "t_end" in takes and cfg.profile in _PROFILE_R_MAX:
         # and they stop where the profile's range does, when that comes first
         cfg = replace(cfg, t_end=min(cfg.t_end, cfg.r_max))
     return cfg
@@ -538,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         cfg = _resolve_config(args)
-        body, ok, artifacts = _RUNNERS[cfg.command](cfg)
+        body, ok, artifacts = _COMMANDS[cfg.command].run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -756,7 +756,7 @@ def check_parts_identities(
     c = 0.5 * nm1
     s0, t1 = float(span[0]), float(span[1])
     if not (profile.r_min - 1e-9 <= s0 < t1 <= profile.r_max + 1e-9):
-        raise ConfigError(f"identity span {span} leaves the profile validity range")
+        raise ConfigError(f"identity span {span} is not an interval s0 < t1 inside [{profile.r_min}, {profile.r_max}]")
     # panels of width at most 0.35, split exactly at the kinks
     pieces = piece_edges(s0, t1, profile.kinks)
     edges = [s0]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,17 @@ import numpy as np
 import pytest
 
 import warpspec
-from warpspec.cli import _PROFILE_KINDS, emit_plot_data, main, profile_from_json, profile_to_json
+from warpspec.cli import (
+    _COMMANDS,
+    _PROFILE_KINDS,
+    RunConfig,
+    _build_parser,
+    _settings,
+    emit_plot_data,
+    main,
+    profile_from_json,
+    profile_to_json,
+)
 from warpspec.embedded_construction import reference_profile
 from warpspec.errors import ConfigError
 from warpspec.growth_and_identities import GrowthSeries, power_decay_profile, slow_log_decay_profile
@@ -134,6 +145,61 @@ def test_negative_counts_exit_2_before_any_build(capsys, argv):
     assert "config error" in err and "nonnegative" in err
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("a refused configuration reached a build")
+
+
+@pytest.mark.parametrize("lo, hi", [(2.3, 2.2), (2.2, 2.2)], ids=["reversed", "empty"])
+def test_bad_lambda_window_exits_2_before_the_build(capsys, monkeypatch, lo, hi):
+    monkeypatch.setattr("warpspec.cli.build_construction", _no_build)
+    code, doc, err = run_cli(capsys, ["build-example", "--lambda-lo", str(lo), "--lambda-hi", str(hi)])
+    assert code == 2
+    assert doc is None
+    assert "empty lambda window" in err
+
+
+# a valid value of each setting, as a flag's words and as a config value: its
+# default, or a path or a number where that is null; a bool's is False
+_SETTING_VALUES = {
+    f.name: f.default if f.default is not None else "art" if f.type == "str | None" else 1.0
+    for f in dataclasses.fields(RunConfig)
+    if f.name != "command"
+}
+
+
+def _flag(name):
+    value = _SETTING_VALUES[name]
+    return ["--" + name.replace("_", "-")] + ([] if value is False else [str(value)])
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(c, name) for c in _COMMANDS for name in _SETTING_VALUES if name not in _settings(c)],
+)
+def test_a_setting_the_command_does_not_read_exits_2(capsys, monkeypatch, tmp_path, command, name):
+    # refused as a flag by the parser and as a config key by config_from_json,
+    # before any profile or construction is built
+    monkeypatch.setattr("warpspec.cli.build_construction", _no_build)
+    monkeypatch.setattr("warpspec.cli._named_profile", _no_build)
+    code, doc, err = run_cli(capsys, [command, *_flag(name)])
+    assert code == 2 and doc is None
+    assert "unrecognized arguments: " + " ".join(_flag(name)) in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: _SETTING_VALUES[name]}))
+    code, doc, err = run_cli(capsys, [command, "--config", str(cfg)])
+    assert code == 2 and doc is None
+    assert "config error" in err and repr(name) in err
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_command_takes_its_own_settings_as_flags(command):
+    argv = [command] + [word for name in _settings(command) for word in _flag(name)]
+    args = vars(_build_parser().parse_args(argv))
+    assert {name: args[name] for name in _settings(command)} == {
+        name: True if _SETTING_VALUES[name] is False else _SETTING_VALUES[name] for name in _settings(command)
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -151,15 +217,22 @@ def test_non_finite_settings_exit_2_before_any_build(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"n": "3"}, {"r_max": None}, {"j_max": 1.5}, {"timings": "yes"}, {"n": 3.0}, {"trials": True}],
+    "command, bad",
+    [
+        ("curvature-report", {"n": "3"}),
+        ("curvature-report", {"r_max": None}),
+        ("scan", {"j_max": 1.5}),
+        ("curvature-report", {"timings": "yes"}),
+        ("curvature-report", {"n": 3.0}),
+        ("verify-growth", {"trials": True}),
+    ],
     ids=["str_n", "null_r_max", "float_j_max", "str_timings", "float_n", "bool_trials"],
 )
-def test_wrongly_typed_config_value_exits_2(capsys, tmp_path, bad):
+def test_wrongly_typed_config_value_exits_2(capsys, tmp_path, command, bad):
     # a bool is never a number and a float never an int
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"profile": "euclidean", **bad}))
-    code, doc, err = run_cli(capsys, ["curvature-report", "--config", str(cfg)])
+    cfg.write_text(json.dumps({"profile": "euclidean", **bad} if command == "curvature-report" else bad))
+    code, doc, err = run_cli(capsys, [command, "--config", str(cfg)])
     assert code == 2
     assert doc is None
     assert "config error" in err and next(iter(bad)) in err

@@ -104,7 +104,7 @@ def test_write_text_atomic_overwrites(tmp_path):
 
 
 def test_runconfig_json_round_trip():
-    cfg = RunConfig(command="scan", n=4, k=1.25, lambda_step=5e-3, seed=7)
+    cfg = RunConfig(command="scan", n=4, k=1.25, lambda_step=5e-3, j_max=2)
     doc = config_to_json(cfg)
     back = config_from_json(doc)
     assert back == cfg
@@ -129,16 +129,17 @@ def test_runconfig_rejects_unknown_key():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, match",
     [
-        {"command": "scan", "n": 1},
-        {"command": "scan", "trials": 0},
-        {"command": "scan", "lambda_step": 0.0},
-        {"command": "scan", "threads": 1},  # the removed threads key is now unknown
-        {"command": "nonsense"},
-        {"command": "scan", "profile": "flat-torus"},
+        ({"command": "scan", "n": 1}, "n >= 2"),
+        ({"command": "verify-growth", "trials": 0}, "^trials must be positive$"),
+        ({"command": "scan", "lambda_step": 0.0}, "^lambda_step must be positive$"),
+        ({"command": "scan", "threads": 1}, "threads"),  # the removed threads key is now unknown
+        ({"command": "nonsense"}, "nonsense"),
+        ({"command": "curvature-report", "profile": "flat-torus"}, "unknown profile"),
     ],
+    ids=[f"bad{i}" for i in range(6)],
 )
-def test_runconfig_validates_values(bad):
-    with pytest.raises(ConfigError):
+def test_runconfig_validates_values(bad, match):
+    with pytest.raises(ConfigError, match=match):
         config_from_json(bad)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import warpspec
+import warpspec.cli as cli
 
 SOURCES = sorted(Path(warpspec.__file__).parent.glob("*.py"))
 
@@ -304,3 +305,32 @@ def test_every_public_name_has_a_caller():
     }
     # either a new name without a caller or a table entry that gained one
     assert uncalled.keys() == UNCALLED_PUBLIC.keys(), sorted(uncalled.get(n, n) for n in uncalled.keys() ^ UNCALLED_PUBLIC.keys())
+
+
+def _cfg_reads(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
+    """Attributes read as cfg.<attr> in the cli function name and, in turn, in
+    every cli function it passes cfg to."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions.keys() - seen
+            and any(isinstance(arg, ast.Name) and arg.id == "cfg" for arg in node.args)
+        ):
+            reads |= _cfg_reads(functions, node.func.id, seen)
+    return reads
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_each_command_takes_exactly_the_settings_its_code_reads(command):
+    # the runner, the helpers it hands cfg to (_named_profile, _lambda_window,
+    # _outdir) and main read precisely the command's row of the table plus
+    # out and timings: the table is measured from the code, not guessed
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = _cfg_reads(functions, cli._COMMANDS[command].run.__name__, set()) | _cfg_reads(functions, "main", set())
+    assert reads - {"command"} == set(cli._settings(command))
