@@ -14,7 +14,7 @@ the function that uses it, the first time it runs:
 - scipy.special: disk_eigenfunction (gamma, jv) alone;
 - scipy.optimize: disk_eigenfunction (brentq for the Bessel zero) and
   build_construction (lsq_linear for the connector);
-- scipy.interpolate: profile_from_shape when no log_f is given, and the
+- scipy.interpolate: profile_from_shape when no triple is given, and the
   glued construction (the bridge's B-splines, its log f and the tail's psi).
 
 The absence side needs numpy alone: the growth functional, the identity

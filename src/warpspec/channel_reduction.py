@@ -171,8 +171,8 @@ def channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
 def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential:
     """Half-line potential q_j = p^2 S^2 + p S' + lam_j / f^2 of channel j >= 0, lam_j = j (j + n - 2).
 
-    q_fn evaluates the profile's shape once per call (ShapeFns.values), so
-    it is valid on [r_min, r_max].
+    q_fn evaluates the profile's shape once per call (ShapeFns.pair, or
+    triple when lam_j > 0), so it is valid on [r_min, r_max].
     Nothing is sampled: k_eff, phase and remainder_slope stay None
     (channel_potential fits them), so this suits callers that only
     integrate the channel equation.
@@ -188,9 +188,9 @@ def unfitted_channel_potential(profile: WarpProfile, j: int) -> ChannelPotential
     def q_fn(x, _sh=sh, _p=p, _lam=lam_j):
         x = np.asarray(x, dtype=float)
         if _lam == 0.0:
-            s, s_prime = _sh.values(x)
+            s, s_prime = _sh.pair(x)
             return _p * _p * s * s + _p * s_prime
-        s, s_prime, log_f = _sh.values(x, with_log_f=True)
+        s, s_prime, log_f = _sh.triple(x)
         return _p * _p * s * s + _p * s_prime + _lam * np.exp(-2.0 * log_f)
 
     origin_exponent = None
@@ -220,7 +220,7 @@ def inverse_liouville(
     silently far out on an exponential end.
     """
     p = 0.5 * (profile.n - 1)
-    s, _, log_f = profile.shape.values(np.asarray(r, dtype=float), with_log_f=True)
+    s, _, log_f = profile.shape.triple(np.asarray(r, dtype=float))
     with np.errstate(under="ignore"):
         fmp = np.exp(-p * log_f)
     return fmp * w, fmp * (w_prime - p * s * w)

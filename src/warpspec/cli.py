@@ -21,10 +21,13 @@ to r = 40 and the power and log ends to r = 1100; the glued construction and
 the wvn end reach r = 2000.  verify-growth, whose trials run to --t-end,
 takes a model profile shorter than that as far as it holds (hyperbolic to
 r = 710, where sinh r overflows, the others to 2000), and without --t-end
-its span stops at the profile's r_max if that comes first.  Non-finite
-settings are refused.  All artifacts are written atomically and print each
-float as Python's repr, the shortest string that reads back to the same
-double, so repeated runs are byte-identical; wall-clock time goes to stderr
+its span stops at the profile's r_max if that comes first.  Without
+--span-lo, check-identities starts its span no earlier than the profile's
+r_min.  verify-growth --eigenfunction refuses alpha, trials and seed, which
+only the trials read.  Non-finite settings are refused.  All artifacts are
+written atomically and print each float as Python's repr, the shortest
+string that reads back to the same double, so repeated runs are
+byte-identical; wall-clock time goes to stderr
 (and into the report only under --timings, which deliberately breaks
 byte-identity).  A profile.json artifact holds exactly the keys n, kind and
 params, the keyword arguments of that kind's builder, and profile_from_json
@@ -516,6 +519,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     doc["command"] = args.command
     doc.update({name: value for name in takes if (value := getattr(args, name)) is not None})
     cfg = config_from_json(doc)
+    trial_settings = sorted({"alpha", "trials", "seed"} & doc.keys())
+    if cfg.eigenfunction and trial_settings:
+        raise ConfigError(f"verify-growth --eigenfunction does not read the settings {trial_settings}")
     if "r_max" not in doc and "profile" in takes and cfg.profile in _PROFILE_R_MAX:
         r_max = _PROFILE_R_MAX[cfg.profile]
         if "t_end" in takes and r_max < cfg.t_end:
@@ -525,6 +531,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if "t_end" not in doc and "t_end" in takes and cfg.profile in _PROFILE_R_MAX:
         # and they stop where the profile's range does, when that comes first
         cfg = replace(cfg, t_end=min(cfg.t_end, cfg.r_max))
+    if "span_lo" not in doc and "span_lo" in takes and cfg.profile in _PROFILE_R_MAX:
+        # the identity span starts where a model profile does, when that comes
+        # later (the log end starts at r = 2); wvn and glued start below 1
+        cfg = replace(cfg, span_lo=max(cfg.span_lo, _named_profile(cfg).r_min))
     return cfg
 
 

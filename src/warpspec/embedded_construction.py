@@ -240,9 +240,8 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile
     |k| (n-1) sqrt((n-1)^2 + 4) > 4 so that the channel sinusoid amplitude
     k_eff exceeds 2.  The shape is valid on the profile's range, r >= 1,
     where its sine integral (_sine_integral, numpy alone) holds.  Each
-    evaluation computes sin 2r and cos 2r once, for S, S' and Si(2r), and
-    its joint evaluations (ShapeFns.pair, triple) give all the values it
-    computes.
+    evaluation of its pair or triple computes sin 2r and cos 2r once, for S,
+    S' and Si(2r).
     """
     thr = resonance_coupling_threshold(n)
     if abs(k) <= thr:
@@ -264,9 +263,6 @@ def reference_profile(n: int, k: float, *, r_max: float = 2000.0) -> WarpProfile
 
     return profile_from_shape(
         n,
-        s=lambda r: values(r, False)[0],
-        s_prime=lambda r: values(r, False)[1],
-        log_f=lambda r: values(r, True)[2],
         pair=lambda r: values(r, False),
         triple=lambda r: values(r, True),
         r_min=1.0,
@@ -510,18 +506,19 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
     cum = gl.antiderivative(g_of_t(gl.x.ravel()))[1]
     logf_mid_spl = CubicSpline(nodes, math.log(r1) + cum)
     sh1 = ref.shape
-    log_c2 = float(math.log(r1) + cum[-1]) - float(sh1.log_f(r2))
+    s_r2, _, log_f_r2 = sh1.triple(r2)
+    log_c2 = float(math.log(r1) + cum[-1]) - float(log_f_r2)
 
     # the glue radii and the interior spline knots, where S is only C^2: quadrature
     # panels, stencils and ODE steps must not straddle them
     knots = [float(r1 + t) for t in bk if 1e-12 < t < length - 1e-12]
 
     def tail_triple(v):
-        s, s_prime, log_f = sh1.values(v, with_log_f=True)
+        s, s_prime, log_f = sh1.triple(v)
         return s, s_prime, log_c2 + log_f
 
     def pair(r):
-        return _piecewise(r, r1, r2, lambda v: (1.0 / v, -1.0 / v**2), bridge_shape, sh1.values)
+        return _piecewise(r, r1, r2, lambda v: (1.0 / v, -1.0 / v**2), bridge_shape, sh1.pair)
 
     def triple(r):
         return _piecewise(
@@ -530,9 +527,6 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
 
     profile = profile_from_shape(
         n,
-        s=lambda r: pair(r)[0],
-        s_prime=lambda r: pair(r)[1],
-        log_f=lambda r: triple(r)[2],
         pair=pair,
         triple=triple,
         r_min=DEFAULT_STEP,
@@ -560,7 +554,7 @@ def _glue(connector: Connector, disk: DiskEigenfunction, ref: WarpProfile, tail:
 
     jumps = {
         "s_jump_r1": abs(float(g_of_t(0.0)) - 1.0 / r1),
-        "s_jump_r2": abs(float(g_of_t(length)) - float(sh1.s(r2))),
+        "s_jump_r2": abs(float(g_of_t(length)) - float(s_r2)),
     }
     return profile, psi_fn, math.exp(log_c2), jumps
 
@@ -605,7 +599,7 @@ def build_construction(
     for ci in idx:
         r2 = float(x[ci])
         length = r2 - disk.r1
-        s_tail = [float(sh.s(r2)), float(sh.s_prime(r2)), _reference_s_second(k, r2)]
+        s_tail = [*map(float, sh.pair(r2)), _reference_s_second(k, r2)]
         for sigma in (0.5, 0.8, 1.3, 2.0):
             tried += 1
             c_tail = -sigma * length / float(h[ci])
@@ -756,14 +750,15 @@ def verify_construction(
 
     # (c) tail curvature decay
     rr = np.arange(r2, prof.r_max, math.pi / 40.0)
-    y = rr * (1.0 + radial_curvature(sh, rr))
+    s_rr, s_prime_rr = sh.pair(rr)
+    y = rr * (1.0 + radial_curvature(s_rr, s_prime_rr))
     report["sup_r_k_plus_1"] = float(np.max(np.abs(y)))
     wmask = (rr >= 100.0) & (rr <= 500.0)
     design = np.column_stack([np.sin(2.0 * rr[wmask]), np.cos(2.0 * rr[wmask])])
     coef, *_ = np.linalg.lstsq(design, y[wmask], rcond=None)
     report["curvature_amplitude"] = float(np.hypot(*coef))
     report["curvature_amplitude_predicted"] = 2.0 * math.sqrt(2.0) * abs(g.k)
-    report["sup_r_s_minus_1"] = float(np.max(np.abs(rr * (sh.s(rr) - 1.0))))
+    report["sup_r_s_minus_1"] = float(np.max(np.abs(rr * (s_rr - 1.0))))
 
     # (d) L2 norm of psi and tail integrand exponent
     norms = []

@@ -33,7 +33,6 @@ import numpy as np
 from .channel_reduction import (
     ChannelPotential,
     block_max_slope,
-    inverse_liouville,
     require_oscillatory,
     unfitted_channel_potential,
 )
@@ -94,11 +93,11 @@ __all__ = [
 class RadialSolution:
     """Radial solution phi of Delta phi + alpha phi = 0 sampled on a grid.
 
-    w = f^p phi and w' = f^p (phi' + p S phi) are the primary data (they stay
-    bounded where phi' and f^{n-1} separately overflow); phi/phi_prime are
-    recovered values and may underflow to 0 harmlessly at large radii.
-    residual is the finite-difference defect of w'' = (q0 - alpha) w, relative
-    to the local scale of the equation.
+    It is held as w = f^p phi and w' = f^p (phi' + p S phi), which stay
+    bounded where phi' and f^{n-1} separately overflow;
+    channel_reduction.inverse_liouville recovers phi and phi'.  residual is
+    the finite-difference defect of w'' = (q0 - alpha) w, relative to the
+    local scale of the equation.
     """
 
     n: int
@@ -106,8 +105,6 @@ class RadialSolution:
     t: np.ndarray
     w: np.ndarray
     w_prime: np.ndarray
-    phi: np.ndarray
-    phi_prime: np.ndarray
     residual: float
 
 
@@ -133,8 +130,8 @@ def solve_radial(
     Maps (phi0, phi_prime0) to w = f^p phi, w' = f^p (phi' + p S phi) and
     integrates every column of the channel-0 equation w'' = (q0 - alpha) w in
     one propagate call (rtol 1e-11) on a DEFAULT_STEP grid, the columns as
-    states of the one energy alpha, so the returned phi are the genuine
-    solutions with those values, one RadialSolution per column.
+    states of the one energy alpha, so each returned RadialSolution is the
+    genuine solution with its column's values.
     """
     sh = profile.shape
     p = 0.5 * (profile.n - 1)
@@ -145,8 +142,9 @@ def solve_radial(
         raise ConfigError(f"span end {t1} exceeds the profile validity radius {profile.r_max}")
     t = uniform_grid(t0, t1, DEFAULT_STEP)
     phi0, phi_prime0 = np.atleast_1d(phi0), np.atleast_1d(phi_prime0)
-    fp0 = math.exp(p * float(sh.log_f(t0)))
-    y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(sh.s(t0)) * phi0)])
+    s_t0, _, log_f_t0 = sh.triple(t0)
+    fp0 = math.exp(p * float(log_f_t0))
+    y0 = np.array([fp0 * phi0, fp0 * (phi_prime0 + p * float(s_t0) * phi0)])
     q0 = unfitted_channel_potential(profile, 0)
     _, y, off = propagate(q0, [float(alpha)], y0[:, :, None], t0, t[-1], t, rtol=1e-11)
     y = np.concatenate([y0[:, :, None], y[:, :, 0] * np.exp(off)], axis=2)
@@ -156,9 +154,8 @@ def solve_radial(
 def radial_solution_from_w(
     profile: WarpProfile, q0: ChannelPotential, *, alpha: float, t: np.ndarray, w: np.ndarray, w_prime: np.ndarray
 ) -> RadialSolution:
-    """Wrap half-line samples (w, w') as a RadialSolution, recovering phi; q0 is the profile's channel 0."""
+    """Wrap half-line samples (w, w') as a RadialSolution with its residual; q0 is the profile's channel 0."""
     t = np.asarray(t, dtype=float)
-    phi, phi_prime = inverse_liouville(profile, t, w, w_prime)
     res = _w_form_residual(t, w, w_prime, (q0.q_fn(t) - alpha) * w)
     return RadialSolution(
         n=profile.n,
@@ -166,8 +163,6 @@ def radial_solution_from_w(
         t=t,
         w=np.asarray(w, dtype=float),
         w_prime=np.asarray(w_prime, dtype=float),
-        phi=phi,
-        phi_prime=phi_prime,
         residual=res,
     )
 
@@ -284,7 +279,7 @@ def _decay_hypothesis_report(profile: WarpProfile, *, r_hi: float) -> dict:
     if r_hi < 10.0 * r_lo:
         raise InsufficientDataError("decay window spans less than one decade")
     r = np.geomspace(r_lo, min(r_hi, profile.r_max), 4000)
-    y = r * np.abs(1.0 + radial_curvature(profile.shape, r))
+    y = r * np.abs(1.0 + radial_curvature(*profile.shape.pair(r)))
     sup = float(np.max(y))
     report: dict = {"window": (float(r[0]), float(r[-1])), "sup": sup}
     if sup <= 1e-8:
@@ -513,21 +508,15 @@ def power_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
     The exponent 3/2 > 1 puts the end inside the o(1/r) hypothesis class.
     """
 
-    def s(r):
-        return 1.0 + np.asarray(r, dtype=float) ** -1.5
-
-    def s_prime(r):
-        return -1.5 * np.asarray(r, dtype=float) ** -2.5
-
-    def log_f(r):
+    def values(r, with_log_f):
         r = np.asarray(r, dtype=float)
-        return r - 2.0 * r**-0.5
+        out = (1.0 + r**-1.5, -1.5 * r**-2.5)
+        return (*out, r - 2.0 * r**-0.5) if with_log_f else out
 
     return profile_from_shape(
         n,
-        s=s,
-        s_prime=s_prime,
-        log_f=log_f,
+        pair=lambda r: values(r, False),
+        triple=lambda r: values(r, True),
         r_min=1.0,
         r_max=r_max,
         kind="power_decay",
@@ -538,24 +527,16 @@ def power_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
 def slow_log_decay_profile(n: int, *, r_max: float = 1100.0) -> WarpProfile:
     """Shape S = 1 + 1/(2 r log r) on [2, r_max]: boundary of the o(1/r) class."""
 
-    def s(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 + 0.5 / (r * np.log(r))
-
-    def s_prime(r):
+    def values(r, with_log_f):
         r = np.asarray(r, dtype=float)
         lg = np.log(r)
-        return -0.5 * (lg + 1.0) / (r * lg) ** 2
-
-    def log_f(r):
-        r = np.asarray(r, dtype=float)
-        return r + 0.5 * np.log(np.log(r))
+        out = (1.0 + 0.5 / (r * lg), -0.5 * (lg + 1.0) / (r * lg) ** 2)
+        return (*out, r + 0.5 * np.log(lg)) if with_log_f else out
 
     return profile_from_shape(
         n,
-        s=s,
-        s_prime=s_prime,
-        log_f=log_f,
+        pair=lambda r: values(r, False),
+        triple=lambda r: values(r, True),
         r_min=2.0,
         r_max=r_max,
         kind="log_decay",
@@ -721,9 +702,10 @@ def gauge_potential(
 
     def q_prime(r):
         r = np.asarray(r, dtype=float)
-        lap = nm1 * sh.s(r)
+        s, s_prime = sh.pair(r)
+        lap = nm1 * s
         rp, rpp = gauge.d1(r), gauge.d2(r)
-        return 2.0 * rp * rpp - gauge.d3(r) - nm1 * sh.s_prime(r) * (rp + c) + (2.0 * c - lap) * rpp
+        return 2.0 * rp * rpp - gauge.d3(r) - nm1 * s_prime * (rp + c) + (2.0 * c - lap) * rpp
 
     return q, q_prime
 
@@ -771,7 +753,8 @@ def check_parts_identities(
     # W = omega e^{-2cr} f^{n-1}, rebuilt from the shape's own S so that
     # (log W)' = Delta r - 2c holds exactly at the nodes; the anchor value at
     # s0 multiplies every term of every identity and cancels in the residual.
-    logw_anchor = math.log(omega) + nm1 * float(sh.log_f(s0)) - 2.0 * c * s0
+    s_s0, _, log_f_s0 = sh.triple(s0)
+    logw_anchor = math.log(omega) + nm1 * float(log_f_s0) - 2.0 * c * s0
     cum, cum_edges = rule.antiderivative(lap_x - 2.0 * c)
     wq = np.exp(logw_anchor + cum.ravel())
     w_ends = np.exp(logw_anchor + cum_edges[[0, -1]])
@@ -815,7 +798,7 @@ def check_parts_identities(
     # and g(s0) = 1; w solves the channel-0 equation at energy c^2 + lam
     p = 0.5 * nm1
     u0, u0_prime = map(float, data.u0)
-    y0 = np.array([[u0], [u0_prime - (c - p * float(sh.s(s0))) * u0]])
+    y0 = np.array([[u0], [u0_prime - (c - p * float(s_s0)) * u0]])
     _, y, off = propagate(
         unfitted_channel_potential(profile, 0), np.array([c * c + data.lam]), y0, s0, t1, np.append(x, t1), rtol=1e-12
     )

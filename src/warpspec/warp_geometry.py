@@ -73,27 +73,26 @@ def uniform_grid(r_min: float, r_max: float, step: float = DEFAULT_STEP) -> np.n
 
 @dataclass(frozen=True)
 class ShapeFns:
-    """Closed-form shape of a profile: S = f'/f, S' and log f.
+    """Closed-form shape of a profile: pair(r) = (S, S') and triple(r) = (S, S', log f), S = f'/f.
 
-    All callables accept scalars or arrays.  S'' is not stored: the one
-    place that reads it, where a bridge meets the reference end, evaluates
-    it in closed form (embedded_construction).  A shape whose values share
-    work (a piecewise dispatch, sin 2r) may also give pair, (S, S'), and
-    triple, (S, S', log f), each bit for bit the separate callables' values
-    from one evaluation; values() reads them.
+    Both accept scalars or arrays, and triple's S and S' are pair's bit for
+    bit.  A reader of two or more values at the same points takes them from
+    one call; s, s_prime and log_f project one value out for a reader of one.
+    S'' is not held: the one place that reads it, where a bridge meets the
+    reference end, evaluates it in closed form (embedded_construction).
     """
 
-    s: Callable[[np.ndarray], np.ndarray]
-    s_prime: Callable[[np.ndarray], np.ndarray]
-    log_f: Callable[[np.ndarray], np.ndarray]
-    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    triple: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    triple: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def values(self, r, with_log_f: bool = False) -> tuple:
-        """(S, S') at r, or (S, S', log f) with_log_f, from the joint callable when there is one."""
-        if with_log_f:
-            return self.triple(r) if self.triple is not None else (self.s(r), self.s_prime(r), self.log_f(r))
-        return self.pair(r) if self.pair is not None else (self.s(r), self.s_prime(r))
+    def s(self, r):
+        return self.pair(r)[0]
+
+    def s_prime(self, r):
+        return self.pair(r)[1]
+
+    def log_f(self, r):
+        return self.triple(r)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,20 +186,16 @@ def fd_derivative(x: np.ndarray, y: np.ndarray, order: int = 1) -> np.ndarray:
     return out / h**order
 
 
-def radial_curvature(shape: ShapeFns, r: np.ndarray) -> np.ndarray:
-    """K_rad = -f''/f = -(S' + S^2) of a shape at radii r."""
-    return -(shape.s_prime(r) + shape.s(r) ** 2)
+def radial_curvature(s: np.ndarray, s_prime: np.ndarray) -> np.ndarray:
+    """K_rad = -f''/f = -(S' + S^2) from a shape's values (S, S') = ShapeFns.pair(r)."""
+    return -(s_prime + s**2)
 
 
 def curvature_of_profile(profile: WarpProfile) -> CurvatureField:
     """S and radial curvature of a profile's shape at uniform_grid(r_min, r_max), with the trace residual."""
     r = uniform_grid(profile.r_min, profile.r_max)
-    return CurvatureField(
-        grid=r,
-        s=profile.shape.s(r),
-        k_rad=radial_curvature(profile.shape, r),
-        trace_residual=bochner_residual(profile),
-    )
+    s, s_prime = profile.shape.pair(r)
+    return CurvatureField(grid=r, s=s, k_rad=radial_curvature(s, s_prime), trace_residual=bochner_residual(profile))
 
 
 def bochner_residual(profile: WarpProfile) -> float:
@@ -238,10 +233,10 @@ def bochner_residual(profile: WarpProfile) -> float:
             h = min(DEFAULT_STEP, alpha / 50.0, width / 200.0)
             m = max(11, int(math.ceil((beta - alpha) / h)) + 1)
             x = np.linspace(alpha, beta, m)
-            s_x, sp_x = (np.asarray(v, dtype=float) for v in shape.values(x))
+            s_x, sp_x = shape.pair(x)
             lap = nm1 * s_x
             dlap = (fd_derivative(x, x * lap) - lap) / x
-            res = dlap + nm1 * s_x**2 - nm1 * (sp_x + s_x**2)
+            res = dlap + nm1 * s_x**2 + nm1 * radial_curvature(s_x, sp_x)
             worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
@@ -298,43 +293,36 @@ class GaussLegendrePanels:
 
 def euclidean_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpProfile:
     """Flat cap: f(r) = r, curvature 0."""
-    return profile_from_shape(
-        n,
-        s=lambda r: 1.0 / np.asarray(r, dtype=float),
-        s_prime=lambda r: -1.0 / np.asarray(r, dtype=float) ** 2,
-        log_f=lambda r: np.log(np.asarray(r, dtype=float)),
-        r_min=r_min,
-        r_max=r_max,
-        kind="euclidean",
-        params={"r_min": r_min, "r_max": r_max},
-    )
+    return _model_profile(n, "euclidean", r_min, r_max, lambda r: (1.0 / r, -1.0 / r**2), np.log)
 
 
 def hyperbolic_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpProfile:
     """Constant curvature -1: f(r) = sinh r."""
-    return profile_from_shape(
-        n,
-        s=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
-        # 1/sinh before squaring: sinh(r) ** 2 overflows past r = 355
-        s_prime=lambda r: -((1.0 / np.sinh(np.asarray(r, dtype=float))) ** 2),
-        log_f=lambda r: np.log(np.sinh(np.asarray(r, dtype=float))),
-        r_min=r_min,
-        r_max=r_max,
-        kind="hyperbolic",
-        params={"r_min": r_min, "r_max": r_max},
+    # 1/sinh before squaring: sinh(r) ** 2 overflows past r = 355
+    return _model_profile(
+        n, "hyperbolic", r_min, r_max, lambda r: (1.0 / np.tanh(r), -((1.0 / np.sinh(r)) ** 2)), lambda r: np.log(np.sinh(r))
     )
 
 
 def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpProfile:
     """Exponential end: f(r) = e^r, so S is identically 1 and K_rad is -1."""
+    return _model_profile(n, "cusp", r_min, r_max, lambda r: (np.ones_like(r), np.zeros_like(r)), lambda r: r)
+
+
+def _model_profile(n: int, kind: str, r_min: float, r_max: float, pair, log_f) -> WarpProfile:
+    """A model end on [r_min, r_max] from closed forms pair(r) = (S, S') and log_f(r) of a float array r."""
+
+    def triple(r):
+        r = np.asarray(r, dtype=float)
+        return (*pair(r), log_f(r))
+
     return profile_from_shape(
         n,
-        s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        log_f=lambda r: np.asarray(r, dtype=float),
+        pair=lambda r: pair(np.asarray(r, dtype=float)),
+        triple=triple,
         r_min=r_min,
         r_max=r_max,
-        kind="cusp",
+        kind=kind,
         params={"r_min": r_min, "r_max": r_max},
     )
 
@@ -342,34 +330,35 @@ def cusp_profile(n: int, *, r_min: float = 0.05, r_max: float = 40.0) -> WarpPro
 def profile_from_shape(
     n: int,
     *,
-    s: Callable[[np.ndarray], np.ndarray],
-    s_prime: Callable[[np.ndarray], np.ndarray],
+    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     r_min: float,
     r_max: float,
-    log_f: Callable[[np.ndarray], np.ndarray] | None = None,
+    triple: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
     kind: str = "tabulated",
     params: Mapping[str, float] | None = None,
     kinks: Sequence[float] = (),
-    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-    triple: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> WarpProfile:
-    """Build a profile from a shape curve S = f'/f on [r_min, r_max].
+    """Build a profile from its shape pair(r) = (S, S'), S = f'/f, on [r_min, r_max].
 
-    Every built-in profile is made here.  Nothing is evaluated unless log_f
-    is omitted: then it is accumulated by Gauss-Legendre quadrature of S
-    along nodes 0.02 apart (normalized so f(r_min) = 1) and interpolated
-    with a cubic spline; supply an exact log_f whenever one is available.  kinks are the
-    ascending radii where S loses smoothness.  pair and triple are the
-    optional joint evaluations of ShapeFns.  kind and params name the
-    builder that remakes the profile; a profile persists to JSON only when
-    the CLI knows that kind (cli.profile_to_json).
+    Every built-in profile is made here.  triple(r) = (S, S', log f) must
+    give pair's S and S' bit for bit; supply it whenever log f has a closed
+    form.  Nothing is evaluated unless triple is omitted: then log f is
+    accumulated by Gauss-Legendre quadrature of pair's S along nodes 0.02
+    apart (normalized so f(r_min) = 1), interpolated with a cubic spline and
+    appended to pair's values.  kinks are the ascending radii where S loses
+    smoothness.  kind and params name the builder that remakes the profile;
+    a profile persists to JSON only when the CLI knows that kind
+    (cli.profile_to_json).
     """
-    if log_f is None:
+    if triple is None:
         from scipy.interpolate import CubicSpline
 
         dense = np.linspace(r_min, r_max, int((r_max - r_min) / 0.02) + 2)
         gl = GaussLegendrePanels(dense)
-        log_f = CubicSpline(dense, gl.antiderivative(np.asarray(s(gl.x.ravel()), dtype=float))[1])
+        log_f = CubicSpline(dense, gl.antiderivative(np.asarray(pair(gl.x.ravel())[0], dtype=float))[1])
+
+        def triple(r):
+            return (*pair(r), log_f(r))
 
     return WarpProfile(
         n=n,
@@ -377,7 +366,7 @@ def profile_from_shape(
         params=dict(params or {}),
         r_min=float(r_min),
         r_max=float(r_max),
-        shape=ShapeFns(s=s, s_prime=s_prime, log_f=log_f, pair=pair, triple=triple),
+        shape=ShapeFns(pair=pair, triple=triple),
         kinks=tuple(float(k) for k in kinks),
     )
 

@@ -184,8 +184,7 @@ def test_criterion_07_comparison_machinery():
         s_fn = lambda r: sol.sol(np.asarray(r, dtype=float))[0]
         prof = profile_from_shape(
             3,
-            s=s_fn,
-            s_prime=lambda r: -s_fn(r) ** 2 - curvature(np.asarray(r, dtype=float)),
+            pair=lambda r: (s_fn(r), -s_fn(r) ** 2 - curvature(np.asarray(r, dtype=float))),
             r_min=1.0,
             r_max=float(grid10[-1]),
         )

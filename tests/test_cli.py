@@ -83,6 +83,22 @@ def test_eigenfunction_needs_glued_profile(capsys):
     assert "glued" in err
 
 
+@pytest.mark.parametrize("name", ["alpha", "trials", "seed"])
+def test_eigenfunction_mode_refuses_the_trial_settings(capsys, monkeypatch, tmp_path, name):
+    # the decay series reads none of them: refused as a flag and as a config
+    # key, naming the setting, before the construction is built
+    monkeypatch.setattr("warpspec.cli.build_construction", _no_build)
+    value = {"alpha": 2.5, "trials": 9, "seed": 3}[name]
+    code, doc, err = run_cli(capsys, ["verify-growth", "--profile", "glued", "--eigenfunction", f"--{name}", str(value)])
+    assert code == 2 and doc is None
+    assert "config error" in err and repr(name) in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "glued", "eigenfunction": True, name: value}))
+    code, doc, err = run_cli(capsys, ["verify-growth", "--config", str(cfg)])
+    assert code == 2 and doc is None
+    assert "config error" in err and repr(name) in err
+
+
 def test_eigenfunction_decays_at_the_predicted_rate(capsys):
     # k = 1 gives k_eff ~ 2.83: t I(t) ~ t^(1 - k_eff/2) falls by only ~5x
     # over [50, 1000], and the check reads that slope, not a fixed ratio
@@ -378,6 +394,17 @@ def test_check_identities_euclidean(capsys, tmp_path):
         ["check-identities", "--profile", "euclidean", "--span-lo", "5.0", "--span-hi", "2.0"],
     )
     assert code2 == 2
+
+
+def test_check_identities_log_runs_at_its_defaults(capsys):
+    # the log end starts at r = 2, after the default span_lo of 1: the
+    # default span starts there, and a span the user gives is not moved
+    code, doc, err = run_cli(capsys, ["check-identities", "--profile", "log"])
+    assert code == 0, err
+    assert doc["report"]["span"] == [2.0, 20.0]
+    code, doc, err = run_cli(capsys, ["check-identities", "--profile", "log", "--span-lo", "1.0"])
+    assert code == 2 and doc is None
+    assert "identity span (1.0, 20.0)" in err
 
 
 def test_scan_smoke(capsys, tmp_path):

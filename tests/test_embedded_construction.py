@@ -10,11 +10,16 @@ from warpspec import (
     ConnectorFailureError,
     CouplingTooWeakError,
     build_construction,
+    cusp_profile,
     disk_eigenfunction,
+    euclidean_profile,
+    hyperbolic_profile,
     junction_candidates,
+    power_decay_profile,
     reference_profile,
     resonance_coupling_threshold,
     scale_construction,
+    slow_log_decay_profile,
     uniform_grid,
     verify_construction,
 )
@@ -187,15 +192,26 @@ def test_sine_integral_matches_scipy_across_its_rows():
     assert _sine_integral(x[:6].reshape(2, 3), np.sin(x[:6]).reshape(2, 3), np.cos(x[:6]).reshape(2, 3)).shape == (2, 3)
 
 
-@pytest.mark.parametrize("which", ["reference", "glued"])
+SHAPE_KINDS = {
+    "euclidean": lambda: euclidean_profile(3),
+    "hyperbolic": lambda: hyperbolic_profile(3),
+    "cusp": lambda: cusp_profile(3),
+    "reference": lambda: reference_profile(3, 1.3, r_max=300.0),
+    "power": lambda: power_decay_profile(3),
+    "log": lambda: slow_log_decay_profile(3),
+}
+
+
+@pytest.mark.parametrize("which", ["reference", "glued", "euclidean", "hyperbolic", "cusp", "power", "log"])
 def test_joint_shape_values_are_the_separate_ones_bit_for_bit(which, glued_k1):
-    prof = reference_profile(3, 1.3, r_max=300.0) if which == "reference" else glued_k1.profile
+    # every profile kind the CLI builds: triple's S and S' are pair's, and
+    # the one-value projections are theirs
+    prof = glued_k1.profile if which == "glued" else SHAPE_KINDS[which]()
     sh = prof.shape
     rng = np.random.default_rng(3)
     # every piece of the glued profile in one array, its kinks included
     r = np.concatenate([rng.uniform(prof.r_min, 40.0, 500), rng.uniform(prof.r_min, prof.r_max, 200), prof.kinks])
     for x in (r, r[r > 40.0], np.float64(r[0])):
-        s, sp = sh.values(x)
-        s3, sp3, lf3 = sh.values(x, with_log_f=True)
-        for got in ((s, sp), (s3, sp3, lf3)):
-            assert all(np.array_equal(a, b) for a, b in zip(got, (sh.s(x), sh.s_prime(x), sh.log_f(x))))
+        s, sp = sh.pair(x)
+        s3, sp3, lf3 = sh.triple(x)
+        assert all(np.array_equal(a, b) for a, b in zip((s, sp, s3, sp3, lf3), (s3, sp3, sh.s(x), sh.s_prime(x), sh.log_f(x))))

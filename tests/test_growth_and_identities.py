@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpspec.channel_reduction import channel_potential, unfitted_channel_potential
+from warpspec.channel_reduction import channel_potential, inverse_liouville, unfitted_channel_potential
 from warpspec.errors import (
     ConfigError,
     HypothesisViolatedError,
@@ -61,7 +61,8 @@ def test_cusp_radial_solution_closed_form():
     sol = solve_radial(prof, alpha=2.0, span=(1.0, 30.0), phi0=1.0, phi_prime0=0.0)[0]
     tau = sol.t - 1.0
     exact = np.exp(-tau) * (np.cos(tau) + np.sin(tau))
-    assert float(np.max(np.abs(sol.phi - exact))) < 1e-8
+    phi, _ = inverse_liouville(prof, sol.t, sol.w, sol.w_prime)
+    assert float(np.max(np.abs(phi - exact))) < 1e-8
     # residual is a finite-difference defect on the solve grid, so it is
     # stencil-limited rather than solver-limited
     assert sol.residual < 1e-6
@@ -90,7 +91,8 @@ def test_growth_series_matches_direct_energy():
     sol = solve_radial(prof, alpha=1.7, span=(1.0, 25.0), phi0=1.0, phi_prime0=0.0)[0]
     series = growth_series(prof, sol)
     f_sq = np.exp(2.0 * prof.shape.log_f(sol.t))
-    direct = OMEGA_2 * f_sq * (sol.phi_prime**2 + sol.phi**2)
+    phi, phi_prime = inverse_liouville(prof, sol.t, sol.w, sol.w_prime)
+    direct = OMEGA_2 * f_sq * (phi_prime**2 + phi**2)
     assert np.allclose(series.i_values, direct, rtol=1e-9)
 
 
@@ -139,7 +141,8 @@ def test_solve_radial_matches_model_closed_forms(alpha, eta, model):
     sol = solve_radial(prof, alpha=alpha, span=(t0, 30.0), phi0=phi0, phi_prime0=phi1)[0]
     w0, w1 = f(t0) * phi0, f1(t0) * phi0 + f(t0) * phi1
     exact = w0 * np.cos(k * (sol.t - t0)) + (w1 / k) * np.sin(k * (sol.t - t0))
-    assert float(np.max(np.abs(f(sol.t) * sol.phi - exact))) <= 1e-8 * math.hypot(w0, w1 / k)
+    phi, _ = inverse_liouville(prof, sol.t, sol.w, sol.w_prime)
+    assert float(np.max(np.abs(f(sol.t) * phi - exact))) <= 1e-8 * math.hypot(w0, w1 / k)
 
 
 @settings(deadline=None, max_examples=3)

@@ -184,6 +184,32 @@ def test_a_profile_is_its_shape_and_its_range():
     assert not stale, stale
 
 
+def test_a_shape_is_its_pair_and_its_triple():
+    # one way to evaluate a shape: (S, S') and (S, S', log f) from one call
+    # each; s, s_prime and log_f are projections of them, not fields
+    assert [f.name for f in dataclasses.fields(warpspec.ShapeFns)] == ["pair", "triple"]
+    assert not hasattr(warpspec.ShapeFns, "values")
+
+
+def _functions():
+    """Every function definition of the package, nested ones included, with its module's file name."""
+    return [
+        (path.name, func)
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_no_function_reads_s_and_s_prime_by_two_calls():
+    # a reader of S and S' takes both from one ShapeFns.pair call
+    def called(func):
+        return {node.func.attr for node in ast.walk(func) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+    both = [(name, func.name) for name, func in _functions() if {"s", "s_prime"} <= called(func)]
+    assert not both, both
+
+
 def test_one_block_maxima_fit():
     # the log-log slope of block maxima (tail remainder, curvature decay) is
     # fitted by channel_reduction.block_max_slope alone
@@ -199,26 +225,43 @@ def test_one_block_maxima_fit():
 
 
 def test_one_radial_curvature():
-    # K_rad = -(S' + S^2) is formed from a shape by warp_geometry.radial_curvature
-    # alone; every other reader of K_rad calls it
+    # K_rad = -(S' + S^2) is formed by warp_geometry.radial_curvature alone;
+    # every other reader of K_rad calls it.  S and S' are calls (shape.s(r)),
+    # or names: s and s_prime, or any names unpacked from one evaluation
+    # (s_x, sp_x = shape.pair(x))
     def calls(node, name):
         return isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
 
-    def forms_k_rad(node):
+    def unpacked(func):
+        """Names of S (position 0) and S' (position 1) unpacked from a pair or triple call in func."""
+        names = ({"s"}, {"s_prime"})
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and (calls(node.value, "pair") or calls(node.value, "triple")):
+                for target in node.targets:
+                    for pos, elt in enumerate(getattr(target, "elts", ())[:2]):
+                        if isinstance(elt, ast.Name):
+                            names[pos].add(elt.id)
+        return names
+
+    def is_value(node, call, names):
+        return calls(node, call) or (isinstance(node, ast.Name) and node.id in names)
+
+    def forms_k_rad(node, s_names, sp_names):
         if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
             return False
         return any(
-            calls(a, "s_prime") and isinstance(b, ast.BinOp) and isinstance(b.op, ast.Pow) and calls(b.left, "s")
+            is_value(a, "s_prime", sp_names)
+            and isinstance(b, ast.BinOp)
+            and isinstance(b.op, ast.Pow)
+            and is_value(b.left, "s", s_names)
             for a, b in ((node.left, node.right), (node.right, node.left))
         )
 
     users = {
-        (path.name, func.name)
-        for path in SOURCES
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        (name, func.name)
+        for name, func in _functions()
         for node in ast.walk(func)
-        if forms_k_rad(node)
+        if forms_k_rad(node, *unpacked(func))
     }
     assert users == {("warp_geometry.py", "radial_curvature")}
 

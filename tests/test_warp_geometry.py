@@ -159,11 +159,10 @@ def test_profile_json_refuses_unregistered_kinds():
     # a shape is code, not data: only kinds with a builder in the CLI's table persist
     prof = profile_from_shape(
         3,
-        s=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        s_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        pair=lambda r: (np.ones_like(np.asarray(r, dtype=float)), np.zeros_like(np.asarray(r, dtype=float))),
         r_min=1.0,
         r_max=10.0,
-        log_f=lambda r: np.asarray(r, dtype=float) - 1.0,
+        triple=lambda r: (np.ones_like(np.asarray(r, dtype=float)), np.zeros_like(np.asarray(r, dtype=float)), np.asarray(r, dtype=float) - 1.0),
     )
     assert prof.kind == "tabulated"
     with pytest.raises(ConfigError, match="no builder"):
